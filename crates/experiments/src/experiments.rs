@@ -242,9 +242,9 @@ pub fn serve_tables(report: &snsp_serve::ServeCampaignReport, title: &str) -> Ve
 /// and a degradation point — cheap enough to replay on every push (it is
 /// the committed `BENCH_chaos.json` artifact). `racks` sweeps correlated
 /// burst sizes; `msg-storm` sweeps transport-fault probabilities.
-pub fn chaos_grid(id: &str, seeds: u64) -> Option<snsp_serve::ChaosCampaign> {
+pub fn chaos_grid(id: &str, seeds: u64) -> Option<snsp_serve::ServeCampaign> {
     use snsp_gen::TraceParams;
-    use snsp_serve::{ChaosCampaign, ChaosPoint, FaultSpec, RetryPolicy};
+    use snsp_serve::{FaultSpec, RetryPolicy, ServeCampaign, ServePoint};
     // Heavy tenants make faults bite: the platform must buy real
     // capacity, so revocations and crashes displace actual residents.
     let heavy = TraceParams::poisson(1.2, 50.0, 30.0)
@@ -252,28 +252,30 @@ pub fn chaos_grid(id: &str, seeds: u64) -> Option<snsp_serve::ChaosCampaign> {
         .with_tenant_rho(8.0, 16.0);
     let points = match id {
         "ci" => vec![
-            ChaosPoint::new(
+            ServePoint::new(
                 "crash-recovery",
                 TraceParams::poisson(0.6, 5.0, 20.0).with_failures(0.05),
+            )
+            .with_fault(
                 FaultSpec::seeded(101)
                     .with_crashes(0.25)
                     .with_msg_faults(0.05, 0.03, 0.03)
                     .with_retry(RetryPolicy::standard())
                     .with_ticks(2.0),
             ),
-            ChaosPoint::new(
-                "revocation",
-                heavy,
+            ServePoint::new("revocation", heavy).with_fault(
                 FaultSpec::seeded(202)
                     .with_revocation(10.0, 14.0, 0.6)
                     .with_retry(RetryPolicy::standard())
                     .with_ticks(1.0),
             ),
-            ChaosPoint::new(
+            ServePoint::new(
                 "degrade",
                 TraceParams::poisson(1.5, 40.0, 24.0)
                     .with_tenant_ops(12, 20)
                     .with_tenant_rho(2.0, 4.0),
+            )
+            .with_fault(
                 FaultSpec::seeded(303)
                     .with_revocation(6.0, 22.0, 0.7)
                     .with_retry(RetryPolicy::standard())
@@ -284,31 +286,29 @@ pub fn chaos_grid(id: &str, seeds: u64) -> Option<snsp_serve::ChaosCampaign> {
         "racks" => [1usize, 2, 4]
             .into_iter()
             .map(|size| {
-                ChaosPoint::new(
-                    format!("rack={size}"),
-                    TraceParams::poisson(0.8, 8.0, 40.0),
-                    FaultSpec::seeded(404 + size as u64)
-                        .with_racks(0.08, size)
-                        .with_retry(RetryPolicy::standard())
-                        .with_ticks(2.0),
-                )
+                ServePoint::new(format!("rack={size}"), TraceParams::poisson(0.8, 8.0, 40.0))
+                    .with_fault(
+                        FaultSpec::seeded(404 + size as u64)
+                            .with_racks(0.08, size)
+                            .with_retry(RetryPolicy::standard())
+                            .with_ticks(2.0),
+                    )
             })
             .collect(),
         "msg-storm" => [0.05f64, 0.15, 0.3]
             .into_iter()
             .map(|p| {
-                ChaosPoint::new(
-                    format!("drop={p:.2}"),
-                    TraceParams::poisson(0.8, 6.0, 30.0),
-                    FaultSpec::seeded(505)
-                        .with_msg_faults(p, p / 2.0, p / 2.0)
-                        .with_ticks(2.0),
-                )
+                ServePoint::new(format!("drop={p:.2}"), TraceParams::poisson(0.8, 6.0, 30.0))
+                    .with_fault(
+                        FaultSpec::seeded(505)
+                            .with_msg_faults(p, p / 2.0, p / 2.0)
+                            .with_ticks(2.0),
+                    )
             })
             .collect(),
         _ => return None,
     };
-    Some(ChaosCampaign::new(id, points, seeds).with_shards(2, 1))
+    Some(ServeCampaign::new(id, points, seeds).with_shards(2, 1))
 }
 
 /// Every grid id accepted by [`chaos_grid`].
@@ -408,7 +408,7 @@ pub fn parse_fault_plan(text: &str) -> Result<snsp_serve::FaultSpec, String> {
 
 /// Renders the fault/recovery table from a chaos campaign report (the
 /// human-readable view of `BENCH_chaos.json`).
-pub fn chaos_tables(report: &snsp_serve::ChaosCampaignReport, title: &str) -> Vec<Table> {
+pub fn chaos_tables(report: &snsp_serve::ServeCampaignReport, title: &str) -> Vec<Table> {
     let mut t = Table::new(
         format!(
             "{title} — fault injection and recovery over {} seeds",
@@ -1034,8 +1034,8 @@ mod tests {
     #[test]
     fn chaos_ci_grid_replays_validates_and_certifies_recovery() {
         let campaign = chaos_grid("ci", 1).unwrap();
-        let report = snsp_serve::run_chaos_campaign(&campaign);
-        snsp_sweep::validate_chaos_report(&report.render_json(true)).expect("v6 validates");
+        let report = snsp_serve::run_serve_campaign(&campaign);
+        snsp_sweep::validate_chaos_report(&report.render_chaos_json(true)).expect("v6 validates");
         let tables = chaos_tables(&report, "chaos-ci");
         assert_eq!(tables.len(), 1);
         assert_eq!(tables[0].rows.len(), campaign.points.len());

@@ -104,7 +104,7 @@ use std::path::PathBuf;
 use std::time::Instant;
 
 use snsp_search::run_refine_campaign;
-use snsp_serve::{run_chaos_campaign, run_serve_campaign};
+use snsp_serve::run_serve_campaign;
 use snsp_sweep::{
     diff_reports, run_campaign, validate_chaos_report, validate_perf_report,
     validate_refine_report, validate_report, validate_serve_report, validate_telemetry_report,
@@ -480,17 +480,25 @@ fn run_sweep(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-fn run_serve(args: &Args) -> Result<(), String> {
+/// The `serve` and `chaos` subcommands: one campaign type and one
+/// report. `chaos` picks the fault grids, honours `--fault-plan`, points
+/// the flight recorder next to the trace, and writes the v6 artifact;
+/// `serve` writes the v3 one.
+fn run_serve(args: &Args, chaos: bool) -> Result<(), String> {
+    let cmd = if chaos { "chaos" } else { "serve" };
     let grid_id = args
         .grid
         .as_deref()
-        .ok_or_else(|| format!("serve needs --grid <id>\n{}", usage()))?;
-    let mut campaign = experiments::serve_grid(grid_id, args.seeds).ok_or_else(|| {
-        format!(
-            "unknown serve grid {grid_id}; available: {}",
-            experiments::SERVE_GRID_IDS.join(" ")
-        )
-    })?;
+        .ok_or_else(|| format!("{cmd} needs --grid <id>\n{}", usage()))?;
+    let (grid, ids) = if chaos {
+        let grid = experiments::chaos_grid(grid_id, args.seeds);
+        (grid, experiments::CHAOS_GRID_IDS)
+    } else {
+        let grid = experiments::serve_grid(grid_id, args.seeds);
+        (grid, experiments::SERVE_GRID_IDS)
+    };
+    let mut campaign =
+        grid.ok_or_else(|| format!("unknown {cmd} grid {grid_id}; available: {}", ids.join(" ")))?;
     if let Some(w) = args.workers {
         campaign = campaign.with_workers(w);
     }
@@ -498,55 +506,7 @@ fn run_serve(args: &Args) -> Result<(), String> {
         let shards = campaign.shards;
         campaign = campaign.with_shards(shards, r);
     }
-
-    trace_begin(args);
-    let (report, telem) = run_captured(args.telemetry, || run_serve_campaign(&campaign));
-    write_trace(args, &format!("serve {grid_id}"))?;
-    let tables = experiments::serve_tables(&report, &format!("serve campaign {grid_id}"));
-    write_tables(&format!("serve_{grid_id}"), &tables, &args.out_dir);
-
-    let json_path = args
-        .json
-        .clone()
-        .unwrap_or_else(|| args.out_dir.join("BENCH_serve.json"));
-    let body = report.render_json(!args.stable_json);
-    validate_serve_report(&body)
-        .map_err(|errors| format!("generated serve report failed validation: {errors:?}"))?;
-    if let Some(dir) = json_path.parent() {
-        let _ = std::fs::create_dir_all(dir);
-    }
-    std::fs::write(&json_path, &body)
-        .map_err(|e| format!("could not write {}: {e}", json_path.display()))?;
-    println!("[json] {}", json_path.display());
-    write_telemetry(args, telem, &format!("serve {grid_id}"))?;
-    if let Some(t) = &report.timing {
-        println!(
-            "[serve {grid_id}] {} traces on {} workers: run {:.3}s, total {:.3}s",
-            t.jobs, t.workers, t.run_s, t.total_s
-        );
-    }
-    Ok(())
-}
-
-fn run_chaos(args: &Args) -> Result<(), String> {
-    let grid_id = args
-        .grid
-        .as_deref()
-        .ok_or_else(|| format!("chaos needs --grid <id>\n{}", usage()))?;
-    let mut campaign = experiments::chaos_grid(grid_id, args.seeds).ok_or_else(|| {
-        format!(
-            "unknown chaos grid {grid_id}; available: {}",
-            experiments::CHAOS_GRID_IDS.join(" ")
-        )
-    })?;
-    if let Some(w) = args.workers {
-        campaign = campaign.with_workers(w);
-    }
-    if let Some(r) = args.replay_workers {
-        let shards = campaign.shards;
-        campaign = campaign.with_shards(shards, r);
-    }
-    if let Some(plan) = &args.fault_plan {
+    if let (true, Some(plan)) = (chaos, &args.fault_plan) {
         let spec = experiments::parse_fault_plan(plan)?;
         for point in &mut campaign.points {
             point.fault = spec;
@@ -555,33 +515,49 @@ fn run_chaos(args: &Args) -> Result<(), String> {
 
     // The flight recorder dumps next to the trace artifact; without
     // --trace-out the dump falls back to stderr.
-    if let Some(path) = &args.trace_out {
+    if let (true, Some(path)) = (chaos, &args.trace_out) {
         snsp_telemetry::trace::set_flight_path(Some(trace_sibling(path, "flight")));
     }
     trace_begin(args);
-    let (report, telem) = run_captured(args.telemetry, || run_chaos_campaign(&campaign));
-    write_trace(args, &format!("chaos {grid_id}"))?;
+    let (report, telem) = run_captured(args.telemetry, || run_serve_campaign(&campaign));
+    write_trace(args, &format!("{cmd} {grid_id}"))?;
     snsp_telemetry::trace::set_flight_path(None);
-    let tables = experiments::chaos_tables(&report, &format!("chaos campaign {grid_id}"));
-    write_tables(&format!("chaos_{grid_id}"), &tables, &args.out_dir);
+    let title = format!("{cmd} campaign {grid_id}");
+    let tables = if chaos {
+        experiments::chaos_tables(&report, &title)
+    } else {
+        experiments::serve_tables(&report, &title)
+    };
+    write_tables(&format!("{cmd}_{grid_id}"), &tables, &args.out_dir);
 
+    let (default_name, body) = if chaos {
+        (
+            "BENCH_chaos.json",
+            report.render_chaos_json(!args.stable_json),
+        )
+    } else {
+        ("BENCH_serve.json", report.render_json(!args.stable_json))
+    };
+    let valid = if chaos {
+        validate_chaos_report(&body)
+    } else {
+        validate_serve_report(&body)
+    };
+    valid.map_err(|errors| format!("generated {cmd} report failed validation: {errors:?}"))?;
     let json_path = args
         .json
         .clone()
-        .unwrap_or_else(|| args.out_dir.join("BENCH_chaos.json"));
-    let body = report.render_json(!args.stable_json);
-    validate_chaos_report(&body)
-        .map_err(|errors| format!("generated chaos report failed validation: {errors:?}"))?;
+        .unwrap_or_else(|| args.out_dir.join(default_name));
     if let Some(dir) = json_path.parent() {
         let _ = std::fs::create_dir_all(dir);
     }
     std::fs::write(&json_path, &body)
         .map_err(|e| format!("could not write {}: {e}", json_path.display()))?;
     println!("[json] {}", json_path.display());
-    write_telemetry(args, telem, &format!("chaos {grid_id}"))?;
+    write_telemetry(args, telem, &format!("{cmd} {grid_id}"))?;
     if let Some(t) = &report.timing {
         println!(
-            "[chaos {grid_id}] {} traces on {} workers: run {:.3}s, total {:.3}s",
+            "[{cmd} {grid_id}] {} traces on {} workers: run {:.3}s, total {:.3}s",
             t.jobs, t.workers, t.run_s, t.total_s
         );
     }
@@ -760,15 +736,8 @@ fn main() {
         }
         return;
     }
-    if args.experiment == "serve" {
-        if let Err(e) = run_serve(&args) {
-            eprintln!("{e}");
-            std::process::exit(2);
-        }
-        return;
-    }
-    if args.experiment == "chaos" {
-        if let Err(e) = run_chaos(&args) {
+    if matches!(args.experiment.as_str(), "serve" | "chaos") {
+        if let Err(e) = run_serve(&args, args.experiment == "chaos") {
             eprintln!("{e}");
             std::process::exit(2);
         }

@@ -1,49 +1,64 @@
 //! Trace campaigns: whole grids of serving scenarios on the sweep pool.
 //!
-//! A [`ServeCampaign`] crosses trace scenario points with seeds and
-//! drains the resulting replays through `snsp-sweep`'s work-stealing
-//! pool. Every job is a pure function of its grid coordinates
-//! (`generate_trace(point.params, seed)` + the deterministic replay), and
-//! aggregation runs in grid order, so the **stable** JSON rendering is
-//! byte-identical at any worker count — the same contract CI's
-//! bench-snapshot job enforces for offline campaigns, extended to the
-//! online subsystem as schema v3 (`BENCH_serve.json`,
-//! [`validate_serve_report`](snsp_sweep::validate_serve_report)).
+//! A [`ServeCampaign`] crosses scenario points with seeds and drains the
+//! resulting replays through `snsp-sweep`'s work-stealing pool. Every
+//! point carries a [`FaultSpec`] — all off by default, so a plain point
+//! is a plain replay — and every job is a pure function of its grid
+//! coordinates (`generate_trace(point.params, seed)`, that seed's fault
+//! plan, the deterministic replay). Aggregation runs in grid order, so
+//! the **stable** renderings are byte-identical at any worker count,
+//! campaign and replay workers alike.
 //!
-//! Campaigns can replay through the sharded tier
-//! ([`with_shards`](ServeCampaign::with_shards)): each trace then runs
-//! on [`run_trace_sharded`] with its
-//! own replay-worker pool, and the config echo records both knobs.
-//! Admission latencies (wall-clock, per successful admission) aggregate
-//! into nearest-rank p50/p99 columns; being timings, they render as
-//! `null` in the stable form and as full sample statistics in the timed
-//! form.
+//! One report renders both artifacts; the CLI's `serve` and `chaos`
+//! subcommands each pick one:
+//!
+//! * schema v3 (`kind: "serve"`, `BENCH_serve.json`,
+//!   [`validate_serve_report`](snsp_sweep::validate_serve_report)): the
+//!   service metrics, with admission-latency p50/p99 columns that render
+//!   as `null` in the stable form;
+//! * schema v6 (`kind: "chaos"`, `BENCH_chaos.json`,
+//!   [`validate_chaos_report`](snsp_sweep::validate_chaos_report)): the
+//!   fault, recovery, retry and audit accounting. Every replay whose plan
+//!   schedules a crash is shadowed by its crash-free twin, and the pair's
+//!   event logs and final fingerprints must agree for
+//!   `crash_fingerprint_match` to hold.
 
 use std::time::Instant;
 
 use snsp_gen::{generate_trace, TraceParams};
-use snsp_sweep::{run_jobs, Json, PhaseTiming};
+use snsp_sweep::{run_jobs, Json, PhaseTiming, PIPELINE_SEED_STRIDE};
 
-use crate::report::{percentile, TraceReport};
-use crate::shard::{run_trace_sharded, ShardOptions};
-use crate::sim::{run_trace, ServeConfig};
+use crate::fault::{ChaosStats, FaultPlan, FaultSpec};
+use crate::report::{fnv1a, percentile, TraceReport, FNV_OFFSET};
+use crate::shard::ShardOptions;
+use crate::sim::{replay, ServeConfig};
 
-/// One labelled trace scenario.
+/// One labelled trace scenario and the faults injected into its replays.
 #[derive(Debug, Clone)]
 pub struct ServePoint {
     /// Row label in tables and JSON.
     pub label: String,
     /// Trace generator parameters.
     pub params: TraceParams,
+    /// Faults injected into every replay of this point, all off by
+    /// default. Each seed derives its own fault-stream seed from it.
+    pub fault: FaultSpec,
 }
 
 impl ServePoint {
-    /// A labelled point.
+    /// A labelled fault-free point.
     pub fn new(label: impl Into<String>, params: TraceParams) -> Self {
         ServePoint {
             label: label.into(),
             params,
+            fault: FaultSpec::default(),
         }
+    }
+
+    /// This point with `fault` injected into every replay.
+    pub fn with_fault(mut self, fault: FaultSpec) -> Self {
+        self.fault = fault;
+        self
     }
 }
 
@@ -59,17 +74,15 @@ pub struct ServeCampaign {
     pub config: ServeConfig,
     /// Worker threads; `None` uses available parallelism.
     pub workers: Option<usize>,
-    /// Tenant shards per replay; 1 uses the unsharded
-    /// [`run_trace`] path, >1 replays through
-    /// [`run_trace_sharded`].
+    /// Tenant shards per replay (1 is the unsharded platform).
     pub shards: usize,
-    /// Worker threads driving each sharded replay's per-tick batches
-    /// (ignored when `shards == 1`).
+    /// Worker threads driving each replay's per-tick shard batches
+    /// (wall-clock only; never changes results).
     pub replay_workers: usize,
 }
 
 impl ServeCampaign {
-    /// A campaign with the default serving policy.
+    /// A campaign with the default serving policy on one shard.
     pub fn new(id: impl Into<String>, points: Vec<ServePoint>, seeds: u64) -> Self {
         ServeCampaign {
             id: id.into(),
@@ -94,11 +107,10 @@ impl ServeCampaign {
         self
     }
 
-    /// Routes every replay through the sharded tier: `shards` tenant
-    /// shards, each replay driving its tick batches with
-    /// `replay_workers` threads (both clamped to at least 1). Shard
-    /// count changes packing (it is part of the scenario); replay
-    /// workers never change results.
+    /// Replays every trace over `shards` tenant shards, each replay
+    /// driving its tick batches with `replay_workers` threads (both
+    /// clamped to at least 1). Shard count changes packing (it is part
+    /// of the scenario); replay workers never change results.
     pub fn with_shards(mut self, shards: usize, replay_workers: usize) -> Self {
         self.shards = shards.max(1);
         self.replay_workers = replay_workers.max(1);
@@ -112,6 +124,15 @@ impl ServeCampaign {
                 .unwrap_or(4)
         })
     }
+}
+
+/// One replay's outcome plus its crash-recovery verdict.
+struct Run {
+    base: TraceReport,
+    stats: ChaosStats,
+    /// `None` when the plan scheduled no crash; otherwise whether the
+    /// event log and final fingerprint equal the crash-free twin's.
+    crash_match: Option<bool>,
 }
 
 /// Aggregated replays of one scenario point.
@@ -131,7 +152,7 @@ pub struct ServePointReport {
     pub departed: usize,
     /// Summed evictions.
     pub evicted: usize,
-    /// Summed effective failures.
+    /// Summed effective processor failures (trace + rack + revocation).
     pub failures: usize,
     /// Summed engine spot-runs.
     pub slo_checks: usize,
@@ -150,6 +171,11 @@ pub struct ServePointReport {
     /// Admission-latency samples pooled across the point's replays (µs,
     /// wall-clock — excluded from stable output).
     pub admit_latencies_us: Vec<f64>,
+    /// Summed fault/recovery/retry accounting over all replays.
+    pub stats: ChaosStats,
+    /// Whether every crash-bearing replay matched its crash-free twin
+    /// (`None` when no replay scheduled a crash).
+    pub crash_fingerprint_match: Option<bool>,
 }
 
 impl ServePointReport {
@@ -159,6 +185,16 @@ impl ServePointReport {
             1.0
         } else {
             self.admitted as f64 / self.arrivals as f64
+        }
+    }
+
+    /// `readmitted / retry_enqueued` over all replays (1 when nothing
+    /// was enqueued).
+    pub fn readmission_rate(&self) -> f64 {
+        if self.stats.retry_enqueued == 0 {
+            1.0
+        } else {
+            self.stats.readmitted as f64 / self.stats.retry_enqueued as f64
         }
     }
 
@@ -174,78 +210,116 @@ impl ServePointReport {
         percentile(&self.admit_latencies_us, 99.0)
     }
 
-    fn from_runs(label: &str, runs: &[TraceReport]) -> Self {
+    fn from_runs(label: &str, runs: &[Run]) -> Self {
         let n = runs.len().max(1) as f64;
         // Fold the per-seed fingerprints (in seed order) with the same
         // FNV-1a step the per-trace digest uses.
-        let mut hash = crate::report::FNV_OFFSET;
+        let mut hash = FNV_OFFSET;
+        let mut stats = ChaosStats::default();
         for r in runs {
-            hash = crate::report::fnv1a(hash, r.log_hash().to_be_bytes());
+            hash = fnv1a(hash, r.base.log_hash().to_be_bytes());
+            stats.absorb(&r.stats);
         }
+        let sum = |f: fn(&TraceReport) -> usize| -> usize { runs.iter().map(|r| f(&r.base)).sum() };
+        let mean = |f: fn(&TraceReport) -> f64| runs.iter().map(|r| f(&r.base)).sum::<f64>() / n;
+        let verdicts: Vec<bool> = runs.iter().filter_map(|r| r.crash_match).collect();
         ServePointReport {
             label: label.to_string(),
             traces: runs.len(),
-            arrivals: runs.iter().map(|r| r.arrivals).sum(),
-            admitted: runs.iter().map(|r| r.admitted).sum(),
-            rejected: runs.iter().map(|r| r.rejected).sum(),
-            departed: runs.iter().map(|r| r.departed).sum(),
-            evicted: runs.iter().map(|r| r.evicted).sum(),
-            failures: runs.iter().map(|r| r.failures).sum(),
-            slo_checks: runs.iter().map(|r| r.slo_checks).sum(),
-            slo_violations: runs.iter().map(|r| r.slo_violations).sum(),
-            mean_cost_integral: runs.iter().map(|r| r.cost_time_integral).sum::<f64>() / n,
-            mean_utilization: runs.iter().map(|r| r.mean_utilization).sum::<f64>() / n,
-            mean_final_cost: runs.iter().map(|r| r.final_cost as f64).sum::<f64>() / n,
-            peak_procs: runs.iter().map(|r| r.peak_procs).max().unwrap_or(0),
+            arrivals: sum(|r| r.arrivals),
+            admitted: sum(|r| r.admitted),
+            rejected: sum(|r| r.rejected),
+            departed: sum(|r| r.departed),
+            evicted: sum(|r| r.evicted),
+            failures: sum(|r| r.failures),
+            slo_checks: sum(|r| r.slo_checks),
+            slo_violations: sum(|r| r.slo_violations),
+            mean_cost_integral: mean(|r| r.cost_time_integral),
+            mean_utilization: mean(|r| r.mean_utilization),
+            mean_final_cost: mean(|r| r.final_cost as f64),
+            peak_procs: runs.iter().map(|r| r.base.peak_procs).max().unwrap_or(0),
             log_hash: hash,
             admit_latencies_us: runs
                 .iter()
-                .flat_map(|r| r.admit_latencies_us.iter().copied())
+                .flat_map(|r| r.base.admit_latencies_us.iter().copied())
                 .collect(),
+            stats,
+            crash_fingerprint_match: (!verdicts.is_empty()).then(|| verdicts.iter().all(|&v| v)),
         }
     }
 
-    /// Renders one results row. `include_timing = false` is the stable
-    /// form: wall-clock admission latencies vary run to run, so the
-    /// `admit_latency` column degrades to `null` there and only carries
-    /// the sample statistics in the timed form.
-    fn to_json(&self, include_timing: bool) -> Json {
-        let admit_latency = if include_timing && !self.admit_latencies_us.is_empty() {
-            Json::obj(vec![
-                ("samples", Json::Int(self.admit_latencies_us.len() as i64)),
-                ("p50_us", Json::Num(self.admit_p50_us())),
-                ("p99_us", Json::Num(self.admit_p99_us())),
-                (
-                    "max_us",
-                    Json::Num(self.admit_latencies_us.iter().copied().fold(0.0, f64::max)),
-                ),
-            ])
-        } else {
-            Json::Null
-        };
-        Json::obj(vec![
+    /// Renders one results row: the shared columns, then the chaos (v6)
+    /// or the serve (v3) ones. The stable serve form renders the
+    /// wall-clock `admit_latency` column as `null`; the timed form
+    /// carries its sample statistics.
+    fn to_json(&self, chaos: bool, include_timing: bool) -> Json {
+        let int = |v: usize| Json::Int(v as i64);
+        let mut row = vec![
             ("label", Json::Str(self.label.clone())),
-            ("traces", Json::Int(self.traces as i64)),
-            ("arrivals", Json::Int(self.arrivals as i64)),
-            ("admitted", Json::Int(self.admitted as i64)),
-            ("rejected", Json::Int(self.rejected as i64)),
-            ("departed", Json::Int(self.departed as i64)),
-            ("evicted", Json::Int(self.evicted as i64)),
-            ("failures", Json::Int(self.failures as i64)),
+            ("traces", int(self.traces)),
+            ("arrivals", int(self.arrivals)),
+            ("admitted", int(self.admitted)),
+            ("rejected", int(self.rejected)),
+            ("departed", int(self.departed)),
+            ("evicted", int(self.evicted)),
+            ("failures", int(self.failures)),
             ("admission_rate", Json::Num(self.admission_rate())),
-            ("mean_cost_integral", Json::Num(self.mean_cost_integral)),
-            ("mean_utilization", Json::Num(self.mean_utilization)),
-            ("mean_final_cost", Json::Num(self.mean_final_cost)),
-            ("peak_procs", Json::Int(self.peak_procs as i64)),
-            ("slo_checks", Json::Int(self.slo_checks as i64)),
-            ("slo_violations", Json::Int(self.slo_violations as i64)),
-            ("admit_latency", admit_latency),
-            ("log_hash", Json::Str(format!("{:016x}", self.log_hash))),
-        ])
+        ];
+        if chaos {
+            let s = &self.stats;
+            let verdict = self.crash_fingerprint_match.map_or(Json::Null, Json::Bool);
+            row.extend([
+                ("faults_injected", int(s.faults_injected)),
+                ("crashes", int(s.crashes)),
+                ("recoveries", int(s.recoveries)),
+                ("rack_failures", int(s.rack_failures)),
+                ("revocations", int(s.revocations)),
+                ("msgs_dropped", int(s.msgs_dropped)),
+                ("msgs_retransmitted", int(s.msgs_retransmitted)),
+                ("msgs_duplicated", int(s.msgs_duplicated)),
+                ("dups_discarded", int(s.dups_discarded)),
+                ("msgs_delayed", int(s.msgs_delayed)),
+                ("retry_enqueued", int(s.retry_enqueued)),
+                ("readmitted", int(s.readmitted)),
+                ("retry_dropped", int(s.retry_dropped)),
+                ("shed", int(s.shed)),
+                ("readmission_rate", Json::Num(self.readmission_rate())),
+                ("crash_fingerprint_match", verdict),
+                ("audit_failures", int(s.audit_failures)),
+                ("mean_final_cost", Json::Num(self.mean_final_cost)),
+            ]);
+        } else {
+            let samples = &self.admit_latencies_us;
+            let admit_latency = if include_timing && !samples.is_empty() {
+                Json::obj(vec![
+                    ("samples", int(samples.len())),
+                    ("p50_us", Json::Num(self.admit_p50_us())),
+                    ("p99_us", Json::Num(self.admit_p99_us())),
+                    (
+                        "max_us",
+                        Json::Num(samples.iter().copied().fold(0.0, f64::max)),
+                    ),
+                ])
+            } else {
+                Json::Null
+            };
+            row.extend([
+                ("mean_cost_integral", Json::Num(self.mean_cost_integral)),
+                ("mean_utilization", Json::Num(self.mean_utilization)),
+                ("mean_final_cost", Json::Num(self.mean_final_cost)),
+                ("peak_procs", int(self.peak_procs)),
+                ("slo_checks", int(self.slo_checks)),
+                ("slo_violations", int(self.slo_violations)),
+                ("admit_latency", admit_latency),
+            ]);
+        }
+        row.push(("log_hash", Json::Str(format!("{:016x}", self.log_hash))));
+        Json::obj(row)
     }
 }
 
-/// The complete result of one serve campaign.
+/// The complete result of one serve campaign — the source of both the
+/// v3 serve and the v6 chaos artifact.
 #[derive(Debug, Clone)]
 pub struct ServeCampaignReport {
     /// Campaign identifier.
@@ -256,7 +330,7 @@ pub struct ServeCampaignReport {
     pub slo_frac: f64,
     /// Tenant shards per replay, echoed from the campaign.
     pub shards: usize,
-    /// Replay workers per sharded replay, echoed from the campaign
+    /// Replay workers per replay, echoed from the campaign
     /// (wall-clock-only; part of the timed output, not the stable form).
     pub replay_workers: usize,
     /// The scenario grid, echoed for reproducibility.
@@ -268,21 +342,51 @@ pub struct ServeCampaignReport {
 }
 
 impl ServeCampaignReport {
-    /// Serializes schema v3. With `include_timing = false` the output is
-    /// the *stable* form: byte-identical at every worker count (campaign
-    /// workers and replay workers alike), with the wall-clock
-    /// `admit_latency` column rendered as `null`.
+    /// Serializes schema v3 (`kind: "serve"`). With `include_timing =
+    /// false` the output is the *stable* form: byte-identical at every
+    /// worker count (campaign workers and replay workers alike), with
+    /// the wall-clock `admit_latency` column rendered as `null`.
     pub fn to_json(&self, include_timing: bool) -> Json {
+        self.document(false, include_timing)
+    }
+
+    /// [`to_json`](Self::to_json) rendered to pretty-printed text.
+    pub fn render_json(&self, include_timing: bool) -> String {
+        self.to_json(include_timing).render()
+    }
+
+    /// Serializes schema v6 (`kind: "chaos"`): the point echo carries
+    /// each point's fault spec and the rows the fault, recovery and
+    /// retry accounting. Every column is Det-class, so the stable form
+    /// (`include_timing = false`) is byte-identical at every worker
+    /// count.
+    pub fn to_chaos_json(&self, include_timing: bool) -> Json {
+        self.document(true, include_timing)
+    }
+
+    /// [`to_chaos_json`](Self::to_chaos_json) rendered to pretty-printed
+    /// text.
+    pub fn render_chaos_json(&self, include_timing: bool) -> String {
+        self.to_chaos_json(include_timing).render()
+    }
+
+    fn document(&self, chaos: bool, include_timing: bool) -> Json {
+        let (version, kind) = if chaos {
+            (snsp_sweep::CHAOS_SCHEMA_VERSION, "chaos")
+        } else {
+            (snsp_sweep::SERVE_SCHEMA_VERSION, "serve")
+        };
+        let points = self.config_points.iter();
+        let points = points.map(|p| point_config_json(p, chaos)).collect();
+        let results = self.points.iter();
+        let results = results.map(|p| p.to_json(chaos, include_timing)).collect();
         let mut pairs = vec![
-            (
-                "schema_version",
-                Json::Int(snsp_sweep::SERVE_SCHEMA_VERSION),
-            ),
+            ("schema_version", Json::Int(version)),
             (
                 "generator",
                 Json::Str(format!("snsp-serve {}", env!("CARGO_PKG_VERSION"))),
             ),
-            ("kind", Json::Str("serve".to_string())),
+            ("kind", Json::Str(kind.to_string())),
             ("campaign", Json::Str(self.campaign.clone())),
             (
                 "config",
@@ -290,50 +394,33 @@ impl ServeCampaignReport {
                     ("seeds", Json::Int(self.seeds as i64)),
                     ("slo_frac", Json::Num(self.slo_frac)),
                     ("shards", Json::Int(self.shards as i64)),
-                    (
-                        "points",
-                        Json::Arr(self.config_points.iter().map(point_config_json).collect()),
-                    ),
+                    ("points", Json::Arr(points)),
                 ]),
             ),
-            (
-                "results",
-                Json::Arr(
-                    self.points
-                        .iter()
-                        .map(|p| p.to_json(include_timing))
-                        .collect(),
-                ),
-            ),
+            ("results", Json::Arr(results)),
         ];
-        if include_timing {
-            if let Some(t) = &self.timing {
-                pairs.push((
-                    "timing",
-                    Json::obj(vec![
-                        ("workers", Json::Int(t.workers as i64)),
-                        ("replay_workers", Json::Int(self.replay_workers as i64)),
-                        ("jobs", Json::Int(t.jobs as i64)),
-                        ("flatten_s", Json::Num(t.flatten_s)),
-                        ("run_s", Json::Num(t.run_s)),
-                        ("aggregate_s", Json::Num(t.aggregate_s)),
-                        ("total_s", Json::Num(t.total_s)),
-                    ]),
-                ));
-            }
+        if let (true, Some(t)) = (include_timing, &self.timing) {
+            pairs.push((
+                "timing",
+                Json::obj(vec![
+                    ("workers", Json::Int(t.workers as i64)),
+                    ("replay_workers", Json::Int(self.replay_workers as i64)),
+                    ("jobs", Json::Int(t.jobs as i64)),
+                    ("flatten_s", Json::Num(t.flatten_s)),
+                    ("run_s", Json::Num(t.run_s)),
+                    ("aggregate_s", Json::Num(t.aggregate_s)),
+                    ("total_s", Json::Num(t.total_s)),
+                ]),
+            ));
         }
         Json::obj(pairs)
     }
-
-    /// [`to_json`](Self::to_json) rendered to pretty-printed text.
-    pub fn render_json(&self, include_timing: bool) -> String {
-        self.to_json(include_timing).render()
-    }
 }
 
-pub(crate) fn point_config_json(point: &ServePoint) -> Json {
+/// The config echo of one point; the chaos form adds its fault spec.
+fn point_config_json(point: &ServePoint, chaos: bool) -> Json {
     let p = &point.params;
-    Json::obj(vec![
+    let mut pairs = vec![
         ("label", Json::Str(point.label.clone())),
         ("lambda", Json::Num(p.lambda)),
         ("mean_hold", Json::Num(p.mean_hold)),
@@ -366,11 +453,53 @@ pub(crate) fn point_config_json(point: &ServePoint) -> Json {
                 ]),
             },
         ),
+    ];
+    if chaos {
+        pairs.push(("fault", fault_config_json(&point.fault)));
+    }
+    Json::obj(pairs)
+}
+
+fn fault_config_json(f: &FaultSpec) -> Json {
+    let revoke = f.revoke_at.map_or(Json::Null, |(start, end)| {
+        Json::obj(vec![
+            ("start", Json::Num(start)),
+            ("end", Json::Num(end)),
+            ("frac", Json::Num(f.revoke_frac)),
+        ])
+    });
+    Json::obj(vec![
+        ("seed", Json::Int(f.seed as i64)),
+        ("crash_rate", Json::Num(f.crash_rate)),
+        ("rack_rate", Json::Num(f.rack_rate)),
+        ("rack_size", Json::Int(f.rack_size as i64)),
+        ("msg_drop", Json::Num(f.msg_drop)),
+        ("msg_dup", Json::Num(f.msg_dup)),
+        ("msg_delay", Json::Num(f.msg_delay)),
+        ("revoke", revoke),
+        ("tick_every", Json::Num(f.tick_every)),
+        (
+            "retry",
+            Json::obj(vec![
+                ("base", Json::Num(f.retry.base)),
+                ("factor", Json::Num(f.retry.factor)),
+                ("max_attempts", Json::Int(f.retry.max_attempts as i64)),
+            ]),
+        ),
+        (
+            "degrade",
+            Json::obj(vec![
+                ("pressure", Json::Int(f.degrade.pressure as i64)),
+                ("max_shed", Json::Int(f.degrade.max_shed as i64)),
+            ]),
+        ),
     ])
 }
 
 /// Runs the campaign: `points × seeds` replays on the sweep pool,
-/// aggregated in grid order.
+/// aggregated in grid order. Each seed instantiates its own fault plan
+/// from the point's spec; a plan that schedules crashes also replays its
+/// crash-free twin for the `crash_fingerprint_match` verdict.
 pub fn run_serve_campaign(campaign: &ServeCampaign) -> ServeCampaignReport {
     let t0 = Instant::now();
     let n_points = campaign.points.len();
@@ -384,14 +513,25 @@ pub fn run_serve_campaign(campaign: &ServeCampaign) -> ServeCampaignReport {
         shards: campaign.shards.max(1),
         workers: campaign.replay_workers.max(1),
     };
-    let runs: Vec<TraceReport> = run_jobs(total_jobs, workers, |job| {
+    let runs: Vec<Run> = run_jobs(total_jobs, workers, |job| {
         let point = &campaign.points[job / n_seeds];
         let seed = (job % n_seeds) as u64;
         let trace = generate_trace(&point.params, seed);
-        if shard_opts.shards > 1 {
-            run_trace_sharded(&trace, &campaign.config, &shard_opts)
-        } else {
-            run_trace(&trace, &campaign.config)
+        // Each trace seed draws its own fault streams, same stride rule
+        // as per-tenant admission seeds.
+        let mut fault = point.fault;
+        fault.seed ^= (seed + 1).wrapping_mul(PIPELINE_SEED_STRIDE);
+        let plan = FaultPlan::instantiate(&fault, point.params.horizon);
+        let (base, stats, state) = replay(&trace, &campaign.config, &shard_opts, &plan);
+        let crash_match = (plan.crash_count() > 0).then(|| {
+            let twin = plan.without_crashes();
+            let (twin_base, _, twin_state) = replay(&trace, &campaign.config, &shard_opts, &twin);
+            base.log == twin_base.log && state.fingerprint() == twin_state.fingerprint()
+        });
+        Run {
+            base,
+            stats,
+            crash_match,
         }
     });
     let run_s = t_run.elapsed().as_secs_f64();
@@ -429,7 +569,8 @@ pub fn run_serve_campaign(campaign: &ServeCampaign) -> ServeCampaignReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use snsp_sweep::validate_serve_report;
+    use crate::fault::RetryPolicy;
+    use snsp_sweep::{validate_chaos_report, validate_serve_report};
 
     fn small_campaign(workers: usize) -> ServeCampaign {
         let points = vec![
@@ -442,6 +583,53 @@ mod tests {
         ServeCampaign::new("unit", points, 2).with_workers(workers)
     }
 
+    fn chaos_campaign(workers: usize) -> ServeCampaign {
+        let crashy = FaultSpec::seeded(2)
+            .with_crashes(0.25)
+            .with_msg_faults(0.1, 0.05, 0.05)
+            .with_retry(RetryPolicy::standard())
+            .with_ticks(2.0);
+        let points = vec![
+            ServePoint::new("quiet", TraceParams::poisson(0.4, 4.0, 15.0))
+                .with_fault(FaultSpec::seeded(1).with_ticks(3.0)),
+            ServePoint::new(
+                "crashy",
+                TraceParams::poisson(0.5, 4.0, 15.0).with_failures(0.05),
+            )
+            .with_fault(crashy),
+        ];
+        ServeCampaign::new("unit-chaos", points, 2)
+            .with_workers(workers)
+            .with_shards(2, 2)
+    }
+
+    #[test]
+    fn chaos_campaign_validates_and_certifies_crash_recovery() {
+        let report = run_serve_campaign(&chaos_campaign(2));
+        let quiet = &report.points[0];
+        assert_eq!(quiet.crash_fingerprint_match, None, "no crashes scheduled");
+        let crashy = &report.points[1];
+        assert!(crashy.stats.crashes > 0, "the crashy point must crash");
+        assert_eq!(
+            crashy.crash_fingerprint_match,
+            Some(true),
+            "recovery must match the uninterrupted reference"
+        );
+        for p in &report.points {
+            assert_eq!(p.admitted + p.rejected, p.arrivals);
+            assert_eq!(p.stats.audit_failures, 0, "{:?}", p.stats.audit_first);
+        }
+        validate_chaos_report(&report.render_chaos_json(true)).expect("timed form validates");
+        let stable = report.render_chaos_json(false);
+        validate_chaos_report(&stable).expect("stable form validates");
+        let serial = run_serve_campaign(&chaos_campaign(1));
+        assert_eq!(
+            stable,
+            serial.render_chaos_json(false),
+            "worker count moved bytes"
+        );
+    }
+
     #[test]
     fn report_shape_matches_grid_and_validates() {
         let report = run_serve_campaign(&small_campaign(2));
@@ -449,8 +637,9 @@ mod tests {
         for p in &report.points {
             assert_eq!(p.traces, 2);
             assert_eq!(p.admitted + p.rejected, p.arrivals);
+            assert_eq!(p.crash_fingerprint_match, None, "plain points never crash");
         }
-        validate_serve_report(&report.render_json(true)).expect("schema v2 validates");
+        validate_serve_report(&report.render_json(true)).expect("schema v3 validates");
         validate_serve_report(&report.render_json(false)).expect("stable form validates");
     }
 

@@ -18,20 +18,29 @@
 //!   `DownloadLedger`) before any new machine is bought; departures
 //!   reclaim streams and machines and trigger an opportunistic
 //!   re-consolidation + downgrade pass; failures re-map displaced
-//!   operators or evict their tenants.
-//! * [`run_trace`] — deterministic trace replay producing a
-//!   [`TraceReport`]: admission rate, `∫ cost dt`, utilization, SLO
-//!   violations spot-validated by running `snsp_engine` on per-tenant
-//!   projections of the platform snapshot.
-//! * [`ShardedPlatform`] / [`run_trace_sharded`] — the scale-out tier:
-//!   tenants hash to shards that own disjoint processor pools, per-tick
-//!   batches replay in parallel on `snsp-sweep`'s pool, and cross-shard
-//!   effects travel as [`ShardMsg`]s folded deterministically at tick
-//!   barriers — same event log at any worker count.
+//!   operators or evict their tenants (the failure model is spelled out
+//!   in [`fault`]).
+//! * **One replay engine** ([`sim`]). [`replay_trace_chaos`] walks a
+//!   trace over a [`ShardedPlatform`] under a [`FaultPlan`]: tenants
+//!   hash to shards that own disjoint processor pools, per-tick batches
+//!   replay in parallel on `snsp-sweep`'s pool, and each committed event
+//!   travels as a [`ShardMsg`] folded deterministically at tick barriers
+//!   — same event log at any worker count. [`replay_trace_sharded`] is
+//!   the engine under [`FaultPlan::none`], and [`run_trace`] is that at
+//!   one shard. Every run yields a [`TraceReport`]: admission rate,
+//!   `∫ cost dt`, utilization, SLO violations spot-validated by running
+//!   `snsp_engine` on per-tenant projections of the platform snapshot.
+//! * **One event record.** A [`ServeEvent`] is the single source of
+//!   every serve log line ([`ServeEvent::render`]), every Det trace
+//!   event ([`ServeEvent::trace_kind`]) and every `serve.*` counter.
 //! * [`ServeCampaign`] / [`run_serve_campaign`] — whole trace grids on
-//!   `snsp-sweep`'s pool, with schema-v3 JSON (admission-latency p50/p99
-//!   columns) whose stable form is byte-identical at any worker count
-//!   ([`validate_serve_report`](snsp_sweep::validate_serve_report)).
+//!   `snsp-sweep`'s pool. Each [`ServePoint`] carries its own
+//!   [`FaultSpec`] (all off by default), and one
+//!   [`ServeCampaignReport`] renders both the schema-v3 serve artifact
+//!   ([`validate_serve_report`](snsp_sweep::validate_serve_report)) and
+//!   the schema-v6 chaos artifact
+//!   ([`validate_chaos_report`](snsp_sweep::validate_chaos_report)),
+//!   whose stable forms are byte-identical at any worker count.
 //!
 //! ```
 //! use snsp_gen::{generate_trace, TraceParams};
@@ -57,16 +66,17 @@ pub use campaign::{
     run_serve_campaign, ServeCampaign, ServeCampaignReport, ServePoint, ServePointReport,
 };
 pub use fault::{
-    audit_platform, replay_trace_chaos, run_chaos_campaign, run_trace_chaos, ChaosCampaign,
-    ChaosCampaignReport, ChaosPoint, ChaosPointReport, ChaosReport, ChaosStats, DegradePolicy,
-    FaultEvent, FaultKind, FaultPlan, FaultSpec, RetryPolicy,
+    audit_platform, ChaosReport, ChaosStats, DegradePolicy, FaultEvent, FaultKind, FaultPlan,
+    FaultSpec, RetryPolicy,
 };
 pub use platform::{
     AdmitError, AdmitOutcome, FailOutcome, LivePlatform, Tenant, DEFAULT_DEPART_EVALS,
 };
 pub use report::{percentile, TraceReport};
 pub use shard::{
-    replay_trace_sharded, run_trace_sharded, shard_of, ShardMsg, ShardMsgKind, ShardOptions,
-    ShardedPlatform,
+    shard_of, FailCause, ServeEvent, ShardLoad, ShardMsg, ShardOptions, ShardedPlatform,
 };
-pub use sim::{run_trace, ServeConfig};
+pub use sim::{
+    replay_trace_chaos, replay_trace_sharded, run_trace, run_trace_chaos, run_trace_sharded,
+    ServeConfig,
+};

@@ -1820,7 +1820,7 @@ mod tests {
   "deterministic": {
     "counters": [
       {"name": "serve.admitted", "value": 42},
-      {"name": "serve.shardmsg.admitted", "value": 42}
+      {"name": "serve.departed", "value": 42}
     ],
     "histograms": [
       {"name": "serve.shard.admitted", "count": 4, "min": 8.0, "p50": 10.0, "p90": 12.0, "p99": 12.0, "max": 12.0}

@@ -107,10 +107,10 @@ pub mod prelude {
         RefineCampaign, RefineOutcome, RefinePoint, SearchState,
     };
     pub use snsp_serve::{
-        audit_platform, replay_trace_chaos, replay_trace_sharded, run_chaos_campaign,
-        run_serve_campaign, run_trace, run_trace_chaos, run_trace_sharded, shard_of, ChaosCampaign,
-        ChaosPoint, ChaosReport, DegradePolicy, FaultPlan, FaultSpec, LivePlatform, RetryPolicy,
-        ServeCampaign, ServeConfig, ServePoint, ShardOptions, ShardedPlatform, TraceReport,
+        audit_platform, replay_trace_chaos, replay_trace_sharded, run_serve_campaign, run_trace,
+        run_trace_chaos, run_trace_sharded, shard_of, ChaosReport, DegradePolicy, FaultPlan,
+        FaultSpec, LivePlatform, RetryPolicy, ServeCampaign, ServeConfig, ServePoint, ShardOptions,
+        ShardedPlatform, TraceReport,
     };
     pub use snsp_solver::{
         lower_bound, max_throughput_under_budget, solve_exact, BranchBoundConfig,

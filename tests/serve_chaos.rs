@@ -1,40 +1,15 @@
 //! Integration tests for the fault-injection tier: seeded chaos replay
-//! over the sharded platform must (a) degenerate to the plain sharded
-//! tier when the fault plan is empty, (b) recover every injected shard
+//! over the sharded platform must (a) recover every injected shard
 //! crash fingerprint-identically to an uninterrupted run at any worker
-//! count, (c) re-admit at least 90% of the tenants displaced by a
-//! capacity revocation once it thaws, (d) draw its fault schedule
-//! independently of the shard count, and (e) keep the platform
+//! count, (b) re-admit at least 90% of the tenants displaced by a
+//! capacity revocation once it thaws, (c) draw its fault schedule
+//! independently of the shard count, and (d) keep the platform
 //! invariant audit clean after every fault.
 
 use snsp::prelude::*;
 
 fn churny_params() -> TraceParams {
     TraceParams::poisson(0.7, 5.0, 25.0).with_failures(0.1)
-}
-
-/// An all-off fault spec instantiates to an empty plan and the chaos
-/// replay collapses to the plain sharded tier: same log, same costs,
-/// same final platform fingerprint, zeroed chaos stats.
-#[test]
-fn empty_fault_plan_reproduces_the_sharded_tier() {
-    let trace = generate_trace(&churny_params(), 17);
-    let plan = FaultPlan::instantiate(&FaultSpec::default(), trace.params.horizon);
-    assert!(plan.events.is_empty());
-    for shards in [1usize, 2, 4] {
-        let opts = ShardOptions { shards, workers: 2 };
-        let (plain, plain_state) = replay_trace_sharded(&trace, &ServeConfig::default(), &opts);
-        let (chaos, chaos_state) =
-            replay_trace_chaos(&trace, &ServeConfig::default(), &opts, &plan);
-        assert_eq!(plain.log, chaos.base.log, "{shards} shards");
-        assert_eq!(plain.final_cost, chaos.base.final_cost, "{shards} shards");
-        assert_eq!(
-            plain.cost_time_integral, chaos.base.cost_time_integral,
-            "{shards} shards"
-        );
-        assert_eq!(plain_state.fingerprint(), chaos_state.fingerprint());
-        assert_eq!(chaos.stats, Default::default());
-    }
 }
 
 /// The headline recovery guarantee: every injected crash restores the
@@ -164,28 +139,26 @@ fn fault_schedule_does_not_depend_on_the_shard_count() {
 #[test]
 fn chaos_campaign_stable_json_is_worker_count_independent_and_certified() {
     let make = |workers: usize| {
+        let stormy = FaultSpec::seeded(2)
+            .with_crashes(0.25)
+            .with_msg_faults(0.1, 0.05, 0.05)
+            .with_retry(RetryPolicy::standard())
+            .with_ticks(2.0);
         let points = vec![
-            ChaosPoint::new(
-                "calm",
-                TraceParams::poisson(0.4, 4.0, 15.0),
-                FaultSpec::seeded(1).with_ticks(3.0),
-            ),
-            ChaosPoint::new(
+            ServePoint::new("calm", TraceParams::poisson(0.4, 4.0, 15.0))
+                .with_fault(FaultSpec::seeded(1).with_ticks(3.0)),
+            ServePoint::new(
                 "stormy",
                 TraceParams::poisson(0.5, 4.0, 15.0).with_failures(0.05),
-                FaultSpec::seeded(2)
-                    .with_crashes(0.25)
-                    .with_msg_faults(0.1, 0.05, 0.05)
-                    .with_retry(RetryPolicy::standard())
-                    .with_ticks(2.0),
-            ),
+            )
+            .with_fault(stormy),
         ];
-        ChaosCampaign::new("integration-chaos", points, 2)
+        ServeCampaign::new("integration-chaos", points, 2)
             .with_workers(workers)
             .with_shards(2, 2)
     };
-    let serial = run_chaos_campaign(&make(1));
-    let stable = serial.render_json(false);
+    let serial = run_serve_campaign(&make(1));
+    let stable = serial.render_chaos_json(false);
     validate_chaos_report(&stable).expect("stable form validates as schema v6");
     let stormy = &serial.points[1];
     assert!(stormy.stats.crashes > 0, "the stormy point must crash");
@@ -199,10 +172,10 @@ fn chaos_campaign_stable_json_is_worker_count_independent_and_certified() {
         assert_eq!(p.stats.audit_failures, 0, "{}", p.label);
     }
     for workers in [2usize, 4] {
-        let parallel = run_chaos_campaign(&make(workers));
+        let parallel = run_serve_campaign(&make(workers));
         assert_eq!(
             stable,
-            parallel.render_json(false),
+            parallel.render_chaos_json(false),
             "{workers} campaign workers diverged"
         );
     }

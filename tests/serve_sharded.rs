@@ -4,10 +4,12 @@
 //! shard count driven with 1 and 4 workers, and every worker count must
 //! produce the identical event log, log fingerprint, metrics, and final
 //! platform fingerprint (per-shard costs, purchased kinds, assignments
-//! and downloads). One shard must additionally reproduce the unsharded
-//! replay exactly, modulo the `s0` log prefix.
+//! and downloads). The tick/barrier engine must also agree with a
+//! serial oracle that replays the same trace one event at a time
+//! straight through `ShardedPlatform`.
 
 use snsp::prelude::*;
+use snsp::sweep::PIPELINE_SEED_STRIDE;
 
 /// A trace with enough churn to exercise every cross-shard path:
 /// admissions that buy, departures that consolidate, and failures whose
@@ -53,35 +55,98 @@ fn sharded_replay_is_identical_at_every_worker_count() {
     }
 }
 
-/// One shard is the unsharded platform: same admissions, same packing,
-/// same metrics; log lines differ only by the `s0 ` shard prefix.
+/// What the serial oracle reached on one trace.
+struct Serial {
+    admitted: usize,
+    rejected: usize,
+    departed: usize,
+    evicted: usize,
+    failures: usize,
+    peak_cost: u64,
+    cost_integral: f64,
+    platform: ShardedPlatform,
+}
+
+/// The oracle: `trace` replayed one event at a time straight through
+/// `ShardedPlatform::{admit_spec, depart, fail}` — no tick batches, no
+/// barriers, no message fold — integrating the cost per event.
+fn serial_replay(trace: &Trace, shards: usize) -> Serial {
+    let config = ServeConfig::default();
+    let (objects, platform) = trace_environment(&trace.params, trace.seed);
+    let mut s = Serial {
+        admitted: 0,
+        rejected: 0,
+        departed: 0,
+        evicted: 0,
+        failures: 0,
+        peak_cost: 0,
+        cost_integral: 0.0,
+        platform: ShardedPlatform::new(objects, platform, shards),
+    };
+    let mut last_t = 0.0;
+    for ev in &trace.events {
+        s.cost_integral += s.platform.cost() as f64 * (ev.time - last_t);
+        last_t = ev.time;
+        match ev.event {
+            TraceEvent::Arrive { tenant, spec, .. } => {
+                let seed = trace.seed ^ (tenant.0 as u64 + 1).wrapping_mul(PIPELINE_SEED_STRIDE);
+                let heuristic = config.heuristic.as_ref();
+                match s
+                    .platform
+                    .admit_spec(tenant, &spec, heuristic, seed, &config.opts)
+                {
+                    Ok(_) => s.admitted += 1,
+                    Err(_) => s.rejected += 1,
+                }
+            }
+            TraceEvent::Depart { tenant } => s.departed += usize::from(s.platform.depart(tenant)),
+            TraceEvent::ProcessorFail { lottery } => {
+                if let Some((_, out)) = s.platform.fail(lottery) {
+                    s.failures += 1;
+                    s.evicted += out.evicted.len();
+                }
+            }
+        }
+        s.peak_cost = s.peak_cost.max(s.platform.cost());
+    }
+    s.cost_integral += s.platform.cost() as f64 * (trace.params.horizon - last_t);
+    s
+}
+
+/// Differential test: the tick/barrier engine reaches the serial
+/// oracle's counts, costs, cost integral and final platform at 1, 2 and
+/// 4 shards, driven by 1 and 4 workers. The integrals may differ in the
+/// last bits (the engine integrates per folded message, the oracle per
+/// trace event).
 #[test]
-fn one_shard_reproduces_the_unsharded_replay() {
+fn barrier_engine_matches_the_serial_oracle() {
     let trace = generate_trace(&churny_params(), 33);
-    let unsharded = run_trace(&trace, &ServeConfig::default());
-    let sharded = run_trace_sharded(
-        &trace,
-        &ServeConfig::default(),
-        &ShardOptions {
-            shards: 1,
-            workers: 4,
-        },
-    );
-    assert_eq!(sharded.admitted, unsharded.admitted);
-    assert_eq!(sharded.rejected, unsharded.rejected);
-    assert_eq!(sharded.departed, unsharded.departed);
-    assert_eq!(sharded.evicted, unsharded.evicted);
-    assert_eq!(sharded.failures, unsharded.failures);
-    assert_eq!(sharded.final_cost, unsharded.final_cost);
-    assert_eq!(sharded.peak_cost, unsharded.peak_cost);
-    assert_eq!(sharded.cost_time_integral, unsharded.cost_time_integral);
-    assert_eq!(sharded.mean_utilization, unsharded.mean_utilization);
-    let stripped: Vec<String> = sharded
-        .log
-        .iter()
-        .map(|l| l.replacen(" s0 ", " ", 1))
-        .collect();
-    assert_eq!(stripped, unsharded.log, "logs differ beyond the s0 prefix");
+    for shards in [1usize, 2, 4] {
+        let oracle = serial_replay(&trace, shards);
+        assert!(oracle.failures > 0, "the trace must exercise failures");
+        for workers in [1usize, 4] {
+            let opts = ShardOptions { shards, workers };
+            let (report, platform) = replay_trace_sharded(&trace, &ServeConfig::default(), &opts);
+            let at = format!("{shards} shards, {workers} workers");
+            assert_eq!(report.admitted, oracle.admitted, "{at}");
+            assert_eq!(report.rejected, oracle.rejected, "{at}");
+            assert_eq!(report.departed, oracle.departed, "{at}");
+            assert_eq!(report.evicted, oracle.evicted, "{at}");
+            assert_eq!(report.failures, oracle.failures, "{at}");
+            assert_eq!(report.final_cost, oracle.platform.cost(), "{at}");
+            assert_eq!(report.peak_cost, oracle.peak_cost, "{at}");
+            assert_eq!(
+                platform.fingerprint(),
+                oracle.platform.fingerprint(),
+                "{at}: final platform diverged"
+            );
+            let (a, b) = (report.cost_time_integral, oracle.cost_integral);
+            assert!(
+                (a - b).abs() <= 1e-9 * a.abs().max(b.abs()),
+                "{at}: cost integral {a} vs {b}"
+            );
+        }
+    }
 }
 
 /// Shard snapshots stay jointly feasible through churn: after a full

@@ -145,8 +145,9 @@ fn deterministic_core_is_worker_count_independent() {
 }
 
 /// The sharded serve campaign must light up the counters the committed
-/// TELEMETRY.json is pinned on: admissions, ShardMsg volume, admission
-/// prunes — and the parallel pool must register steals in the overlay.
+/// TELEMETRY.json is pinned on: admissions (counted once, when the
+/// coordinator folds each event), admission prunes — and the parallel
+/// pool must register steals in the overlay.
 #[test]
 fn sharded_serve_campaign_feeds_the_expected_counters() {
     let (report, snap) = capture(|| run_serve_campaign(&serve_campaign(4)));
@@ -158,11 +159,6 @@ fn sharded_serve_campaign_feeds_the_expected_counters() {
         "admission counter must reconcile with the report"
     );
     assert_eq!(snap.counter("serve.rejected").unwrap_or(0), rejected as u64);
-    assert_eq!(
-        snap.counter("serve.shardmsg.admitted"),
-        Some(admitted as u64),
-        "every admission crosses the shard protocol exactly once"
-    );
     let pruned = snap.counter("serve.admit.pack_pruned").unwrap_or(0)
         + snap.counter("serve.consolidation.evac_pruned").unwrap_or(0);
     assert!(
@@ -207,24 +203,22 @@ fn solver_surfaces_pool_stats_and_bounds_without_telemetry() {
     );
 }
 
-fn chaos_campaign(workers: usize) -> ChaosCampaign {
+fn chaos_campaign(workers: usize) -> ServeCampaign {
+    let crashy = FaultSpec::seeded(2)
+        .with_crashes(0.25)
+        .with_msg_faults(0.1, 0.05, 0.05)
+        .with_retry(RetryPolicy::standard())
+        .with_ticks(2.0);
     let points = vec![
-        ChaosPoint::new(
-            "quiet",
-            TraceParams::poisson(0.4, 4.0, 15.0),
-            FaultSpec::seeded(1).with_ticks(3.0),
-        ),
-        ChaosPoint::new(
+        ServePoint::new("quiet", TraceParams::poisson(0.4, 4.0, 15.0))
+            .with_fault(FaultSpec::seeded(1).with_ticks(3.0)),
+        ServePoint::new(
             "crashy",
             TraceParams::poisson(0.5, 4.0, 15.0).with_failures(0.05),
-            FaultSpec::seeded(2)
-                .with_crashes(0.25)
-                .with_msg_faults(0.1, 0.05, 0.05)
-                .with_retry(RetryPolicy::standard())
-                .with_ticks(2.0),
-        ),
+        )
+        .with_fault(crashy),
     ];
-    ChaosCampaign::new("telemetry-chaos", points, 2)
+    ServeCampaign::new("telemetry-chaos", points, 2)
         .with_workers(workers)
         .with_shards(2, workers)
 }
@@ -235,7 +229,8 @@ fn chaos_campaign(workers: usize) -> ChaosCampaign {
 /// worker-count-independent.
 #[test]
 fn chaos_campaign_telemetry_reconciles_and_is_worker_independent() {
-    let (base_body, snap) = capture(|| run_chaos_campaign(&chaos_campaign(1)).render_json(false));
+    let (base_body, snap) =
+        capture(|| run_serve_campaign(&chaos_campaign(1)).render_chaos_json(false));
     let base_det = det_core(&snap);
     let crashes = snap.counter("fault.crashes").unwrap_or(0);
     assert!(crashes > 0, "the crashy point must inject crashes");
@@ -250,7 +245,7 @@ fn chaos_campaign_telemetry_reconciles_and_is_worker_independent() {
     );
     for workers in [2usize, 4] {
         let (body, snap) =
-            capture(|| run_chaos_campaign(&chaos_campaign(workers)).render_json(false));
+            capture(|| run_serve_campaign(&chaos_campaign(workers)).render_chaos_json(false));
         assert_eq!(base_body, body, "chaos bytes diverged at {workers} workers");
         assert_eq!(
             base_det,
