@@ -1,15 +1,40 @@
 //! Integration tests for the fault-injection tier: seeded chaos replay
-//! over the sharded platform must (a) recover every injected shard
+//! over the sharded platform must (a) degenerate to the plain sharded
+//! tier when the fault plan is empty, (b) recover every injected shard
 //! crash fingerprint-identically to an uninterrupted run at any worker
-//! count, (b) re-admit at least 90% of the tenants displaced by a
-//! capacity revocation once it thaws, (c) draw its fault schedule
-//! independently of the shard count, and (d) keep the platform
+//! count, (c) re-admit at least 90% of the tenants displaced by a
+//! capacity revocation once it thaws, (d) draw its fault schedule
+//! independently of the shard count, and (e) keep the platform
 //! invariant audit clean after every fault.
 
 use snsp::prelude::*;
 
 fn churny_params() -> TraceParams {
     TraceParams::poisson(0.7, 5.0, 25.0).with_failures(0.1)
+}
+
+/// An all-off fault spec instantiates to an empty plan and the chaos
+/// replay collapses to the plain sharded tier: same log, same costs,
+/// same final platform fingerprint, zeroed chaos stats.
+#[test]
+fn empty_fault_plan_reproduces_the_sharded_tier() {
+    let trace = generate_trace(&churny_params(), 17);
+    let plan = FaultPlan::instantiate(&FaultSpec::default(), trace.params.horizon);
+    assert!(plan.events.is_empty());
+    for shards in [1usize, 2, 4] {
+        let opts = ShardOptions { shards, workers: 2 };
+        let (plain, plain_state) = replay_trace_sharded(&trace, &ServeConfig::default(), &opts);
+        let (chaos, chaos_state) =
+            replay_trace_chaos(&trace, &ServeConfig::default(), &opts, &plan);
+        assert_eq!(plain.log, chaos.base.log, "{shards} shards");
+        assert_eq!(plain.final_cost, chaos.base.final_cost, "{shards} shards");
+        assert_eq!(
+            plain.cost_time_integral, chaos.base.cost_time_integral,
+            "{shards} shards"
+        );
+        assert_eq!(plain_state.fingerprint(), chaos_state.fingerprint());
+        assert_eq!(chaos.stats, Default::default());
+    }
 }
 
 /// The headline recovery guarantee: every injected crash restores the

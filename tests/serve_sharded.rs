@@ -4,9 +4,10 @@
 //! shard count driven with 1 and 4 workers, and every worker count must
 //! produce the identical event log, log fingerprint, metrics, and final
 //! platform fingerprint (per-shard costs, purchased kinds, assignments
-//! and downloads). The tick/barrier engine must also agree with a
-//! serial oracle that replays the same trace one event at a time
-//! straight through `ShardedPlatform`.
+//! and downloads). One shard must reproduce the unsharded replay
+//! exactly, and the tick/barrier engine must also agree with a serial
+//! oracle that replays the same trace one event at a time straight
+//! through `ShardedPlatform`.
 
 use snsp::prelude::*;
 use snsp::sweep::PIPELINE_SEED_STRIDE;
@@ -53,6 +54,32 @@ fn sharded_replay_is_identical_at_every_worker_count() {
             assert_eq!(base.mean_utilization, report.mean_utilization, "{at}");
         }
     }
+}
+
+/// One shard is the unsharded platform: same admissions, same packing,
+/// same metrics and the same log, `s0 ` shard prefix included.
+#[test]
+fn one_shard_reproduces_the_unsharded_replay() {
+    let trace = generate_trace(&churny_params(), 33);
+    let unsharded = run_trace(&trace, &ServeConfig::default());
+    let sharded = run_trace_sharded(
+        &trace,
+        &ServeConfig::default(),
+        &ShardOptions {
+            shards: 1,
+            workers: 4,
+        },
+    );
+    assert_eq!(sharded.admitted, unsharded.admitted);
+    assert_eq!(sharded.rejected, unsharded.rejected);
+    assert_eq!(sharded.departed, unsharded.departed);
+    assert_eq!(sharded.evicted, unsharded.evicted);
+    assert_eq!(sharded.failures, unsharded.failures);
+    assert_eq!(sharded.final_cost, unsharded.final_cost);
+    assert_eq!(sharded.peak_cost, unsharded.peak_cost);
+    assert_eq!(sharded.cost_time_integral, unsharded.cost_time_integral);
+    assert_eq!(sharded.mean_utilization, unsharded.mean_utilization);
+    assert_eq!(sharded.log, unsharded.log, "logs differ");
 }
 
 /// What the serial oracle reached on one trace.
