@@ -622,12 +622,14 @@ mod tests {
         validate_chaos_report(&report.render_chaos_json(true)).expect("timed form validates");
         let stable = report.render_chaos_json(false);
         validate_chaos_report(&stable).expect("stable form validates");
-        let serial = run_serve_campaign(&chaos_campaign(1));
-        assert_eq!(
-            stable,
-            serial.render_chaos_json(false),
-            "worker count moved bytes"
-        );
+        for workers in [1usize, 4] {
+            let other = run_serve_campaign(&chaos_campaign(workers));
+            assert_eq!(
+                stable,
+                other.render_chaos_json(false),
+                "{workers} workers diverged"
+            );
+        }
     }
 
     #[test]

@@ -778,6 +778,46 @@ mod tests {
     }
 
     #[test]
+    fn revocation_freezes_then_retry_readmits() {
+        // Heavy tenants (the platform buys real capacity), long holds
+        // (deadlines outlive the freeze), a harsh mid-trace revocation,
+        // retries enabled: displaced tenants must come back once
+        // capacity thaws.
+        let params = TraceParams::poisson(1.2, 50.0, 30.0)
+            .with_tenant_ops(12, 20)
+            .with_tenant_rho(8.0, 16.0);
+        let trace = generate_trace(&params, 2);
+        let spec = FaultSpec::seeded(21)
+            .with_revocation(10.0, 14.0, 0.6)
+            .with_retry(RetryPolicy::standard())
+            .with_ticks(1.0);
+        let plan = FaultPlan::instantiate(&spec, params.horizon);
+        let opts = ShardOptions {
+            shards: 2,
+            workers: 2,
+        };
+        let report = run_trace_chaos(&trace, &ServeConfig::default(), &opts, &plan);
+        assert_eq!(report.stats.revocations, 1);
+        assert!(
+            report.stats.retry_enqueued > 0,
+            "the revocation displaced tenants"
+        );
+        assert!(
+            report.readmission_rate() >= 0.9,
+            "readmission {:.2} below bar ({} of {})",
+            report.readmission_rate(),
+            report.stats.readmitted,
+            report.stats.retry_enqueued
+        );
+        assert!(report.base.log.iter().any(|l| l.contains(" readmit ")));
+        assert_eq!(
+            report.stats.audit_failures, 0,
+            "{:?}",
+            report.stats.audit_first
+        );
+    }
+
+    #[test]
     fn degradation_sheds_lowest_value_and_audits_clean() {
         // Tight capacity (revocation with no thaw until late), heavy
         // tenants, pressure-triggered shedding.

@@ -216,21 +216,9 @@ impl LivePlatform {
             .sum()
     }
 
-    /// Aggregate CPU utilization: total demanded Gop/s over total
-    /// purchased Gop/s (0 when no processor is live).
-    pub fn utilization(&self) -> f64 {
-        let (used, speed) = self.cpu_load();
-        if speed > 0.0 {
-            used / speed
-        } else {
-            0.0
-        }
-    }
-
-    /// The two sides of [`utilization`](Self::utilization) separately:
-    /// `(demanded Gop/s, purchased Gop/s)`. Sharded replay needs the raw
-    /// pair because a ratio of sums cannot be rebuilt from per-shard
-    /// ratios.
+    /// CPU load as `(demanded Gop/s, purchased Gop/s)`. Replay keeps the
+    /// raw pair: tier-wide utilization is a ratio of sums, which
+    /// per-shard ratios cannot rebuild.
     pub fn cpu_load(&self) -> (f64, f64) {
         let mut used = 0.0;
         for t in self.tenants.values() {
@@ -587,22 +575,12 @@ impl LivePlatform {
         }
     }
 
-    /// Kills the live processor selected by `lottery`, re-maps every
-    /// displaced operator block onto the surviving machines (buying
-    /// replacements when packing fails), and evicts tenants whose blocks
-    /// fit nowhere.
-    pub fn fail(&mut self, lottery: u64) -> FailOutcome {
-        let live = self.live_slots();
-        if live.is_empty() {
-            return FailOutcome::default();
-        }
-        self.fail_slot(live[(lottery % live.len() as u64) as usize])
-    }
-
-    /// [`fail`](Self::fail) with the victim chosen by the caller: kills
-    /// live slot `victim` directly. Sharded replay resolves the global
-    /// failure lottery over every shard's live slots at a tick barrier and
-    /// then targets the victim shard's slot through this entry point.
+    /// Kills live slot `victim`, re-maps every displaced operator block
+    /// onto the surviving machines (buying replacements when packing
+    /// fails), and evicts tenants whose blocks fit nowhere. The failure
+    /// lottery is drawn over every shard's live slots by
+    /// [`ShardedPlatform::fail`](crate::shard::ShardedPlatform::fail),
+    /// which targets the victim shard's slot through this entry point.
     /// Panics if `victim` is not a live slot.
     pub fn fail_slot(&mut self, victim: usize) -> FailOutcome {
         assert!(self.slots[victim].is_some(), "slot {victim} is not live");
@@ -1072,6 +1050,12 @@ mod tests {
         )
     }
 
+    /// Fails the `lottery`-th live slot (modulo the live count).
+    fn fail_drawn(live: &mut LivePlatform, lottery: u64) -> FailOutcome {
+        let slots = live.live_slots();
+        live.fail_slot(slots[(lottery % slots.len() as u64) as usize])
+    }
+
     #[test]
     fn admissions_share_processors_and_verify_jointly() {
         let mut live = environment(1);
@@ -1135,7 +1119,7 @@ mod tests {
             admit(&mut live, id, spec(8, 1.0, 80 + id as u64)).unwrap();
         }
         let tenants_before = live.tenant_count();
-        let out = live.fail(7);
+        let out = fail_drawn(&mut live, 7);
         assert!(out.victim.is_some());
         assert_eq!(
             live.tenant_count(),
@@ -1145,9 +1129,6 @@ mod tests {
         if let Some((multi, sol)) = live.snapshot() {
             verify_joint(&multi, &sol).expect("post-failure platform verifies");
         }
-        // Failing an empty platform is a no-op.
-        let mut empty = environment(5);
-        assert!(empty.fail(0).victim.is_none());
     }
 
     #[test]
@@ -1253,7 +1234,7 @@ mod tests {
             let _ = admit(&mut live, id, spec(9, 0.7, 200 + id as u64));
             live.audit().expect("after admission");
         }
-        live.fail(5);
+        fail_drawn(&mut live, 5);
         live.audit().expect("after failure");
         live.depart(TenantId(0));
         live.audit().expect("after departure");
@@ -1273,7 +1254,7 @@ mod tests {
             for id in 0..5u32 {
                 let _ = admit(&mut live, id, spec(10, 1.0, 90 + id as u64));
             }
-            live.fail(3);
+            fail_drawn(&mut live, 3);
             live.depart(TenantId(1));
             (
                 live.cost(),

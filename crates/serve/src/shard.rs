@@ -636,6 +636,7 @@ pub(crate) fn replay_batch(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sim::run_trace_sharded;
     use snsp_core::multi::verify_joint;
     use snsp_gen::{generate_trace, trace_environment, TraceParams};
 
@@ -680,6 +681,31 @@ mod tests {
             {
                 assert!((a.nic_bandwidth - b.nic_bandwidth / 4.0).abs() < 1e-9);
                 assert_eq!(a.link_bandwidth, b.link_bandwidth, "links keep full value");
+            }
+        }
+    }
+
+    #[test]
+    fn sharded_replay_is_deterministic_across_workers() {
+        let params = TraceParams::poisson(0.6, 4.0, 25.0).with_failures(0.1);
+        let trace = generate_trace(&params, 11);
+        for shards in [1usize, 2, 4] {
+            let base = run_trace_sharded(
+                &trace,
+                &ServeConfig::default(),
+                &ShardOptions { shards, workers: 1 },
+            );
+            for workers in [2usize, 4] {
+                let other = run_trace_sharded(
+                    &trace,
+                    &ServeConfig::default(),
+                    &ShardOptions { shards, workers },
+                );
+                assert_eq!(base.log, other.log, "{shards} shards, {workers} workers");
+                assert_eq!(base.log_hash(), other.log_hash());
+                assert_eq!(base.final_cost, other.final_cost);
+                assert_eq!(base.cost_time_integral, other.cost_time_integral);
+                assert_eq!(base.mean_utilization, other.mean_utilization);
             }
         }
     }

@@ -383,13 +383,17 @@ impl Engine<'_> {
             RECOVERY_REPLAYED.record(replayed as f64);
         }
         let mut msgs: Vec<ShardMsg> = Vec::new();
-        for (s, (shard_msgs, shard_lat)) in outcomes.into_iter().enumerate() {
-            msgs.extend(shard_msgs);
+        for (s, (mut shard_msgs, shard_lat)) in outcomes.into_iter().enumerate() {
+            if msgs.is_empty() {
+                std::mem::swap(&mut msgs, &mut shard_msgs); // adopt, don't copy
+            }
+            msgs.append(&mut shard_msgs);
             self.latencies[s].extend(shard_lat);
         }
         // Barrier: fold the tick's messages in (time, shard, seq) order —
-        // a pure function of the trace, independent of scheduling.
-        msgs.sort_by(|a, b| {
+        // a pure function of the trace, independent of scheduling. The key
+        // is unique, so the in-place unstable sort is canonical.
+        msgs.sort_unstable_by(|a, b| {
             let by_time = a.time.partial_cmp(&b.time).expect("trace times are finite");
             by_time.then(a.shard.cmp(&b.shard)).then(a.seq.cmp(&b.seq))
         });
