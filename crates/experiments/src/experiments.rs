@@ -1015,7 +1015,9 @@ mod tests {
         let campaign = serve_grid("sharded-ci", 1).unwrap().with_shards(4, 2);
         let report = snsp_serve::run_serve_campaign(&campaign);
         assert!(report.points.iter().any(|p| p.admitted > 0));
-        snsp_sweep::validate_serve_report(&report.render_json(true)).expect("v3 validates");
+        snsp_sweep::ArtifactKind::Serve
+            .validate(&report.render_json(true))
+            .expect("v3 validates");
         let tables = serve_tables(&report, "sharded-ci");
         assert_eq!(tables[0].rows.len(), campaign.points.len());
     }
@@ -1035,7 +1037,9 @@ mod tests {
     fn chaos_ci_grid_replays_validates_and_certifies_recovery() {
         let campaign = chaos_grid("ci", 1).unwrap();
         let report = snsp_serve::run_serve_campaign(&campaign);
-        snsp_sweep::validate_chaos_report(&report.render_chaos_json(true)).expect("v6 validates");
+        snsp_sweep::ArtifactKind::Chaos
+            .validate(&report.render_chaos_json(true))
+            .expect("v6 validates");
         let tables = chaos_tables(&report, "chaos-ci");
         assert_eq!(tables.len(), 1);
         assert_eq!(tables[0].rows.len(), campaign.points.len());

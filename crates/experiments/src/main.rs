@@ -60,12 +60,11 @@
 //!   with B parallel threads under --bb-workers — same bytes at any B).
 //!
 //! snsp-experiments validate <PATH>
-//!   Schema-checks a BENCH_sweep.json (v1), BENCH_serve.json (v3, v2
-//!   accepted), BENCH_perf.json (v4), BENCH_refine.json (v4),
-//!   TELEMETRY.json (v5), BENCH_chaos.json (v6) or TRACE.json (v7) —
-//!   the kinded documents sniffed via their "kind" discriminator; exits
-//!   non-zero on violations (cross-kind files are rejected with the
-//!   mismatching fields spelled out).
+//!   Schema-checks a BENCH_sweep.json (v1), BENCH_serve.json (v3),
+//!   BENCH_perf.json (v4), BENCH_refine.json (v4), TELEMETRY.json (v5),
+//!   BENCH_chaos.json (v6) or TRACE.json (v7) against its kind's field
+//!   table — the kind sniffed via the "kind" discriminator; exits
+//!   non-zero on violations, including keys the table does not declare.
 //!
 //! snsp-experiments telemetry-summary <PATH>
 //!   Renders a TELEMETRY.json as human-readable tables: deterministic
@@ -75,7 +74,8 @@
 //! snsp-experiments report diff <A> <B> [--timing-tolerance FRAC]
 //!   Structurally compares two same-kind report artifacts: strict on
 //!   deterministic columns, toleranced (or informational, without a
-//!   threshold) on wall-clock/RSS columns. Prints the regression table
+//!   threshold) on wall-clock/RSS columns, each column classed by its
+//!   kind's field table. Prints the regression table
 //!   and exits non-zero when a deterministic column moved — the CI
 //!   regression sentinel.
 //!
@@ -100,16 +100,12 @@ mod perf;
 mod table;
 mod telemetry;
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 use snsp_search::run_refine_campaign;
 use snsp_serve::run_serve_campaign;
-use snsp_sweep::{
-    diff_reports, run_campaign, validate_chaos_report, validate_perf_report,
-    validate_refine_report, validate_report, validate_serve_report, validate_telemetry_report,
-    validate_trace_report, DiffOptions, ReferenceConfig,
-};
+use snsp_sweep::{diff_reports, run_campaign, ArtifactKind, DiffOptions, ReferenceConfig};
 use table::Table;
 
 struct Args {
@@ -283,6 +279,22 @@ fn run_captured<R>(on: bool, f: impl FnOnce() -> R) -> (R, Option<snsp_telemetry
     }
 }
 
+/// Validates `body` against the `kind` field table and writes it to
+/// `path` (creating its directory): every artifact the CLI writes goes
+/// through here.
+fn write_artifact(kind: ArtifactKind, body: &str, path: &Path) -> Result<(), String> {
+    kind.validate(body).map_err(|errors| {
+        format!(
+            "generated {} report failed validation: {errors:?}",
+            kind.name()
+        )
+    })?;
+    if let Some(dir) = path.parent() {
+        let _ = std::fs::create_dir_all(dir);
+    }
+    std::fs::write(path, body).map_err(|e| format!("could not write {}: {e}", path.display()))
+}
+
 /// Validates and writes `TELEMETRY.json` (schema v5) for a captured
 /// snapshot. `--stable-json` nulls the wall-clock overlay, leaving only
 /// the deterministic core — byte-identical at any worker count.
@@ -295,16 +307,11 @@ fn write_telemetry(
         return Ok(());
     };
     let body = telemetry::telemetry_json(&snap, campaign, args.stable_json).render();
-    validate_telemetry_report(&body)
-        .map_err(|errors| format!("generated telemetry report failed validation: {errors:?}"))?;
     let path = args
         .telemetry_out
         .clone()
         .unwrap_or_else(|| args.out_dir.join("TELEMETRY.json"));
-    if let Some(dir) = path.parent() {
-        let _ = std::fs::create_dir_all(dir);
-    }
-    std::fs::write(&path, &body).map_err(|e| format!("could not write {}: {e}", path.display()))?;
+    write_artifact(ArtifactKind::Telemetry, &body, &path)?;
     println!("[telemetry] {}", path.display());
     Ok(())
 }
@@ -334,13 +341,7 @@ fn write_trace(args: &Args, campaign: &str) -> Result<(), String> {
     };
     let snap = snsp_telemetry::trace::stop();
     let doc = snsp_sweep::trace_json(&snap, campaign);
-    let body = doc.render();
-    validate_trace_report(&body)
-        .map_err(|errors| format!("generated trace report failed validation: {errors:?}"))?;
-    if let Some(dir) = path.parent() {
-        let _ = std::fs::create_dir_all(dir);
-    }
-    std::fs::write(path, &body).map_err(|e| format!("could not write {}: {e}", path.display()))?;
+    write_artifact(ArtifactKind::Trace, &doc.render(), path)?;
     println!(
         "[trace] {} ({} det events, {} dropped)",
         path.display(),
@@ -381,7 +382,7 @@ fn run_report_diff(args: &Args) -> Result<bool, String> {
 fn run_summary(path: &PathBuf) -> Result<(), String> {
     let body = std::fs::read_to_string(path)
         .map_err(|e| format!("could not read {}: {e}", path.display()))?;
-    validate_telemetry_report(&body).map_err(|errors| {
+    ArtifactKind::Telemetry.validate(&body).map_err(|errors| {
         format!(
             "{}: not a valid telemetry report: {errors:?}",
             path.display()
@@ -461,13 +462,7 @@ fn run_sweep(args: &Args) -> Result<(), String> {
         .clone()
         .unwrap_or_else(|| args.out_dir.join("BENCH_sweep.json"));
     let body = report.render_json(!args.stable_json);
-    validate_report(&body)
-        .map_err(|errors| format!("generated report failed validation: {errors:?}"))?;
-    if let Some(dir) = json_path.parent() {
-        let _ = std::fs::create_dir_all(dir);
-    }
-    std::fs::write(&json_path, &body)
-        .map_err(|e| format!("could not write {}: {e}", json_path.display()))?;
+    write_artifact(ArtifactKind::Sweep, &body, &json_path)?;
     println!("[json] {}", json_path.display());
     write_telemetry(args, telem, &format!("sweep {grid_id}"))?;
     if let Some(t) = &report.timing {
@@ -530,29 +525,18 @@ fn run_serve(args: &Args, chaos: bool) -> Result<(), String> {
     };
     write_tables(&format!("{cmd}_{grid_id}"), &tables, &args.out_dir);
 
-    let (default_name, body) = if chaos {
-        (
-            "BENCH_chaos.json",
-            report.render_chaos_json(!args.stable_json),
-        )
+    let (kind, default_name, body) = if chaos {
+        let body = report.render_chaos_json(!args.stable_json);
+        (ArtifactKind::Chaos, "BENCH_chaos.json", body)
     } else {
-        ("BENCH_serve.json", report.render_json(!args.stable_json))
+        let body = report.render_json(!args.stable_json);
+        (ArtifactKind::Serve, "BENCH_serve.json", body)
     };
-    let valid = if chaos {
-        validate_chaos_report(&body)
-    } else {
-        validate_serve_report(&body)
-    };
-    valid.map_err(|errors| format!("generated {cmd} report failed validation: {errors:?}"))?;
     let json_path = args
         .json
         .clone()
         .unwrap_or_else(|| args.out_dir.join(default_name));
-    if let Some(dir) = json_path.parent() {
-        let _ = std::fs::create_dir_all(dir);
-    }
-    std::fs::write(&json_path, &body)
-        .map_err(|e| format!("could not write {}: {e}", json_path.display()))?;
+    write_artifact(kind, &body, &json_path)?;
     println!("[json] {}", json_path.display());
     write_telemetry(args, telem, &format!("{cmd} {grid_id}"))?;
     if let Some(t) = &report.timing {
@@ -591,13 +575,7 @@ fn run_refine(args: &Args) -> Result<(), String> {
         .clone()
         .unwrap_or_else(|| args.out_dir.join("BENCH_refine.json"));
     let body = report.render_json(!args.stable_json);
-    validate_refine_report(&body)
-        .map_err(|errors| format!("generated refine report failed validation: {errors:?}"))?;
-    if let Some(dir) = json_path.parent() {
-        let _ = std::fs::create_dir_all(dir);
-    }
-    std::fs::write(&json_path, &body)
-        .map_err(|e| format!("could not write {}: {e}", json_path.display()))?;
+    write_artifact(ArtifactKind::Refine, &body, &json_path)?;
     println!("[json] {}", json_path.display());
     write_telemetry(args, telem, &format!("refine {grid_id}"))?;
     if let Some(t) = &report.timing {
@@ -612,39 +590,13 @@ fn run_refine(args: &Args) -> Result<(), String> {
 fn run_validate(path: &PathBuf) -> Result<(), String> {
     let body = std::fs::read_to_string(path)
         .map_err(|e| format!("could not read {}: {e}", path.display()))?;
-    // Sniff the document kind: serve reports carry `"kind": "serve"`,
-    // perf reports `"kind": "perf"`, refine reports `"kind": "refine"`,
-    // telemetry reports `"kind": "telemetry"`, chaos reports
-    // `"kind": "chaos"`, trace timelines `"kind": "trace"`; campaign
-    // reports (v1) have no kind. An unrecognized kind falls through to
-    // the v1 validator, which rejects it with the mismatching fields
-    // named — cross-kind files never validate silently.
-    let kind = snsp_sweep::json::parse(&body).ok().and_then(|doc| {
-        doc.get("kind")
-            .and_then(snsp_sweep::Json::as_str)
-            .map(str::to_string)
-    });
-    let (label, outcome) = match kind.as_deref() {
-        Some("serve") => (
-            "BENCH_serve.json (schema v2/v3)",
-            validate_serve_report(&body),
-        ),
-        Some("perf") => ("BENCH_perf.json (schema v4)", validate_perf_report(&body)),
-        Some("refine") => (
-            "BENCH_refine.json (schema v4)",
-            validate_refine_report(&body),
-        ),
-        Some("telemetry") => (
-            "TELEMETRY.json (schema v5)",
-            validate_telemetry_report(&body),
-        ),
-        Some("chaos") => ("BENCH_chaos.json (schema v6)", validate_chaos_report(&body)),
-        Some("trace") => ("TRACE.json (schema v7)", validate_trace_report(&body)),
-        _ => ("BENCH_sweep.json (schema v1)", validate_report(&body)),
-    };
-    match outcome {
-        Ok(()) => {
-            println!("{}: valid {label}", path.display());
+    match snsp_sweep::validate(&body) {
+        Ok(kind) => {
+            let (name, version) = (kind.name(), kind.version());
+            println!(
+                "{}: valid {name} report (schema v{version})",
+                path.display()
+            );
             Ok(())
         }
         Err(errors) => {
@@ -677,14 +629,7 @@ fn run_perf(args: &Args) -> Result<(), String> {
         .json
         .clone()
         .unwrap_or_else(|| args.out_dir.join("BENCH_perf.json"));
-    let body = report.render_json();
-    validate_perf_report(&body)
-        .map_err(|errors| format!("generated perf report failed validation: {errors:?}"))?;
-    if let Some(dir) = json_path.parent() {
-        let _ = std::fs::create_dir_all(dir);
-    }
-    std::fs::write(&json_path, &body)
-        .map_err(|e| format!("could not write {}: {e}", json_path.display()))?;
+    write_artifact(ArtifactKind::Perf, &report.render_json(), &json_path)?;
     println!("[json] {}", json_path.display());
     write_telemetry(args, telem, &format!("perf {grid_id}"))?;
     println!(

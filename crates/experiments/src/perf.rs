@@ -19,7 +19,7 @@
 //!    API vs oracle recompute.
 //!
 //! The output is the schema-v4 `BENCH_perf.json` (see
-//! `snsp_sweep::validate_perf_report`): byte-stable layout, measured
+//! `snsp_sweep::ArtifactKind::Perf`): byte-stable layout, measured
 //! values, plus the process peak-RSS high-water mark (`null` off
 //! Linux). Wall-clock numbers vary between machines; the structural
 //! and equality invariants do not.
@@ -33,7 +33,7 @@ use snsp_core::ids::OpId;
 use snsp_core::platform::Catalog;
 use snsp_gen::{generate, ScenarioParams, SizeRange, TreeShape};
 use snsp_solver::{solve_exact, solve_exact_reference, BranchBoundConfig};
-use snsp_sweep::Json;
+use snsp_sweep::{ArtifactKind, Json};
 
 use crate::table::Table;
 
@@ -354,13 +354,8 @@ fn run_probe(n: usize) -> ProbeResult {
 impl PerfReport {
     /// Serializes schema v4 (layout is fixed; values are measurements).
     pub fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("schema_version", Json::Int(snsp_sweep::PERF_SCHEMA_VERSION)),
-            (
-                "generator",
-                Json::Str(format!("snsp-experiments {}", env!("CARGO_PKG_VERSION"))),
-            ),
-            ("kind", Json::Str("perf".into())),
+        let mut pairs = ArtifactKind::Perf.header();
+        pairs.extend([
             ("campaign", Json::Str(format!("perf-{}", self.campaign))),
             (
                 "config",
@@ -445,7 +440,8 @@ impl PerfReport {
                     ),
                 ]),
             ),
-        ])
+        ]);
+        Json::obj(pairs)
     }
 
     /// [`to_json`](Self::to_json) rendered to pretty-printed text.
@@ -576,7 +572,6 @@ fn bb_row_json(r: &BbRow) -> Json {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use snsp_sweep::validate_perf_report;
 
     #[test]
     fn every_perf_grid_id_builds_a_campaign() {
@@ -610,7 +605,9 @@ mod tests {
         };
         let report = run_perf(&campaign);
         let body = report.render_json();
-        validate_perf_report(&body).expect("generated perf report validates");
+        ArtifactKind::Perf
+            .validate(&body)
+            .expect("generated perf report validates");
         // Both engines agreed everywhere on this grid.
         assert!(report.heuristics[0].iter().all(|r| r.costs_match));
         assert!(report.bb.iter().all(|r| r.costs_match));

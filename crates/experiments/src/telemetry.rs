@@ -11,7 +11,7 @@
 //!   `Class::Overlay` counters/histograms, every gauge and every span.
 //!   `--stable-json` nulls the whole block.
 
-use snsp_sweep::Json;
+use snsp_sweep::{ArtifactKind, Json};
 use snsp_telemetry::{Class, HistogramSnap, Snapshot};
 
 use crate::table::Table;
@@ -81,16 +81,8 @@ pub fn telemetry_json(snap: &Snapshot, campaign: &str, stable: bool) -> Json {
             ),
         ])
     };
-    Json::obj(vec![
-        (
-            "schema_version",
-            Json::Int(snsp_sweep::TELEMETRY_SCHEMA_VERSION),
-        ),
-        (
-            "generator",
-            Json::Str(format!("snsp-experiments {}", env!("CARGO_PKG_VERSION"))),
-        ),
-        ("kind", Json::Str("telemetry".into())),
+    let mut pairs = ArtifactKind::Telemetry.header();
+    pairs.extend([
         ("campaign", Json::Str(campaign.to_string())),
         (
             "deterministic",
@@ -100,7 +92,8 @@ pub fn telemetry_json(snap: &Snapshot, campaign: &str, stable: bool) -> Json {
             ]),
         ),
         ("overlay", overlay),
-    ])
+    ]);
+    Json::obj(pairs)
 }
 
 fn histogram_json(h: &HistogramSnap) -> Json {
@@ -276,7 +269,6 @@ fn pool_stats_table(campaign: &str, overlay: Option<&Json>) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use snsp_sweep::validate_telemetry_report;
     use snsp_telemetry::{Class, Counter, Histogram};
 
     static T_DET: Counter = Counter::new("exp.det_events", Class::Det);
@@ -293,7 +285,9 @@ mod tests {
         });
         for stable in [false, true] {
             let body = telemetry_json(&snap, "unit", stable).render();
-            validate_telemetry_report(&body).expect("rendered document validates");
+            ArtifactKind::Telemetry
+                .validate(&body)
+                .expect("rendered document validates");
             assert_eq!(body.contains("exp.over_events"), !stable);
             assert!(body.contains("exp.det_events"));
         }

@@ -25,7 +25,7 @@ use snsp_core::platform::Catalog;
 use snsp_core::refine::RefineOptions;
 use snsp_gen::{generate, ScenarioParams, TreeShape};
 use snsp_solver::{lower_bound, solve_exact, BranchBoundConfig};
-use snsp_sweep::{run_jobs, Json, PhaseTiming, REFINE_SCHEMA_VERSION};
+use snsp_sweep::{run_jobs, ArtifactKind, Json, PhaseTiming};
 
 use crate::drivers::refine_portfolio;
 
@@ -306,13 +306,8 @@ impl RefineCampaignReport {
     /// Serializes schema v4. With `include_timing = false` the output is
     /// the *stable* form: byte-identical at every worker count.
     pub fn to_json(&self, include_timing: bool) -> Json {
-        let mut pairs = vec![
-            ("schema_version", Json::Int(REFINE_SCHEMA_VERSION)),
-            (
-                "generator",
-                Json::Str(format!("snsp-search {}", env!("CARGO_PKG_VERSION"))),
-            ),
-            ("kind", Json::Str("refine".to_string())),
+        let mut pairs = ArtifactKind::Refine.header();
+        pairs.extend([
             ("campaign", Json::Str(self.campaign.clone())),
             (
                 "config",
@@ -343,7 +338,7 @@ impl RefineCampaignReport {
                 "results",
                 Json::Arr(self.points.iter().map(|p| p.to_json()).collect()),
             ),
-        ];
+        ]);
         if include_timing {
             if let Some(t) = &self.timing {
                 pairs.push((
@@ -550,7 +545,6 @@ pub const REFINE_GRID_IDS: &[&str] = &["ci", "fig2", "large-n"];
 #[cfg(test)]
 mod tests {
     use super::*;
-    use snsp_sweep::validate_refine_report;
 
     fn small_campaign(workers: usize) -> RefineCampaign {
         let mut c = refine_grid("ci", 1).unwrap();
@@ -585,8 +579,12 @@ mod tests {
                 }
             }
         }
-        validate_refine_report(&report.render_json(true)).expect("schema v4 validates");
-        validate_refine_report(&report.render_json(false)).expect("stable form validates");
+        ArtifactKind::Refine
+            .validate(&report.render_json(true))
+            .expect("schema v4 validates");
+        ArtifactKind::Refine
+            .validate(&report.render_json(false))
+            .expect("stable form validates");
     }
 
     #[test]

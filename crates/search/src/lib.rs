@@ -27,7 +27,7 @@
 //! * [`RefineCampaign`] / [`run_refine_campaign`] — whole grids on
 //!   `snsp-sweep`'s pool, with schema-v4 `BENCH_refine.json` that is
 //!   byte-identical at any worker count
-//!   ([`validate_refine_report`](snsp_sweep::validate_refine_report)).
+//!   ([`ArtifactKind::Refine`](snsp_sweep::ArtifactKind::Refine)).
 //! * [`Budget`] — the shared work allowance `snsp-serve`'s departure
 //!   re-consolidation charges per relocation attempt.
 //!

@@ -121,5 +121,7 @@ fn campaign_traces_are_byte_identical_across_worker_counts() {
         let parallel = run_refine_campaign(&base().with_workers(workers)).render_json(false);
         assert_eq!(serial, parallel, "{workers}-worker trace diverged");
     }
-    snsp_sweep::validate_refine_report(&serial).expect("stable trace validates as schema v4");
+    snsp_sweep::ArtifactKind::Refine
+        .validate(&serial)
+        .expect("stable trace validates as schema v4");
 }

@@ -13,11 +13,11 @@
 //! subcommands each pick one:
 //!
 //! * schema v3 (`kind: "serve"`, `BENCH_serve.json`,
-//!   [`validate_serve_report`](snsp_sweep::validate_serve_report)): the
+//!   [`ArtifactKind::Serve`]): the
 //!   service metrics, with admission-latency p50/p99 columns that render
 //!   as `null` in the stable form;
 //! * schema v6 (`kind: "chaos"`, `BENCH_chaos.json`,
-//!   [`validate_chaos_report`](snsp_sweep::validate_chaos_report)): the
+//!   [`ArtifactKind::Chaos`]): the
 //!   fault, recovery, retry and audit accounting. Every replay whose plan
 //!   schedules a crash is shadowed by its crash-free twin, and the pair's
 //!   event logs and final fingerprints must agree for
@@ -26,7 +26,7 @@
 use std::time::Instant;
 
 use snsp_gen::{generate_trace, TraceParams};
-use snsp_sweep::{run_jobs, Json, PhaseTiming, PIPELINE_SEED_STRIDE};
+use snsp_sweep::{run_jobs, ArtifactKind, Json, PhaseTiming, PIPELINE_SEED_STRIDE};
 
 use crate::fault::{ChaosStats, FaultPlan, FaultSpec};
 use crate::report::{fnv1a, percentile, TraceReport, FNV_OFFSET};
@@ -371,22 +371,17 @@ impl ServeCampaignReport {
     }
 
     fn document(&self, chaos: bool, include_timing: bool) -> Json {
-        let (version, kind) = if chaos {
-            (snsp_sweep::CHAOS_SCHEMA_VERSION, "chaos")
+        let kind = if chaos {
+            ArtifactKind::Chaos
         } else {
-            (snsp_sweep::SERVE_SCHEMA_VERSION, "serve")
+            ArtifactKind::Serve
         };
         let points = self.config_points.iter();
         let points = points.map(|p| point_config_json(p, chaos)).collect();
         let results = self.points.iter();
         let results = results.map(|p| p.to_json(chaos, include_timing)).collect();
-        let mut pairs = vec![
-            ("schema_version", Json::Int(version)),
-            (
-                "generator",
-                Json::Str(format!("snsp-serve {}", env!("CARGO_PKG_VERSION"))),
-            ),
-            ("kind", Json::Str(kind.to_string())),
+        let mut pairs = kind.header();
+        pairs.extend([
             ("campaign", Json::Str(self.campaign.clone())),
             (
                 "config",
@@ -398,7 +393,7 @@ impl ServeCampaignReport {
                 ]),
             ),
             ("results", Json::Arr(results)),
-        ];
+        ]);
         if let (true, Some(t)) = (include_timing, &self.timing) {
             pairs.push((
                 "timing",
@@ -570,7 +565,6 @@ pub fn run_serve_campaign(campaign: &ServeCampaign) -> ServeCampaignReport {
 mod tests {
     use super::*;
     use crate::fault::RetryPolicy;
-    use snsp_sweep::{validate_chaos_report, validate_serve_report};
 
     fn small_campaign(workers: usize) -> ServeCampaign {
         let points = vec![
@@ -619,9 +613,13 @@ mod tests {
             assert_eq!(p.admitted + p.rejected, p.arrivals);
             assert_eq!(p.stats.audit_failures, 0, "{:?}", p.stats.audit_first);
         }
-        validate_chaos_report(&report.render_chaos_json(true)).expect("timed form validates");
+        ArtifactKind::Chaos
+            .validate(&report.render_chaos_json(true))
+            .expect("timed form validates");
         let stable = report.render_chaos_json(false);
-        validate_chaos_report(&stable).expect("stable form validates");
+        ArtifactKind::Chaos
+            .validate(&stable)
+            .expect("stable form validates");
         for workers in [1usize, 4] {
             let other = run_serve_campaign(&chaos_campaign(workers));
             assert_eq!(
@@ -641,8 +639,12 @@ mod tests {
             assert_eq!(p.admitted + p.rejected, p.arrivals);
             assert_eq!(p.crash_fingerprint_match, None, "plain points never crash");
         }
-        validate_serve_report(&report.render_json(true)).expect("schema v3 validates");
-        validate_serve_report(&report.render_json(false)).expect("stable form validates");
+        ArtifactKind::Serve
+            .validate(&report.render_json(true))
+            .expect("schema v3 validates");
+        ArtifactKind::Serve
+            .validate(&report.render_json(false))
+            .expect("stable form validates");
     }
 
     #[test]
@@ -696,7 +698,9 @@ mod tests {
                 "{workers} campaign × {replay_workers} replay workers diverged"
             );
         }
-        snsp_sweep::validate_serve_report(&base.render_json(false)).expect("schema v3 validates");
+        ArtifactKind::Serve
+            .validate(&base.render_json(false))
+            .expect("schema v3 validates");
     }
 
     #[test]

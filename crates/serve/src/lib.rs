@@ -37,9 +37,9 @@
 //!   `snsp-sweep`'s pool. Each [`ServePoint`] carries its own
 //!   [`FaultSpec`] (all off by default), and one
 //!   [`ServeCampaignReport`] renders both the schema-v3 serve artifact
-//!   ([`validate_serve_report`](snsp_sweep::validate_serve_report)) and
+//!   ([`ArtifactKind::Serve`](snsp_sweep::ArtifactKind::Serve)) and
 //!   the schema-v6 chaos artifact
-//!   ([`validate_chaos_report`](snsp_sweep::validate_chaos_report)),
+//!   ([`ArtifactKind::Chaos`](snsp_sweep::ArtifactKind::Chaos)),
 //!   whose stable forms are byte-identical at any worker count.
 //!
 //! ```

@@ -4,29 +4,28 @@
 //! A byte-for-byte `cmp` of two `BENCH_*.json` files breaks the moment
 //! any wall-clock column moves, so CI could only ever gate *stable*
 //! renderings. This module compares two same-kind documents
-//! **structurally** instead:
+//! **structurally** instead, and takes each value's class from the
+//! kind's field table ([`schema`](crate::schema)):
 //!
-//! * **Deterministic columns are strict** — any type or value mismatch,
-//!   missing key, or array-length change is a regression.
-//! * **Wall-clock/RSS columns are toleranced** — values under a
-//!   `timing` or `overlay` component, or whose key smells of time or
-//!   memory (`*_s`, `*_ms`, `*_us`, `*_ns`, `rss`, `latency`, `wall`,
-//!   `speedup`), are compared against a configurable relative
-//!   threshold; absent a threshold they are informational only. A
-//!   `null`-vs-value difference on such a path is the stable-vs-timed
-//!   rendering split and is never a finding.
-//! * **Identity metadata is informational** — `generator` and
-//!   `schema_version` may differ between tool versions; when the schema
-//!   versions differ, missing keys degrade to informational too, so an
-//!   old artifact can be diffed against a new one without drowning in
-//!   structure noise.
+//! * **Deterministic values are strict** — any type or value mismatch,
+//!   missing key, or array-length change is a regression. A path the
+//!   table does not declare is deterministic too.
+//! * **Wall-clock/RSS values are toleranced** — compared against a
+//!   configurable relative threshold; absent a threshold they are
+//!   informational only. A `null`-vs-value difference on such a path is
+//!   the stable-vs-timed rendering split and is never a finding.
+//! * **Identity metadata is informational** — `generator`,
+//!   `schema_version` and worker counts may differ between runs; when the
+//!   schema versions differ, missing keys degrade to informational too,
+//!   so an old artifact can be diffed against a new one without drowning
+//!   in structure noise.
 //!
 //! The result is a [`DiffReport`]: regressions (fail the build),
 //! informational drifts (print and move on), and a human-readable
-//! table. Works on every kinded schema (serve, perf, refine, telemetry,
-//! chaos, trace) and on kindless schema-v1 sweep reports.
+//! table. Works on every artifact kind.
 
 use crate::json::{parse, Json};
+use crate::schema::{join, ArtifactKind, Class};
 
 /// Options for [`diff_reports`].
 #[derive(Debug, Clone, Copy, Default)]
@@ -113,64 +112,42 @@ impl DiffReport {
     }
 }
 
-/// The `kind` a document diffs as: its discriminator, or `"sweep"` for
-/// a kindless schema-v1 campaign report.
-fn kind_of(doc: &Json) -> String {
-    doc.get("kind")
-        .and_then(Json::as_str)
-        .unwrap_or("sweep")
-        .to_string()
-}
-
 /// Structurally compares two same-kind report documents. Returns the
 /// classified differences, or the parse/kind errors that prevented a
 /// comparison.
 pub fn diff_reports(a: &str, b: &str, opts: DiffOptions) -> Result<DiffReport, Vec<String>> {
     let a = parse(a).map_err(|e| vec![format!("first document is not JSON: {e}")])?;
     let b = parse(b).map_err(|e| vec![format!("second document is not JSON: {e}")])?;
-    let (ka, kb) = (kind_of(&a), kind_of(&b));
-    if ka != kb {
+    let kind = ArtifactKind::of(&a).map_err(|e| vec![format!("first document: {e}")])?;
+    let kind_b = ArtifactKind::of(&b).map_err(|e| vec![format!("second document: {e}")])?;
+    if kind != kind_b {
         return Err(vec![format!(
-            "kind mismatch: cannot diff a \"{ka}\" report against a \"{kb}\" report"
+            "kind mismatch: cannot diff a \"{}\" report against a \"{}\" report",
+            kind.name(),
+            kind_b.name()
         )]);
     }
     let cross_version = a.get("schema_version").and_then(Json::as_int)
         != b.get("schema_version").and_then(Json::as_int);
     let mut cx = DiffCx {
+        kind,
         opts,
         cross_version,
         compared: 0,
         regressions: Vec::new(),
         informational: Vec::new(),
     };
-    cx.walk("", &a, &b, false);
+    cx.walk("", "", &a, &b);
     Ok(DiffReport {
-        kind: ka,
+        kind: kind.name().to_string(),
         compared: cx.compared,
         regressions: cx.regressions,
         informational: cx.informational,
     })
 }
 
-/// Keys that mark their entire subtree as toleranced (wall-clock or
-/// scheduling overlay — excluded from the stable rendering contract).
-const TOLERANCED_COMPONENTS: [&str; 2] = ["timing", "overlay"];
-
-/// Leaf-key suffixes measuring wall time.
-const TIMING_SUFFIXES: [&str; 4] = ["_s", "_ms", "_us", "_ns"];
-
-/// Leaf-key substrings measuring time, memory, or derived throughput.
-const TIMING_SUBSTRINGS: [&str; 4] = ["rss", "latency", "wall", "speedup"];
-
-/// Keys whose drift is identity metadata, never a result change.
-const METADATA_KEYS: [&str; 2] = ["generator", "schema_version"];
-
-fn is_toleranced_key(key: &str) -> bool {
-    TIMING_SUFFIXES.iter().any(|s| key.ends_with(s))
-        || TIMING_SUBSTRINGS.iter().any(|s| key.contains(s))
-}
-
 struct DiffCx {
+    kind: ArtifactKind,
     opts: DiffOptions,
     cross_version: bool,
     compared: usize,
@@ -179,140 +156,94 @@ struct DiffCx {
 }
 
 impl DiffCx {
-    fn emit(&mut self, path: &str, a: &Json, b: &Json, kind: DiffKind) {
-        let entry = DiffEntry {
-            path: path.to_string(),
-            a: render_leaf(a),
-            b: render_leaf(b),
-            kind: kind.clone(),
-        };
-        match kind {
-            DiffKind::Info => self.informational.push(entry),
-            _ => self.regressions.push(entry),
-        }
-    }
-
-    fn missing(&mut self, path: &str, present_in_a: bool, value: &Json, toleranced: bool) {
-        let kind = if toleranced || self.cross_version {
-            DiffKind::Info
-        } else {
-            DiffKind::Strict
-        };
-        let (a, b) = if present_in_a {
-            (render_leaf(value), "-".to_string())
-        } else {
-            ("-".to_string(), render_leaf(value))
-        };
+    fn push(&mut self, path: &str, a: String, b: String, kind: DiffKind) {
         let entry = DiffEntry {
             path: path.to_string(),
             a,
             b,
-            kind: kind.clone(),
+            kind,
         };
-        match kind {
+        match entry.kind {
             DiffKind::Info => self.informational.push(entry),
             _ => self.regressions.push(entry),
         }
     }
 
-    fn walk(&mut self, path: &str, a: &Json, b: &Json, toleranced: bool) {
+    /// A key present on one side only: strict on deterministic paths of
+    /// same-version documents, informational otherwise.
+    fn missing(&mut self, path: &str, pattern: &str, present_in_a: bool, value: &Json) {
+        let kind = if self.cross_version || self.kind.class_of(pattern) != Class::Det {
+            DiffKind::Info
+        } else {
+            DiffKind::Strict
+        };
+        let (v, absent) = (render_leaf(value), "-".to_string());
+        let (a, b) = if present_in_a {
+            (v, absent)
+        } else {
+            (absent, v)
+        };
+        self.push(path, a, b, kind);
+    }
+
+    /// Compares the values at concrete `path`, whose table pattern is
+    /// `pattern` (`results[3].label` ↔ `results[].label`).
+    fn walk(&mut self, path: &str, pattern: &str, a: &Json, b: &Json) {
         match (a, b) {
             (Json::Obj(pa), Json::Obj(pb)) => {
                 for (k, va) in pa {
-                    let sub = if path.is_empty() {
-                        k.clone()
-                    } else {
-                        format!("{path}.{k}")
-                    };
-                    let sub_tol = toleranced || TOLERANCED_COMPONENTS.contains(&k.as_str());
-                    match pb.iter().find(|(kb, _)| kb == k) {
-                        Some((_, vb)) => self.walk(&sub, va, vb, sub_tol),
-                        None => self.missing(&sub, true, va, sub_tol || is_toleranced_key(k)),
+                    let (sub, sub_pattern) = (join(path, k), join(pattern, k));
+                    match b.get(k) {
+                        Some(vb) => self.walk(&sub, &sub_pattern, va, vb),
+                        None => self.missing(&sub, &sub_pattern, true, va),
                     }
                 }
                 for (k, vb) in pb {
-                    if pa.iter().all(|(ka, _)| ka != k) {
-                        let sub = if path.is_empty() {
-                            k.clone()
-                        } else {
-                            format!("{path}.{k}")
-                        };
-                        let sub_tol = toleranced
-                            || TOLERANCED_COMPONENTS.contains(&k.as_str())
-                            || is_toleranced_key(k);
-                        self.missing(&sub, false, vb, sub_tol);
+                    if a.get(k).is_none() {
+                        self.missing(&join(path, k), &join(pattern, k), false, vb);
                     }
                 }
             }
             (Json::Arr(xa), Json::Arr(xb)) => {
                 if xa.len() != xb.len() {
-                    let kind = if toleranced {
-                        DiffKind::Info
-                    } else {
-                        DiffKind::Strict
+                    let kind = match self.kind.class_of(pattern) {
+                        Class::Det => DiffKind::Strict,
+                        _ => DiffKind::Info,
                     };
-                    self.emit(
-                        &format!("{path}.len()"),
-                        &Json::Int(xa.len() as i64),
-                        &Json::Int(xb.len() as i64),
-                        kind,
-                    );
+                    let (la, lb) = (xa.len().to_string(), xb.len().to_string());
+                    self.push(&format!("{path}.len()"), la, lb, kind);
                 }
+                let items = format!("{pattern}[]");
                 for (i, (va, vb)) in xa.iter().zip(xb).enumerate() {
-                    self.walk(&format!("{path}[{i}]"), va, vb, toleranced);
+                    self.walk(&format!("{path}[{i}]"), &items, va, vb);
                 }
             }
-            _ => self.leaf(path, a, b, toleranced),
+            _ => self.leaf(path, pattern, a, b),
         }
     }
 
-    fn leaf(&mut self, path: &str, a: &Json, b: &Json, toleranced: bool) {
+    fn leaf(&mut self, path: &str, pattern: &str, a: &Json, b: &Json) {
         self.compared += 1;
-        let key = path.rsplit('.').next().unwrap_or(path);
-        let key = key.split('[').next().unwrap_or(key);
-        if METADATA_KEYS.contains(&key) {
-            if render_leaf(a) != render_leaf(b) {
-                self.emit(path, a, b, DiffKind::Info);
+        let class = self.kind.class_of(pattern);
+        let kind = match (class, a.as_num(), b.as_num()) {
+            (Class::Timing, Some(na), Some(nb)) => {
+                if na == nb {
+                    return;
+                }
+                let rel = (nb - na) / na.abs().max(1e-9);
+                match self.opts.timing_tolerance {
+                    Some(tol) if rel.abs() > tol => DiffKind::ToleranceBreach { rel },
+                    _ => DiffKind::Info,
+                }
             }
-            return;
-        }
-        let toleranced = toleranced || is_toleranced_key(key);
-        if toleranced {
-            // The stable rendering nulls overlay/timing values; a
+            _ if render_leaf(a) == render_leaf(b) => return,
+            // The stable rendering nulls wall-clock values; a
             // null-vs-value pair is the two forms, not a drift.
-            if matches!(a, Json::Null) || matches!(b, Json::Null) {
-                if render_leaf(a) != render_leaf(b) {
-                    self.emit(path, a, b, DiffKind::Info);
-                }
-                return;
-            }
-            match (a.as_num(), b.as_num()) {
-                (Some(na), Some(nb)) => {
-                    if na == nb {
-                        return;
-                    }
-                    let rel = (nb - na).abs() / na.abs().max(1e-9);
-                    match self.opts.timing_tolerance {
-                        Some(tol) if rel > tol => {
-                            let signed = (nb - na) / na.abs().max(1e-9);
-                            self.emit(path, a, b, DiffKind::ToleranceBreach { rel: signed });
-                        }
-                        _ => self.emit(path, a, b, DiffKind::Info),
-                    }
-                }
-                // Non-numeric under a timing component (e.g.
-                // timing.workers label strings): fall through to strict.
-                _ => {
-                    if render_leaf(a) != render_leaf(b) {
-                        self.emit(path, a, b, DiffKind::Strict);
-                    }
-                }
-            }
-            return;
-        }
-        if render_leaf(a) != render_leaf(b) {
-            self.emit(path, a, b, DiffKind::Strict);
-        }
+            (Class::Timing, ..) if *a == Json::Null || *b == Json::Null => DiffKind::Info,
+            (Class::Meta, ..) => DiffKind::Info,
+            _ => DiffKind::Strict,
+        };
+        self.push(path, render_leaf(a), render_leaf(b), kind);
     }
 }
 

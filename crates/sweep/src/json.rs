@@ -110,11 +110,15 @@ impl Json {
             }
             Json::Num(n) => {
                 if n.is_finite() {
-                    // Guarantee a JSON number token (Display drops ".0").
-                    if n.fract() == 0.0 && n.abs() < 1e15 {
+                    // Guarantee a float token: Display drops ".0", and
+                    // spells huge whole floats as long digit runs that
+                    // would parse back as integers (or overflow them).
+                    if n.fract() != 0.0 {
+                        let _ = write!(out, "{n}");
+                    } else if n.abs() < 1e15 {
                         let _ = write!(out, "{n:.1}");
                     } else {
-                        let _ = write!(out, "{n}");
+                        let _ = write!(out, "{n:e}");
                     }
                 } else {
                     out.push_str("null"); // NaN/inf are not JSON
@@ -184,11 +188,17 @@ fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
 }
 
+/// The deepest array/object nesting [`parse`] accepts. Report artifacts
+/// nest at most six levels; the cap keeps hostile input from exhausting
+/// the stack of the recursive parser (and of every recursive walk over
+/// its result).
+const MAX_DEPTH: usize = 128;
+
 /// Parses a JSON document. Errors carry a byte offset and a short reason.
 pub fn parse(text: &str) -> Result<Json, String> {
     let bytes = text.as_bytes();
     let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos)?;
+    let value = parse_value(bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(format!("trailing garbage at byte {pos}"));
@@ -211,8 +221,13 @@ fn expect(bytes: &[u8], pos: &mut usize, c: u8) -> Result<(), String> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(bytes, pos);
+    if depth == MAX_DEPTH && matches!(bytes.get(*pos), Some(b'{' | b'[')) {
+        return Err(format!(
+            "nesting deeper than {MAX_DEPTH} levels at byte {pos}"
+        ));
+    }
     match bytes.get(*pos) {
         None => Err("unexpected end of input".to_string()),
         Some(b'{') => {
@@ -232,7 +247,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
                 }
                 skip_ws(bytes, pos);
                 expect(bytes, pos, b':')?;
-                let value = parse_value(bytes, pos)?;
+                let value = parse_value(bytes, pos, depth + 1)?;
                 pairs.push((key, value));
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
@@ -254,7 +269,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(bytes, pos)?);
+                items.push(parse_value(bytes, pos, depth + 1)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -321,12 +336,15 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                 *pos += 1;
             }
             Some(_) => {
-                // Consume one UTF-8 scalar (the input is a &str, so the
-                // byte stream is valid UTF-8 by construction).
-                let rest = std::str::from_utf8(&bytes[*pos..]).map_err(|e| e.to_string())?;
-                let c = rest.chars().next().unwrap();
-                out.push(c);
-                *pos += c.len_utf8();
+                // Copy the run up to the next quote or backslash. Both are
+                // ASCII, so the run ends on a char boundary of the (valid
+                // UTF-8) input, and decoding it costs only its own length.
+                let start = *pos;
+                while bytes.get(*pos).is_some_and(|&b| b != b'"' && b != b'\\') {
+                    *pos += 1;
+                }
+                let run = std::str::from_utf8(&bytes[start..*pos]).map_err(|e| e.to_string())?;
+                out.push_str(run);
             }
         }
     }
@@ -392,6 +410,10 @@ mod tests {
     fn whole_floats_keep_a_decimal_point() {
         assert_eq!(Json::Num(42.0).render(), "42.0\n");
         assert_eq!(Json::Int(42).render(), "42\n");
+        // Huge whole floats stay floats (and parseable) in exponent form.
+        for n in [1e15, -2.5e18, 1e300, f64::MAX] {
+            assert_eq!(parse(&Json::Num(n).render()), Ok(Json::Num(n)));
+        }
     }
 
     #[test]
@@ -421,6 +443,38 @@ mod tests {
     fn parser_handles_escapes_and_unicode() {
         let parsed = parse(r#"{"s": "a\"b\néé"}"#).unwrap();
         assert_eq!(parsed.get("s").unwrap().as_str().unwrap(), "a\"b\néé");
+    }
+
+    #[test]
+    fn multi_megabyte_string_documents_parse_in_linear_time() {
+        // Quadratic string decoding took minutes on documents this size.
+        let event = Json::obj(vec![
+            ("event", Json::Str("admit".to_string())),
+            (
+                "detail",
+                Json::Str("tenant=42 new=1 reuse=0 — ok".to_string()),
+            ),
+        ]);
+        let doc = Json::Arr(vec![event; 40_000]);
+        let text = doc.render();
+        assert!(text.len() > 3_000_000, "{} bytes", text.len());
+        let started = std::time::Instant::now();
+        assert_eq!(parse(&text).unwrap(), doc);
+        let secs = started.elapsed().as_secs_f64();
+        assert!(secs < 20.0, "parsing {} bytes took {secs:.1}s", text.len());
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let err = parse(&"[".repeat(200_000)).unwrap_err();
+        assert!(err.contains("nesting deeper than"), "{err}");
+        let err = parse(&"{\"a\": ".repeat(200_000)).unwrap_err();
+        assert!(err.contains("nesting deeper than"), "{err}");
+        // The cap itself still parses.
+        let ok = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&ok).is_ok());
+        let over = format!("[{ok}]");
+        assert!(parse(&over).is_err());
     }
 
     #[test]

@@ -14,8 +14,8 @@
 //!   aggregation runs in grid order, so the stable report is
 //!   byte-identical at any worker count.
 //! * **Machine-readable output** — schema v1 (see [`sink`]) is written
-//!   and validated by a hand-rolled serializer/parser pair ([`json`],
-//!   [`schema`]); the offline vendor set has no serde.
+//!   by a hand-rolled serializer and checked against its field table
+//!   ([`json`], [`schema`]); the offline vendor set has no serde.
 //! * **Exact reference** — a campaign can carry a branch-and-bound
 //!   reference column on small points ([`ReferenceConfig`]), reporting
 //!   `optimal = false` whenever the node budget truncated the search.
@@ -34,7 +34,7 @@
 //! );
 //! let report = run_campaign(&campaign);
 //! assert_eq!(report.points.len(), 3);
-//! snsp_sweep::validate_report(&report.render_json(true)).unwrap();
+//! snsp_sweep::ArtifactKind::Sweep.validate(&report.render_json(true)).unwrap();
 //! ```
 //!
 //! [`solve_seeded`]: snsp_core::heuristics::solve_seeded
@@ -57,13 +57,6 @@ pub use campaign::{run_campaign, Campaign, PointSpec, ReferenceConfig, PIPELINE_
 pub use diff::{diff_reports, DiffEntry, DiffKind, DiffOptions, DiffReport};
 pub use json::Json;
 pub use pool::run_jobs;
-pub use schema::{
-    validate_chaos_report, validate_perf_report, validate_refine_report, validate_report,
-    validate_serve_report, validate_telemetry_report, validate_trace_report, CHAOS_SCHEMA_VERSION,
-    PERF_SCHEMA_VERSION, REFINE_SCHEMA_VERSION, SERVE_SCHEMA_VERSION, SERVE_SCHEMA_VERSION_MIN,
-    TELEMETRY_SCHEMA_VERSION, TRACE_SCHEMA_VERSION,
-};
-pub use sink::{
-    CampaignReport, HeurStats, PhaseTiming, PointReport, ReferenceStats, SCHEMA_VERSION,
-};
+pub use schema::{validate, ArtifactKind};
+pub use sink::{CampaignReport, HeurStats, PhaseTiming, PointReport, ReferenceStats};
 pub use tracefile::{chrome_trace_json, trace_json};

@@ -1,66 +1,602 @@
-//! Structural validation of `BENCH_sweep.json` and `BENCH_serve.json`
-//! documents.
+//! The report schemas: one declarative field table per [`ArtifactKind`],
+//! read by the validator, by [`diff`](crate::diff) and by the writers.
 //!
-//! CI uploads the reports as workflow artifacts and fails the build when
-//! these checks reject them, so downstream tooling (perf dashboards,
-//! diff scripts) can rely on the schemas without defensive parsing.
-//! Campaign reports are **schema v1** ([`validate_report`]); online
-//! serving reports are **schema v3** ([`validate_serve_report`]), which
-//! adds the `kind: "serve"` discriminator, the trace-grid config echo
-//! (including the shard count), the service-metric result rows and the
-//! `admit_latency` p50/p99 column (v2 documents — pre-sharding, no
-//! latency column — stay readable); perf reports are **schema v4**
-//! ([`validate_perf_report`], `kind: "perf"`), recording the incremental
-//! demand engine's measured speedups over the retained reference oracles
-//! (heuristic pipelines, the branch-and-bound, and the raw demand probe)
-//! plus the process peak-RSS gauge (v4); telemetry reports are
-//! **schema v5** ([`validate_telemetry_report`], `kind: "telemetry"`),
-//! carrying the deterministic counter/histogram core and the optional
-//! wall-clock overlay written by `snsp-experiments --telemetry-out`.
-//! The `kind` discriminator keeps every kinded document apart.
+//! A table has one row per path, with `[]` standing for every array item
+//! (`results[].admit_latency.p99_us`). A row gives the value's type and
+//! constraint, whether it may be `null` (stable-form columns) or absent
+//! (the `timing` block), and its class: deterministic, wall-clock or
+//! identity metadata. The walker rejects every key the table does not
+//! declare, so the table is the complete description of the artifact.
+//! Invariants that span rows live in one small hook per kind, and every
+//! writer takes its header from [`ArtifactKind::header`].
+//!
+//! ```
+//! use snsp_sweep::{validate, ArtifactKind, Json};
+//!
+//! let mut doc = ArtifactKind::Trace.header();
+//! doc.push(("campaign", Json::Str("demo".into())));
+//! doc.push(("dropped", Json::Int(0)));
+//! doc.push(("det_events", Json::Arr(vec![])));
+//! assert_eq!(validate(&Json::obj(doc).render()), Ok(ArtifactKind::Trace));
+//! ```
 
 use crate::json::{parse, Json};
-use crate::sink::SCHEMA_VERSION;
+use ArtifactKind::*;
 
-/// The schema version stamped into every new serve report.
-/// [`validate_serve_report`] also still accepts v2 documents (written
-/// before the sharded tier and the admission-latency columns).
-pub const SERVE_SCHEMA_VERSION: i64 = 3;
+/// One kind of report artifact.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ArtifactKind {
+    /// `BENCH_sweep.json`: heuristic grid results (kindless, schema v1).
+    Sweep,
+    /// `BENCH_serve.json`: online-serving service metrics (v3).
+    Serve,
+    /// `BENCH_perf.json`: incremental engine vs reference oracles (v4).
+    Perf,
+    /// `BENCH_refine.json`: local-search refinement campaigns (v4).
+    Refine,
+    /// `TELEMETRY.json`: deterministic metrics plus wall-clock overlay (v5).
+    Telemetry,
+    /// `BENCH_chaos.json`: fault-injection campaigns (v6).
+    Chaos,
+    /// `TRACE.json`: the deterministic causal event stream (v7).
+    Trace,
+}
 
-/// The oldest serve schema version [`validate_serve_report`] accepts.
-pub const SERVE_SCHEMA_VERSION_MIN: i64 = 2;
+/// How `report diff` treats a value.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Class {
+    /// Deterministic: any change is a regression.
+    Det,
+    /// Wall-clock or RSS: toleranced; null-vs-value is the stable form.
+    Timing,
+    /// Identity metadata (tool version, worker count): informational.
+    Meta,
+}
 
-/// The schema version stamped into (and required of) every perf report.
-/// v4 adds the `results.peak_rss_kb` gauge column.
-pub const PERF_SCHEMA_VERSION: i64 = 4;
+/// The type and constraint of one value ([`Ty::fails`] spells each out).
+/// `Obj` marks an object described by the rows below it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Ty {
+    Obj,
+    Str,
+    NonEmpty,
+    Bool,
+    True,
+    Int,
+    Nat,
+    PosInt,
+    Zero,
+    Num,
+    NonNeg,
+    Pos,
+    Frac,
+    Pct,
+    Pair,
+    Version,
+    Generator,
+}
 
-/// The schema version stamped into (and required of) every refine report.
-pub const REFINE_SCHEMA_VERSION: i64 = 4;
+use Ty::*;
 
-/// The schema version stamped into (and required of) every telemetry
-/// report (`TELEMETRY.json`, `kind: "telemetry"`).
-pub const TELEMETRY_SCHEMA_VERSION: i64 = 5;
+/// One row of a kind's table.
+#[derive(Debug, Clone, Copy)]
+struct Field {
+    path: &'static str,
+    ty: Ty,
+    class: Class,
+    null: bool,
+    opt: bool,
+}
 
-/// The schema version stamped into (and required of) every chaos report
-/// (`BENCH_chaos.json`, `kind: "chaos"`): fault-injection campaigns over
-/// the sharded serve tier, with per-point fault/recovery/retry counters,
-/// the crash-recovery fingerprint verdict and the invariant-audit count.
-pub const CHAOS_SCHEMA_VERSION: i64 = 6;
+const fn det(path: &'static str, ty: Ty) -> Field {
+    Field {
+        path,
+        ty,
+        class: Class::Det,
+        null: false,
+        opt: false,
+    }
+}
 
-/// The schema version stamped into (and required of) every trace report
-/// (`TRACE.json`, `kind: "trace"`): the deterministic causal event
-/// stream of a replay — Det-class events only, stamped with logical
-/// time `(run, tick, shard, seq)` — so the file is byte-identical at
-/// any worker count (the wall-clock Chrome timeline is exported
-/// separately and is never stable).
-pub const TRACE_SCHEMA_VERSION: i64 = 7;
+const fn timing(path: &'static str, ty: Ty) -> Field {
+    Field {
+        class: Class::Timing,
+        ..det(path, ty)
+    }
+}
 
-/// Checks the `kind` discriminator against the kind a validator expects,
-/// producing an error that names **both** the expected and the found
-/// kind — so a cross-kind mistake (validating a serve report with the
-/// refine validator, say) reads as "wrong file", not as a pile of
+const fn meta(path: &'static str, ty: Ty) -> Field {
+    Field {
+        class: Class::Meta,
+        ..det(path, ty)
+    }
+}
+
+impl Field {
+    /// The value may be `null`.
+    const fn null(self) -> Self {
+        Field { null: true, ..self }
+    }
+
+    /// The key may be absent.
+    const fn opt(self) -> Self {
+        Field { opt: true, ..self }
+    }
+}
+
+const HEADER: &[Field] = &[
+    meta("schema_version", Version),
+    meta("generator", Generator),
+    // Checked, with a message naming both kinds, by `check_kind`.
+    det("kind", Str).opt(),
+    det("campaign", NonEmpty),
+];
+
+/// The campaign kinds' wall-clock block, absent in the stable form.
+const TIMING: &[Field] = &[
+    timing("timing", Obj).opt(),
+    meta("timing.workers", PosInt),
+    det("timing.jobs", Nat),
+    timing("timing.flatten_s", NonNeg),
+    timing("timing.run_s", NonNeg),
+    timing("timing.aggregate_s", NonNeg),
+    timing("timing.total_s", NonNeg),
+];
+
+const SWEEP: &[Field] = &[
+    det("config.seeds", PosInt),
+    det("config.heuristics[]", Str),
+    det("config.reference", Obj).null(),
+    det("config.reference.max_ops", Nat),
+    det("config.reference.node_budget", Nat),
+    det("config.points[].label", Str),
+    det("config.points[].n_ops", PosInt),
+    det("config.points[].alpha", Num),
+    det("config.points[].kappa", Num),
+    det("config.points[].n_types", PosInt),
+    det("config.points[].sizes_mb", Pair),
+    det("config.points[].freq_hz", Num),
+    det("config.points[].servers", PosInt),
+    det("config.points[].replicas", Pair),
+    det("config.points[].rho", Num),
+    det("config.points[].shape", Str),
+    det("results[].label", Str),
+    det("results[].n_ops", PosInt),
+    det("results[].alpha", Num),
+    det("results[].heuristics[].name", Str),
+    det("results[].heuristics[].runs", Nat),
+    det("results[].heuristics[].feasible", Nat),
+    det("results[].heuristics[].feasibility_pct", Pct),
+    det("results[].heuristics[].mean_cost", Num).null(),
+    det("results[].heuristics[].mean_procs", Num).null(),
+    det("results[].reference", Obj).null(),
+    det("results[].reference.runs", Nat),
+    det("results[].reference.solved", Nat),
+    det("results[].reference.mean_cost", Num).null(),
+    det("results[].reference.optimal", Bool),
+];
+
+/// The serve and chaos artifacts share the point echo, the leading and
+/// trailing result columns, and the timing block.
+const SERVE_COMMON: &[Field] = &[
+    det("config.seeds", PosInt),
+    det("config.slo_frac", Frac),
+    det("config.shards", PosInt),
+    det("config.points[].label", Str),
+    det("config.points[].lambda", Pos),
+    det("config.points[].mean_hold", Pos),
+    det("config.points[].pareto_shape", Pos),
+    det("config.points[].horizon", Pos),
+    det("config.points[].fail_rate", NonNeg),
+    det("config.points[].n_ops", Pair),
+    det("config.points[].alpha", Pair),
+    det("config.points[].rho", Pair),
+    det("config.points[].burst", Obj).null(),
+    det("config.points[].burst.period", Num),
+    det("config.points[].burst.width", Num),
+    det("config.points[].burst.multiplier", Num),
+    det("results[].label", Str),
+    det("results[].traces", Nat),
+    det("results[].arrivals", Nat),
+    det("results[].admitted", Nat),
+    det("results[].rejected", Nat),
+    det("results[].departed", Nat),
+    det("results[].evicted", Nat),
+    det("results[].failures", Nat),
+    det("results[].admission_rate", Frac),
+    det("results[].mean_final_cost", NonNeg),
+    det("results[].log_hash", NonEmpty),
+    meta("timing.replay_workers", PosInt),
+];
+
+const SERVE: &[Field] = &[
+    det("results[].mean_cost_integral", NonNeg),
+    det("results[].mean_utilization", NonNeg),
+    det("results[].peak_procs", Nat),
+    det("results[].slo_checks", Nat),
+    det("results[].slo_violations", Nat),
+    timing("results[].admit_latency", Obj).null(),
+    det("results[].admit_latency.samples", PosInt),
+    timing("results[].admit_latency.p50_us", NonNeg),
+    timing("results[].admit_latency.p99_us", NonNeg),
+    timing("results[].admit_latency.max_us", NonNeg),
+];
+
+const CHAOS: &[Field] = &[
+    det("config.points[].fault.seed", Int),
+    det("config.points[].fault.crash_rate", NonNeg),
+    det("config.points[].fault.rack_rate", NonNeg),
+    det("config.points[].fault.rack_size", Nat),
+    det("config.points[].fault.msg_drop", NonNeg),
+    det("config.points[].fault.msg_dup", NonNeg),
+    det("config.points[].fault.msg_delay", NonNeg),
+    det("config.points[].fault.revoke", Obj).null(),
+    det("config.points[].fault.revoke.start", Num),
+    det("config.points[].fault.revoke.end", Num),
+    det("config.points[].fault.revoke.frac", Num),
+    det("config.points[].fault.tick_every", NonNeg),
+    det("config.points[].fault.retry.base", NonNeg),
+    det("config.points[].fault.retry.factor", NonNeg),
+    det("config.points[].fault.retry.max_attempts", Int),
+    det("config.points[].fault.degrade.pressure", Nat),
+    det("config.points[].fault.degrade.max_shed", Nat),
+    det("results[].faults_injected", Nat),
+    det("results[].crashes", Nat),
+    det("results[].recoveries", Nat),
+    det("results[].rack_failures", Nat),
+    det("results[].revocations", Nat),
+    det("results[].msgs_dropped", Nat),
+    det("results[].msgs_retransmitted", Nat),
+    det("results[].msgs_duplicated", Nat),
+    det("results[].dups_discarded", Nat),
+    det("results[].msgs_delayed", Nat),
+    det("results[].retry_enqueued", Nat),
+    det("results[].readmitted", Nat),
+    det("results[].retry_dropped", Nat),
+    det("results[].shed", Nat),
+    det("results[].readmission_rate", Frac),
+    det("results[].crash_fingerprint_match", Bool).null(),
+    det("results[].audit_failures", Zero),
+];
+
+const PERF: &[Field] = &[
+    det("config.seeds", PosInt),
+    det("config.points[].label", Str),
+    det("config.points[].n_ops", PosInt),
+    det("config.points[].alpha", Num),
+    det("config.bb_points[].label", Str),
+    det("config.bb_points[].n_ops", PosInt),
+    det("config.bb_points[].alpha", Num),
+    det("config.bb_points[].homogeneous", Bool),
+    det("config.bb_points[].node_budget", PosInt),
+    det("config.probe_n_ops", PosInt),
+    det("results.heuristics[].label", Str),
+    det("results.heuristics[].rows[].name", Str),
+    det("results.heuristics[].rows[].runs", Nat),
+    det("results.heuristics[].rows[].feasible", Nat),
+    timing("results.heuristics[].rows[].incremental_ms", NonNeg),
+    timing("results.heuristics[].rows[].oracle_ms", NonNeg),
+    timing("results.heuristics[].rows[].speedup", Pos),
+    det("results.heuristics[].rows[].costs_match", True),
+    det("results.bb[].label", Str),
+    det("results.bb[].incremental.nodes", Nat),
+    timing("results.bb[].incremental.ms", NonNeg),
+    timing("results.bb[].incremental.nodes_per_sec", NonNeg),
+    det("results.bb[].reference.nodes", Nat),
+    timing("results.bb[].reference.ms", NonNeg),
+    timing("results.bb[].reference.nodes_per_sec", NonNeg),
+    timing("results.bb[].wall_speedup", Pos),
+    det("results.bb[].node_ratio", Pos),
+    det("results.bb[].costs_match", True),
+    det("results.demand_probe.probes", PosInt),
+    timing("results.demand_probe.incremental_ms", NonNeg),
+    timing("results.demand_probe.oracle_ms", NonNeg),
+    timing("results.demand_probe.speedup", Pos),
+    det("results.demand_probe.accepted_match", True),
+    // Null on platforms without `/proc/self/status`.
+    timing("results.peak_rss_kb", Nat).null(),
+];
+
+const REFINE: &[Field] = &[
+    det("config.seeds", PosInt),
+    det("config.driver", NonEmpty),
+    det("config.max_evals", PosInt),
+    det("config.top_k", PosInt),
+    det("config.points[].label", Str),
+    det("config.points[].n_ops", PosInt),
+    det("config.points[].alpha", Num),
+    det("config.points[].homogeneous", Bool),
+    det("results[].label", Str),
+    det("results[].runs", Nat),
+    det("results[].feasible", Nat),
+    det("results[].mean_start_cost", Num).null(),
+    det("results[].mean_refined_cost", Num).null(),
+    det("results[].improved", Nat),
+    det("results[].never_worse", True),
+    det("results[].mean_evals", NonNeg),
+    det("results[].mean_accepted", NonNeg),
+    det("results[].exact", Obj).null(),
+    det("results[].exact.solved", Nat),
+    det("results[].exact.optimal", Bool),
+    det("results[].exact.mean_cost", Num).null(),
+    det("results[].exact.max_gap_pct", Num).null(),
+    det("results[].mean_lower_bound", NonNeg),
+];
+
+/// Only the wall-clock overlay may carry gauges and spans; stable
+/// renderings null it.
+const TELEMETRY: &[Field] = &[
+    det("deterministic.counters[].name", NonEmpty),
+    det("deterministic.counters[].value", Nat),
+    det("deterministic.histograms[].name", NonEmpty),
+    det("deterministic.histograms[].count", PosInt),
+    det("deterministic.histograms[].min", Num),
+    det("deterministic.histograms[].p50", Num),
+    det("deterministic.histograms[].p90", Num),
+    det("deterministic.histograms[].p99", Num),
+    det("deterministic.histograms[].max", Num),
+    timing("overlay", Obj).null(),
+    timing("overlay.counters[].name", NonEmpty),
+    timing("overlay.counters[].value", Nat),
+    timing("overlay.histograms[].name", NonEmpty),
+    timing("overlay.histograms[].count", PosInt),
+    timing("overlay.histograms[].min", Num),
+    timing("overlay.histograms[].p50", Num),
+    timing("overlay.histograms[].p90", Num),
+    timing("overlay.histograms[].p99", Num),
+    timing("overlay.histograms[].max", Num),
+    timing("overlay.gauges[].name", NonEmpty),
+    timing("overlay.gauges[].value", Nat),
+    timing("overlay.spans[].name", NonEmpty),
+    timing("overlay.spans[].count", PosInt),
+    timing("overlay.spans[].total_ms", NonNeg),
+];
+
+/// `dropped > 0` voids cross-worker-count byte identity.
+const TRACE: &[Field] = &[
+    det("dropped", Nat),
+    det("det_events[].run", Nat),
+    det("det_events[].tick", Nat),
+    det("det_events[].shard", Nat),
+    det("det_events[].seq", Nat),
+    det("det_events[].event", NonEmpty),
+    det("det_events[].detail", Str),
+];
+
+/// What the table says about one kind besides [`HEADER`]: its name (the
+/// `kind` discriminator, except for the kindless sweep report), schema
+/// version, generator tool and rows.
+struct Spec(&'static str, i64, &'static str, &'static [&'static [Field]]);
+
+/// In [`ArtifactKind::ALL`] order.
+static SPECS: [Spec; 7] = [
+    Spec("sweep", 1, "snsp-sweep", &[SWEEP, TIMING]),
+    Spec("serve", 3, "snsp-serve", &[SERVE_COMMON, SERVE, TIMING]),
+    Spec("perf", 4, "snsp-experiments", &[PERF]),
+    Spec("refine", 4, "snsp-search", &[REFINE, TIMING]),
+    Spec("telemetry", 5, "snsp-experiments", &[TELEMETRY]),
+    Spec("chaos", 6, "snsp-serve", &[SERVE_COMMON, CHAOS, TIMING]),
+    Spec("trace", 7, "snsp-sweep", &[TRACE]),
+];
+
+impl ArtifactKind {
+    /// Every kind, in schema-version order.
+    pub const ALL: [ArtifactKind; 7] = [Sweep, Serve, Perf, Refine, Telemetry, Chaos, Trace];
+
+    fn spec(self) -> &'static Spec {
+        &SPECS[self as usize]
+    }
+
+    /// The kind's name: its `kind` discriminator, or `"sweep"`.
+    pub fn name(self) -> &'static str {
+        self.spec().0
+    }
+
+    /// The `kind` discriminator; `None` for the kindless sweep report.
+    fn discriminator(self) -> Option<&'static str> {
+        (self != Sweep).then(|| self.name())
+    }
+
+    /// The schema version writers stamp and the validator requires.
+    pub fn version(self) -> i64 {
+        self.spec().1
+    }
+
+    /// The document header every writer starts with: `schema_version`,
+    /// `generator` and (for kinded documents) `kind`.
+    pub fn header(self) -> Vec<(&'static str, Json)> {
+        let Spec(_, version, tool, _) = *self.spec();
+        let tool = format!("{tool} {}", env!("CARGO_PKG_VERSION"));
+        let mut pairs = vec![
+            ("schema_version", Json::Int(version)),
+            ("generator", Json::Str(tool)),
+        ];
+        if let Some(kind) = self.discriminator() {
+            pairs.push(("kind", Json::Str(kind.to_string())));
+        }
+        pairs
+    }
+
+    /// Sniffs a document's kind from its `kind` discriminator; a kindless
+    /// document is a sweep report.
+    pub fn of(doc: &Json) -> Result<ArtifactKind, String> {
+        let Some(found) = doc.get("kind") else {
+            return Ok(Sweep);
+        };
+        Self::ALL
+            .into_iter()
+            .find(|k| k.discriminator().is_some() && found.as_str() == k.discriminator())
+            .ok_or_else(|| format!("unknown kind {}", found.render().trim_end()))
+    }
+
+    /// Validates a serialized document as this kind. Returns every
+    /// violation found; a parse failure is a single violation.
+    pub fn validate(self, text: &str) -> Result<(), Vec<String>> {
+        self.check(&parse(text).map_err(|e| vec![format!("not JSON: {e}")])?)
+    }
+
+    fn check(self, doc: &Json) -> Result<(), Vec<String>> {
+        let mut errors = Vec::new();
+        check_kind(doc, self.discriminator(), &mut errors);
+        self.walk("", "", doc, &mut errors);
+        let rules = match self {
+            Sweep => sweep_rules,
+            Serve => serve_rules,
+            Perf => perf_rules,
+            Refine => refine_rules,
+            Telemetry => telemetry_rules,
+            Chaos => chaos_rules,
+            Trace => trace_rules,
+        };
+        rules(doc, &mut errors);
+        errors.is_empty().then_some(()).ok_or(errors)
+    }
+
+    fn fields(self) -> impl Iterator<Item = &'static Field> {
+        HEADER.iter().chain(self.spec().3.iter().copied().flatten())
+    }
+
+    fn row(self, pattern: &str) -> Option<&'static Field> {
+        self.fields().find(|f| f.path == pattern)
+    }
+
+    /// The class of a value: that of the nearest row at or above its path
+    /// pattern. A path with no row anywhere above it is deterministic.
+    pub(crate) fn class_of(self, pattern: &str) -> Class {
+        let mut p = pattern;
+        while !p.is_empty() {
+            if let Some(f) = self.row(p) {
+                return f.class;
+            }
+            p = p
+                .strip_suffix("[]")
+                .unwrap_or(&p[..p.rfind('.').unwrap_or(0)]);
+        }
+        Class::Det
+    }
+
+    /// Checks `v`, found at concrete path `at` (`results[3].label`),
+    /// against the rows under its `pattern` (`results[].label`).
+    fn walk(self, pattern: &str, at: &str, v: &Json, errors: &mut Vec<String>) {
+        let row = self.row(pattern);
+        if let Some(f) = row.filter(|f| f.ty != Obj || *v == Json::Null) {
+            if *v == Json::Null && f.null {
+                return;
+            }
+            if let Some(what) = f.ty.fails(v, self.spec()) {
+                errors.push(format!("{at} must be {what}"));
+            }
+            return;
+        }
+        let items = format!("{pattern}[]");
+        if self.fields().any(|f| f.path.starts_with(&items)) {
+            let Some(xs) = v.as_arr() else {
+                return errors.push(format!("{at} must be an array"));
+            };
+            for (i, x) in xs.iter().enumerate() {
+                self.walk(&items, &format!("{at}[{i}]"), x, errors);
+            }
+            return;
+        }
+        let Json::Obj(pairs) = v else {
+            let at = if at.is_empty() { "the document" } else { at };
+            return errors.push(format!("{at} must be an object"));
+        };
+        let keys = self.children(pattern);
+        for &key in &keys {
+            let (sub, sub_at) = (join(pattern, key), join(at, key));
+            match v.get(key) {
+                Some(x) => self.walk(&sub, &sub_at, x, errors),
+                None if self.row(&sub).is_some_and(|f| f.opt) => {}
+                None => errors.push(format!("{sub_at} key missing")),
+            }
+        }
+        for (key, _) in pairs.iter().filter(|(k, _)| !keys.contains(&k.as_str())) {
+            let (at, kind, version) = (join(at, key), self.name(), self.version());
+            errors.push(format!("{at} is not part of the {kind} v{version} schema"));
+        }
+    }
+
+    /// The keys the table declares for the object at `pattern`, in table
+    /// order.
+    fn children(self, pattern: &str) -> Vec<&'static str> {
+        let prefix = join(pattern, ""); // `results[]` → `results[].`
+        let mut keys = Vec::new();
+        for f in self.fields() {
+            let key = f
+                .path
+                .strip_prefix(&prefix)
+                .and_then(|r| r.split(['.', '[']).next());
+            if let Some(key) = key.filter(|k| !keys.contains(k)) {
+                keys.push(key);
+            }
+        }
+        keys
+    }
+}
+
+/// Validates a serialized document against the table of the kind its
+/// `kind` discriminator names (kindless ⇒ sweep v1), returning that kind.
+pub fn validate(text: &str) -> Result<ArtifactKind, Vec<String>> {
+    let doc = parse(text).map_err(|e| vec![format!("not JSON: {e}")])?;
+    let kind = ArtifactKind::of(&doc).map_err(|e| vec![e])?;
+    kind.check(&doc).map(|()| kind)
+}
+
+/// Joins a key onto a dotted path (the root is the empty path).
+pub(crate) fn join(path: &str, key: &str) -> String {
+    if path.is_empty() {
+        key.to_string()
+    } else {
+        format!("{path}.{key}")
+    }
+}
+
+impl Ty {
+    /// What the value must be, when `v` is not that.
+    fn fails(self, v: &Json, spec: &Spec) -> Option<String> {
+        let num = |ok: fn(f64) -> bool| v.as_num().is_some_and(ok);
+        let (ok, what) = match self {
+            Obj => (matches!(v, Json::Obj(_)), "an object"),
+            Str => (v.as_str().is_some(), "a string"),
+            NonEmpty => (
+                v.as_str().is_some_and(|s| !s.is_empty()),
+                "a non-empty string",
+            ),
+            Bool => (v.as_bool().is_some(), "a boolean"),
+            True => (v.as_bool() == Some(true), "true"),
+            Int => (v.as_int().is_some(), "an integer"),
+            Nat => (v.as_int().is_some_and(|i| i >= 0), "a non-negative integer"),
+            PosInt => (v.as_int().is_some_and(|i| i >= 1), "a positive integer"),
+            Zero => (v.as_int() == Some(0), "0"),
+            Num => (num(|_| true), "a number"),
+            NonNeg => (num(|x| x >= 0.0), "a non-negative number"),
+            Pos => (num(|x| x > 0.0), "a positive number"),
+            Frac => (num(|x| (0.0..=1.0).contains(&x)), "a number in [0, 1]"),
+            Pct => (num(|x| (0.0..=100.0).contains(&x)), "a number in [0, 100]"),
+            Pair => {
+                let pair = v.as_arr().filter(|xs| xs.len() == 2);
+                let ok = pair.is_some_and(|xs| xs.iter().all(|x| x.as_num().is_some()));
+                (ok, "a pair array")
+            }
+            Version => {
+                let ok = v.as_int() == Some(spec.1);
+                return (!ok).then(|| format!("the integer {}", spec.1));
+            }
+            Generator => {
+                let ok = v.as_str().is_some_and(|s| s.starts_with(spec.2));
+                return (!ok).then(|| format!("an {} version string", spec.2));
+            }
+        };
+        (!ok).then(|| what.to_string())
+    }
+}
+
+/// Checks the `kind` discriminator against the expected kind, with an
+/// error that names **both** the expected and the found kind — so a
+/// cross-kind mistake reads as "wrong file", not as a pile of
 /// missing-field noise. `expected = None` means the document must be
-/// kindless (the original schema-v1 sweep report).
+/// kindless (the schema-v1 sweep report).
 fn check_kind(doc: &Json, expected: Option<&str>, errors: &mut Vec<String>) {
     let found = doc.get("kind").and_then(Json::as_str);
     match (expected, found) {
@@ -81,1447 +617,183 @@ fn check_kind(doc: &Json, expected: Option<&str>, errors: &mut Vec<String>) {
     }
 }
 
-/// Validates a serialized campaign report against schema v1.
-///
-/// Returns every violation found (empty ⇒ valid); a parse failure is a
-/// single violation.
-pub fn validate_report(text: &str) -> Result<(), Vec<String>> {
-    let doc = match parse(text) {
-        Ok(doc) => doc,
-        Err(e) => return Err(vec![format!("not JSON: {e}")]),
-    };
-    let mut errors = Vec::new();
-    check_kind(&doc, None, &mut errors);
-    let mut check = |cond: bool, msg: &str| {
-        if !cond {
-            errors.push(msg.to_string());
-        }
-    };
+// ---- cross-row invariants -------------------------------------------
 
-    check(
-        doc.get("schema_version").and_then(Json::as_int) == Some(SCHEMA_VERSION),
-        "schema_version must be the integer 1",
-    );
-    check(
-        doc.get("generator")
-            .and_then(Json::as_str)
-            .is_some_and(|s| s.starts_with("snsp-sweep")),
-        "generator must be an snsp-sweep version string",
-    );
-    check(
-        doc.get("campaign")
-            .and_then(Json::as_str)
-            .is_some_and(|s| !s.is_empty()),
-        "campaign must be a non-empty string",
-    );
-
-    let heur_count = doc
-        .get("config")
-        .and_then(|c| c.get("heuristics"))
-        .and_then(Json::as_arr)
-        .map(<[Json]>::len);
-    let point_count = match doc.get("config") {
-        None => {
-            errors.push("config object missing".to_string());
-            None
-        }
-        Some(config) => {
-            if config.get("seeds").and_then(Json::as_int).unwrap_or(0) < 1 {
-                errors.push("config.seeds must be a positive integer".to_string());
-            }
-            match heur_count {
-                None => errors.push("config.heuristics must be an array".to_string()),
-                Some(0) => errors.push("config.heuristics must be non-empty".to_string()),
-                Some(_) => {}
-            }
-            match config.get("points").and_then(Json::as_arr) {
-                None => {
-                    errors.push("config.points must be an array".to_string());
-                    None
-                }
-                Some(points) => {
-                    for (i, p) in points.iter().enumerate() {
-                        for key in ["label", "shape"] {
-                            if p.get(key).and_then(Json::as_str).is_none() {
-                                errors.push(format!("config.points[{i}].{key} must be a string"));
-                            }
-                        }
-                        for key in ["n_ops", "n_types", "servers"] {
-                            if p.get(key).and_then(Json::as_int).unwrap_or(0) < 1 {
-                                errors.push(format!(
-                                    "config.points[{i}].{key} must be a positive integer"
-                                ));
-                            }
-                        }
-                        for key in ["alpha", "kappa", "freq_hz", "rho"] {
-                            if p.get(key).and_then(Json::as_num).is_none() {
-                                errors.push(format!("config.points[{i}].{key} must be a number"));
-                            }
-                        }
-                        for key in ["sizes_mb", "replicas"] {
-                            if p.get(key).and_then(Json::as_arr).map(<[Json]>::len) != Some(2) {
-                                errors
-                                    .push(format!("config.points[{i}].{key} must be a pair array"));
-                            }
-                        }
-                    }
-                    Some(points.len())
-                }
-            }
-        }
-    };
-
-    match doc.get("results").and_then(Json::as_arr) {
-        None => errors.push("results must be an array".to_string()),
-        Some(results) => {
-            if let Some(n) = point_count {
-                if results.len() != n {
-                    errors.push(format!(
-                        "results has {} entries but config.points has {n}",
-                        results.len()
-                    ));
-                }
-            }
-            for (i, point) in results.iter().enumerate() {
-                if point.get("label").and_then(Json::as_str).is_none() {
-                    errors.push(format!("results[{i}].label must be a string"));
-                }
-                match point.get("heuristics").and_then(Json::as_arr) {
-                    None => errors.push(format!("results[{i}].heuristics must be an array")),
-                    Some(rows) => {
-                        if let Some(h) = heur_count {
-                            if rows.len() != h {
-                                errors.push(format!(
-                                    "results[{i}] has {} heuristic rows, expected {h}",
-                                    rows.len()
-                                ));
-                            }
-                        }
-                        for (j, row) in rows.iter().enumerate() {
-                            validate_heur_row(row, i, j, &mut errors);
-                        }
-                    }
-                }
-                match point.get("reference") {
-                    None => errors.push(format!("results[{i}].reference key missing")),
-                    Some(Json::Null) => {}
-                    Some(reference) => validate_reference(reference, i, &mut errors),
-                }
-            }
-        }
+/// `(concrete path, value)` for every value at a table pattern such as
+/// `results[].heuristics[]`.
+fn each<'a>(doc: &'a Json, pattern: &str) -> Vec<(String, &'a Json)> {
+    let mut found = vec![(String::new(), doc)];
+    for step in pattern.split('.') {
+        let key = step.trim_end_matches("[]");
+        let at_key = found
+            .into_iter()
+            .filter_map(|(at, v)| Some((join(&at, key), v.get(key)?)));
+        found = if key.len() == step.len() {
+            at_key.collect()
+        } else {
+            let items = |(at, v): (String, &'a Json)| {
+                let xs = v.as_arr().unwrap_or_default().iter().enumerate();
+                xs.map(move |(i, x)| (format!("{at}[{i}]"), x))
+            };
+            at_key.flat_map(items).collect()
+        };
     }
+    found
+}
 
-    if let Some(timing) = doc.get("timing") {
-        if timing.get("workers").and_then(Json::as_int).unwrap_or(0) < 1 {
-            errors.push("timing.workers must be a positive integer".to_string());
-        }
-        for key in ["flatten_s", "run_s", "aggregate_s", "total_s"] {
-            if !timing
-                .get(key)
-                .and_then(Json::as_num)
-                .is_some_and(|v| v >= 0.0)
-            {
-                errors.push(format!("timing.{key} must be a non-negative number"));
-            }
-        }
-    }
+fn int(v: &Json, key: &str) -> Option<i64> {
+    v.get(key).and_then(Json::as_int)
+}
 
-    if errors.is_empty() {
-        Ok(())
-    } else {
-        Err(errors)
+fn len(doc: &Json, path: &str) -> Option<usize> {
+    each(doc, path).pop()?.1.as_arr().map(<[Json]>::len)
+}
+
+/// Every array at `pattern` has one entry per item of the array at `per`.
+fn one_per(doc: &Json, pattern: &str, per: &str, errors: &mut Vec<String>) {
+    let Some(n) = len(doc, per) else { return };
+    for (at, v) in each(doc, pattern) {
+        if let Some(m) = v.as_arr().map(<[Json]>::len).filter(|&m| m != n) {
+            errors.push(format!("{at} has {m} entries but {per} has {n}"));
+        }
     }
 }
 
-/// Validates a serialized online-serving campaign report (the
-/// `BENCH_serve.json` document written by `snsp-serve`).
-///
-/// Accepts schema v3 (current: shard count in the config echo,
-/// `admit_latency` column in every result row) and schema v2 (legacy:
-/// neither), so archived artifacts keep validating.
-///
-/// Returns every violation found (empty ⇒ valid); a parse failure is a
-/// single violation.
-pub fn validate_serve_report(text: &str) -> Result<(), Vec<String>> {
-    let doc = match parse(text) {
-        Ok(doc) => doc,
-        Err(e) => return Err(vec![format!("not JSON: {e}")]),
-    };
-    let mut errors = Vec::new();
-    check_kind(&doc, Some("serve"), &mut errors);
-    let mut check = |cond: bool, msg: &str| {
-        if !cond {
-            errors.push(msg.to_string());
-        }
-    };
-
-    let version = doc.get("schema_version").and_then(Json::as_int);
-    check(
-        version.is_some_and(|v| (SERVE_SCHEMA_VERSION_MIN..=SERVE_SCHEMA_VERSION).contains(&v)),
-        "schema_version must be an integer in [2, 3]",
-    );
-    // v3 adds config.shards and the per-row admit_latency column.
-    let v3 = version == Some(SERVE_SCHEMA_VERSION);
-    check(
-        doc.get("generator")
-            .and_then(Json::as_str)
-            .is_some_and(|s| s.starts_with("snsp-serve")),
-        "generator must be an snsp-serve version string",
-    );
-    check(
-        doc.get("campaign")
-            .and_then(Json::as_str)
-            .is_some_and(|s| !s.is_empty()),
-        "campaign must be a non-empty string",
-    );
-
-    let point_count = match doc.get("config") {
-        None => {
-            errors.push("config object missing".to_string());
-            None
-        }
-        Some(config) => {
-            if config.get("seeds").and_then(Json::as_int).unwrap_or(0) < 1 {
-                errors.push("config.seeds must be a positive integer".to_string());
-            }
-            if !config
-                .get("slo_frac")
-                .and_then(Json::as_num)
-                .is_some_and(|v| (0.0..=1.0).contains(&v))
-            {
-                errors.push("config.slo_frac must be a number in [0, 1]".to_string());
-            }
-            if v3 && config.get("shards").and_then(Json::as_int).unwrap_or(0) < 1 {
-                errors.push("config.shards must be a positive integer".to_string());
-            }
-            match config.get("points").and_then(Json::as_arr) {
-                None => {
-                    errors.push("config.points must be an array".to_string());
-                    None
-                }
-                Some(points) => {
-                    for (i, p) in points.iter().enumerate() {
-                        if p.get("label").and_then(Json::as_str).is_none() {
-                            errors.push(format!("config.points[{i}].label must be a string"));
-                        }
-                        for key in ["lambda", "mean_hold", "pareto_shape", "horizon"] {
-                            if !p.get(key).and_then(Json::as_num).is_some_and(|v| v > 0.0) {
-                                errors.push(format!(
-                                    "config.points[{i}].{key} must be a positive number"
-                                ));
-                            }
-                        }
-                        if !p
-                            .get("fail_rate")
-                            .and_then(Json::as_num)
-                            .is_some_and(|v| v >= 0.0)
-                        {
-                            errors.push(format!(
-                                "config.points[{i}].fail_rate must be a non-negative number"
-                            ));
-                        }
-                        for key in ["n_ops", "alpha", "rho"] {
-                            if p.get(key).and_then(Json::as_arr).map(<[Json]>::len) != Some(2) {
-                                errors
-                                    .push(format!("config.points[{i}].{key} must be a pair array"));
-                            }
-                        }
-                        match p.get("burst") {
-                            None => errors.push(format!("config.points[{i}].burst key missing")),
-                            Some(Json::Null) => {}
-                            Some(b) => {
-                                for key in ["period", "width", "multiplier"] {
-                                    if b.get(key).and_then(Json::as_num).is_none() {
-                                        errors.push(format!(
-                                            "config.points[{i}].burst.{key} must be a number"
-                                        ));
-                                    }
-                                }
-                            }
-                        }
-                    }
-                    Some(points.len())
-                }
+/// `row.a <= row.b` on every row at `pattern`.
+fn at_most(doc: &Json, pattern: &str, a: &str, b: &str, errors: &mut Vec<String>) {
+    for (at, row) in each(doc, pattern) {
+        let num = |key| row.get(key).and_then(Json::as_num);
+        if let (Some(x), Some(y)) = (num(a), num(b)) {
+            if x > y + 1e-9 {
+                errors.push(format!("{at}: {a} exceeds {b}"));
             }
         }
-    };
-
-    match doc.get("results").and_then(Json::as_arr) {
-        None => errors.push("results must be an array".to_string()),
-        Some(results) => {
-            if let Some(n) = point_count {
-                if results.len() != n {
-                    errors.push(format!(
-                        "results has {} entries but config.points has {n}",
-                        results.len()
-                    ));
-                }
-            }
-            for (i, point) in results.iter().enumerate() {
-                let at = format!("results[{i}]");
-                if point.get("label").and_then(Json::as_str).is_none() {
-                    errors.push(format!("{at}.label must be a string"));
-                }
-                let mut int_of = |key: &str| -> Option<i64> {
-                    let v = point.get(key).and_then(Json::as_int).filter(|&v| v >= 0);
-                    if v.is_none() {
-                        errors.push(format!("{at}.{key} must be a non-negative integer"));
-                    }
-                    v
-                };
-                let arrivals = int_of("arrivals");
-                let admitted = int_of("admitted");
-                let rejected = int_of("rejected");
-                for key in [
-                    "traces",
-                    "departed",
-                    "evicted",
-                    "failures",
-                    "peak_procs",
-                    "slo_checks",
-                    "slo_violations",
-                ] {
-                    int_of(key);
-                }
-                if let (Some(a), Some(ad), Some(r)) = (arrivals, admitted, rejected) {
-                    if ad + r != a {
-                        errors.push(format!("{at}: admitted + rejected must equal arrivals"));
-                    }
-                }
-                if !point
-                    .get("admission_rate")
-                    .and_then(Json::as_num)
-                    .is_some_and(|v| (0.0..=1.0).contains(&v))
-                {
-                    errors.push(format!("{at}.admission_rate must be a number in [0, 1]"));
-                }
-                for key in ["mean_cost_integral", "mean_utilization", "mean_final_cost"] {
-                    if !point
-                        .get(key)
-                        .and_then(Json::as_num)
-                        .is_some_and(|v| v >= 0.0)
-                    {
-                        errors.push(format!("{at}.{key} must be a non-negative number"));
-                    }
-                }
-                if v3 {
-                    match point.get("admit_latency") {
-                        None => errors.push(format!("{at}.admit_latency key missing")),
-                        // Stable renderings drop the wall-clock samples.
-                        Some(Json::Null) => {}
-                        Some(lat) => {
-                            if lat.get("samples").and_then(Json::as_int).unwrap_or(0) < 1 {
-                                errors.push(format!(
-                                    "{at}.admit_latency.samples must be a positive integer"
-                                ));
-                            }
-                            let mut num_of = |key: &str| -> f64 {
-                                let v = lat.get(key).and_then(Json::as_num).filter(|&v| v >= 0.0);
-                                if v.is_none() {
-                                    errors.push(format!(
-                                        "{at}.admit_latency.{key} must be a non-negative number"
-                                    ));
-                                }
-                                v.unwrap_or(0.0)
-                            };
-                            let p50 = num_of("p50_us");
-                            let p99 = num_of("p99_us");
-                            let max = num_of("max_us");
-                            if !(p50 <= p99 && p99 <= max) {
-                                errors.push(format!(
-                                    "{at}.admit_latency percentiles must be ordered \
-                                     (p50 <= p99 <= max)"
-                                ));
-                            }
-                        }
-                    }
-                }
-                if point
-                    .get("log_hash")
-                    .and_then(Json::as_str)
-                    .is_none_or(str::is_empty)
-                {
-                    errors.push(format!("{at}.log_hash must be a non-empty string"));
-                }
-            }
-        }
-    }
-
-    if let Some(timing) = doc.get("timing") {
-        if timing.get("workers").and_then(Json::as_int).unwrap_or(0) < 1 {
-            errors.push("timing.workers must be a positive integer".to_string());
-        }
-        for key in ["flatten_s", "run_s", "aggregate_s", "total_s"] {
-            if !timing
-                .get(key)
-                .and_then(Json::as_num)
-                .is_some_and(|v| v >= 0.0)
-            {
-                errors.push(format!("timing.{key} must be a non-negative number"));
-            }
-        }
-    }
-
-    if errors.is_empty() {
-        Ok(())
-    } else {
-        Err(errors)
     }
 }
 
-/// Validates a serialized perf report against schema v4 (the
-/// `BENCH_perf.json` document written by `snsp-experiments perf`;
-/// v4 added `results.peak_rss_kb`, a process-level gauge that may be
-/// `null` on platforms without `/proc/self/status`).
-///
-/// Beyond structure, the correctness invariants are enforced: every
-/// engine-comparison row must declare `costs_match: true` — a perf
-/// report documenting a semantic divergence between the incremental
-/// engine and its reference oracle is invalid by definition.
-///
-/// Returns every violation found (empty ⇒ valid); a parse failure is a
-/// single violation.
-pub fn validate_perf_report(text: &str) -> Result<(), Vec<String>> {
-    let doc = match parse(text) {
-        Ok(doc) => doc,
-        Err(e) => return Err(vec![format!("not JSON: {e}")]),
-    };
-    let mut errors = Vec::new();
-    check_kind(&doc, Some("perf"), &mut errors);
-    let mut check = |cond: bool, msg: &str| {
-        if !cond {
-            errors.push(msg.to_string());
-        }
-    };
-
-    check(
-        doc.get("schema_version").and_then(Json::as_int) == Some(PERF_SCHEMA_VERSION),
-        "schema_version must be the integer 4",
-    );
-    check(
-        doc.get("generator")
-            .and_then(Json::as_str)
-            .is_some_and(|s| s.starts_with("snsp-experiments")),
-        "generator must be an snsp-experiments version string",
-    );
-    check(
-        doc.get("campaign")
-            .and_then(Json::as_str)
-            .is_some_and(|s| !s.is_empty()),
-        "campaign must be a non-empty string",
-    );
-
-    let mut point_count = None;
-    let mut bb_count = None;
-    match doc.get("config") {
-        None => errors.push("config object missing".to_string()),
-        Some(config) => {
-            if config.get("seeds").and_then(Json::as_int).unwrap_or(0) < 1 {
-                errors.push("config.seeds must be a positive integer".to_string());
-            }
-            match config.get("points").and_then(Json::as_arr) {
-                None => errors.push("config.points must be an array".to_string()),
-                Some(points) => {
-                    for (i, p) in points.iter().enumerate() {
-                        if p.get("label").and_then(Json::as_str).is_none() {
-                            errors.push(format!("config.points[{i}].label must be a string"));
-                        }
-                        if p.get("n_ops").and_then(Json::as_int).unwrap_or(0) < 1 {
-                            errors.push(format!(
-                                "config.points[{i}].n_ops must be a positive integer"
-                            ));
-                        }
-                        if p.get("alpha").and_then(Json::as_num).is_none() {
-                            errors.push(format!("config.points[{i}].alpha must be a number"));
-                        }
-                    }
-                    point_count = Some(points.len());
-                }
-            }
-            match config.get("bb_points").and_then(Json::as_arr) {
-                None => errors.push("config.bb_points must be an array".to_string()),
-                Some(points) => {
-                    for (i, p) in points.iter().enumerate() {
-                        if p.get("label").and_then(Json::as_str).is_none() {
-                            errors.push(format!("config.bb_points[{i}].label must be a string"));
-                        }
-                        for key in ["n_ops", "node_budget"] {
-                            if p.get(key).and_then(Json::as_int).unwrap_or(0) < 1 {
-                                errors.push(format!(
-                                    "config.bb_points[{i}].{key} must be a positive integer"
-                                ));
-                            }
-                        }
-                        if p.get("homogeneous").and_then(Json::as_bool).is_none() {
-                            errors.push(format!(
-                                "config.bb_points[{i}].homogeneous must be a boolean"
-                            ));
-                        }
-                    }
-                    bb_count = Some(points.len());
-                }
-            }
-            if config
-                .get("probe_n_ops")
-                .and_then(Json::as_int)
-                .unwrap_or(0)
-                < 1
-            {
-                errors.push("config.probe_n_ops must be a positive integer".to_string());
-            }
-        }
-    }
-
-    let ms = |obj: &Json, key: &str| -> bool {
-        obj.get(key)
-            .and_then(Json::as_num)
-            .is_some_and(|v| v >= 0.0)
-    };
-    match doc.get("results") {
-        None => errors.push("results object missing".to_string()),
-        Some(results) => {
-            match results.get("heuristics").and_then(Json::as_arr) {
-                None => errors.push("results.heuristics must be an array".to_string()),
-                Some(points) => {
-                    if let Some(n) = point_count {
-                        if points.len() != n {
-                            errors.push(format!(
-                                "results.heuristics has {} entries but config.points has {n}",
-                                points.len()
-                            ));
-                        }
-                    }
-                    for (i, point) in points.iter().enumerate() {
-                        let at = format!("results.heuristics[{i}]");
-                        if point.get("label").and_then(Json::as_str).is_none() {
-                            errors.push(format!("{at}.label must be a string"));
-                        }
-                        match point.get("rows").and_then(Json::as_arr) {
-                            None => errors.push(format!("{at}.rows must be an array")),
-                            Some(rows) => {
-                                for (j, row) in rows.iter().enumerate() {
-                                    let at = format!("{at}.rows[{j}]");
-                                    if row.get("name").and_then(Json::as_str).is_none() {
-                                        errors.push(format!("{at}.name must be a string"));
-                                    }
-                                    let runs = row.get("runs").and_then(Json::as_int);
-                                    let feasible = row.get("feasible").and_then(Json::as_int);
-                                    if !matches!((runs, feasible),
-                                        (Some(r), Some(f)) if (0..=r).contains(&f))
-                                    {
-                                        errors.push(format!(
-                                            "{at} needs integer runs >= feasible >= 0"
-                                        ));
-                                    }
-                                    for key in ["incremental_ms", "oracle_ms"] {
-                                        if !ms(row, key) {
-                                            errors.push(format!(
-                                                "{at}.{key} must be a non-negative number"
-                                            ));
-                                        }
-                                    }
-                                    if !row
-                                        .get("speedup")
-                                        .and_then(Json::as_num)
-                                        .is_some_and(|v| v > 0.0)
-                                    {
-                                        errors.push(format!(
-                                            "{at}.speedup must be a positive number"
-                                        ));
-                                    }
-                                    if row.get("costs_match").and_then(Json::as_bool) != Some(true)
-                                    {
-                                        errors.push(format!("{at}.costs_match must be true"));
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-            match results.get("bb").and_then(Json::as_arr) {
-                None => errors.push("results.bb must be an array".to_string()),
-                Some(rows) => {
-                    if let Some(n) = bb_count {
-                        if rows.len() != n {
-                            errors.push(format!(
-                                "results.bb has {} entries but config.bb_points has {n}",
-                                rows.len()
-                            ));
-                        }
-                    }
-                    for (i, row) in rows.iter().enumerate() {
-                        let at = format!("results.bb[{i}]");
-                        if row.get("label").and_then(Json::as_str).is_none() {
-                            errors.push(format!("{at}.label must be a string"));
-                        }
-                        for engine in ["incremental", "reference"] {
-                            match row.get(engine) {
-                                None => errors.push(format!("{at}.{engine} object missing")),
-                                Some(e) => {
-                                    if e.get("nodes").and_then(Json::as_int).unwrap_or(-1) < 0 {
-                                        errors.push(format!(
-                                            "{at}.{engine}.nodes must be a non-negative integer"
-                                        ));
-                                    }
-                                    if !ms(e, "ms") || !ms(e, "nodes_per_sec") {
-                                        errors.push(format!(
-                                            "{at}.{engine} needs non-negative ms and nodes_per_sec"
-                                        ));
-                                    }
-                                }
-                            }
-                        }
-                        for key in ["wall_speedup", "node_ratio"] {
-                            if !row.get(key).and_then(Json::as_num).is_some_and(|v| v > 0.0) {
-                                errors.push(format!("{at}.{key} must be a positive number"));
-                            }
-                        }
-                        if row.get("costs_match").and_then(Json::as_bool) != Some(true) {
-                            errors.push(format!("{at}.costs_match must be true"));
-                        }
-                    }
-                }
-            }
-            match results.get("demand_probe") {
-                None => errors.push("results.demand_probe object missing".to_string()),
-                Some(probe) => {
-                    if probe.get("probes").and_then(Json::as_int).unwrap_or(0) < 1 {
-                        errors.push("results.demand_probe.probes must be positive".to_string());
-                    }
-                    for key in ["incremental_ms", "oracle_ms"] {
-                        if !ms(probe, key) {
-                            errors.push(format!(
-                                "results.demand_probe.{key} must be a non-negative number"
-                            ));
-                        }
-                    }
-                    if !probe
-                        .get("speedup")
-                        .and_then(Json::as_num)
-                        .is_some_and(|v| v > 0.0)
-                    {
-                        errors
-                            .push("results.demand_probe.speedup must be a positive number".into());
-                    }
-                    if probe.get("accepted_match").and_then(Json::as_bool) != Some(true) {
-                        errors.push("results.demand_probe.accepted_match must be true".into());
-                    }
-                }
-            }
-            // v4: the process peak-RSS high-water mark, null when the
-            // platform offers no `/proc/self/status` to read it from.
-            match results.get("peak_rss_kb") {
-                None => errors.push("results.peak_rss_kb key missing".to_string()),
-                Some(Json::Null) => {}
-                Some(v) => {
-                    if v.as_int().is_none_or(|kb| kb < 0) {
-                        errors.push(
-                            "results.peak_rss_kb must be a non-negative integer or null"
-                                .to_string(),
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    if errors.is_empty() {
-        Ok(())
-    } else {
-        Err(errors)
-    }
-}
-
-/// Validates a serialized telemetry report against schema v5 (the
-/// `TELEMETRY.json` document written by `snsp-experiments
-/// --telemetry-out`).
-///
-/// The document splits into a **deterministic core** (`deterministic`:
-/// counters and histograms of `Class::Det` metrics — byte-identical at
-/// any worker count) and a **wall-clock overlay** (`overlay`: the
-/// scheduling- and clock-dependent rest), which stable renderings null
-/// out entirely.
-///
-/// Returns every violation found (empty ⇒ valid); a parse failure is a
-/// single violation.
-pub fn validate_telemetry_report(text: &str) -> Result<(), Vec<String>> {
-    let doc = match parse(text) {
-        Ok(doc) => doc,
-        Err(e) => return Err(vec![format!("not JSON: {e}")]),
-    };
-    let mut errors = Vec::new();
-    check_kind(&doc, Some("telemetry"), &mut errors);
-    let mut check = |cond: bool, msg: &str| {
-        if !cond {
-            errors.push(msg.to_string());
-        }
-    };
-
-    check(
-        doc.get("schema_version").and_then(Json::as_int) == Some(TELEMETRY_SCHEMA_VERSION),
-        "schema_version must be the integer 5",
-    );
-    check(
-        doc.get("generator")
-            .and_then(Json::as_str)
-            .is_some_and(|s| s.starts_with("snsp-")),
-        "generator must be an snsp tool version string",
-    );
-    check(
-        doc.get("campaign")
-            .and_then(Json::as_str)
-            .is_some_and(|s| !s.is_empty()),
-        "campaign must be a non-empty string",
-    );
-
-    match doc.get("deterministic") {
-        None => errors.push("deterministic object missing".to_string()),
-        Some(det) => validate_metric_block(det, "deterministic", false, &mut errors),
-    }
-    match doc.get("overlay") {
-        None => errors.push("overlay key missing (null it for the stable form)".to_string()),
-        // Stable renderings drop the wall-clock overlay entirely.
-        Some(Json::Null) => {}
-        Some(overlay) => validate_metric_block(overlay, "overlay", true, &mut errors),
-    }
-
-    if errors.is_empty() {
-        Ok(())
-    } else {
-        Err(errors)
-    }
-}
-
-/// Validates one telemetry metric block (`deterministic` or `overlay`).
-/// Only the overlay may carry gauges and spans — the deterministic core
-/// holds counters and histograms alone.
-fn validate_metric_block(block: &Json, at: &str, overlay: bool, errors: &mut Vec<String>) {
-    match block.get("counters").and_then(Json::as_arr) {
-        None => errors.push(format!("{at}.counters must be an array")),
-        Some(counters) => {
-            for (i, c) in counters.iter().enumerate() {
-                if c.get("name")
-                    .and_then(Json::as_str)
-                    .is_none_or(str::is_empty)
-                {
-                    errors.push(format!(
-                        "{at}.counters[{i}].name must be a non-empty string"
-                    ));
-                }
-                if c.get("value").and_then(Json::as_int).is_none_or(|v| v < 0) {
-                    errors.push(format!(
-                        "{at}.counters[{i}].value must be a non-negative integer"
-                    ));
-                }
-            }
-        }
-    }
-    match block.get("histograms").and_then(Json::as_arr) {
-        None => errors.push(format!("{at}.histograms must be an array")),
-        Some(hists) => {
-            for (i, h) in hists.iter().enumerate() {
-                let at = format!("{at}.histograms[{i}]");
-                if h.get("name")
-                    .and_then(Json::as_str)
-                    .is_none_or(str::is_empty)
-                {
-                    errors.push(format!("{at}.name must be a non-empty string"));
-                }
-                if h.get("count").and_then(Json::as_int).is_none_or(|v| v < 1) {
-                    errors.push(format!(
-                        "{at}.count must be a positive integer \
-                         (untouched histograms are not emitted)"
-                    ));
-                }
-                let mut num_of = |key: &str| -> f64 {
-                    let v = h.get(key).and_then(Json::as_num);
-                    if v.is_none() {
-                        errors.push(format!("{at}.{key} must be a number"));
-                    }
-                    v.unwrap_or(0.0)
-                };
-                let min = num_of("min");
-                let p50 = num_of("p50");
-                let p90 = num_of("p90");
-                let p99 = num_of("p99");
-                let max = num_of("max");
-                if !(min <= p50 && p50 <= p90 && p90 <= p99 && p99 <= max) {
-                    errors.push(format!(
-                        "{at} percentiles must be ordered (min <= p50 <= p90 <= p99 <= max)"
-                    ));
-                }
-            }
-        }
-    }
-    if !overlay {
-        for key in ["gauges", "spans"] {
-            if block.get(key).is_some() {
+/// A mean cost is null exactly when no run was feasible.
+fn null_iff_infeasible(doc: &Json, pattern: &str, key: &str, errors: &mut Vec<String>) {
+    for (at, row) in each(doc, pattern) {
+        if let (Some(feasible), Some(cost)) = (int(row, "feasible"), row.get(key)) {
+            if (*cost == Json::Null) != (feasible == 0) {
                 errors.push(format!(
-                    "deterministic.{key} is not allowed — gauges and spans are \
-                     wall-clock/scheduling state and belong to the overlay"
+                    "{at}.{key} must be null exactly when feasible is 0"
                 ));
             }
         }
-        return;
     }
-    match block.get("gauges").and_then(Json::as_arr) {
-        None => errors.push(format!("{at}.gauges must be an array")),
-        Some(gauges) => {
-            for (i, g) in gauges.iter().enumerate() {
-                if g.get("name")
-                    .and_then(Json::as_str)
-                    .is_none_or(str::is_empty)
-                {
-                    errors.push(format!("{at}.gauges[{i}].name must be a non-empty string"));
-                }
-                if g.get("value").and_then(Json::as_int).is_none_or(|v| v < 0) {
-                    errors.push(format!(
-                        "{at}.gauges[{i}].value must be a non-negative integer"
-                    ));
-                }
-            }
+}
+
+/// The named percentile columns are non-decreasing.
+fn ordered(doc: &Json, pattern: &str, keys: &[&str], errors: &mut Vec<String>) {
+    for (at, v) in each(doc, pattern) {
+        let values: Option<Vec<f64>> = keys.iter().map(|k| v.get(k)?.as_num()).collect();
+        if values.is_some_and(|xs| xs.windows(2).any(|w| w[0] > w[1])) {
+            let keys = keys.join(" <= ");
+            errors.push(format!("{at} percentiles must be ordered ({keys})"));
         }
     }
-    match block.get("spans").and_then(Json::as_arr) {
-        None => errors.push(format!("{at}.spans must be an array")),
-        Some(spans) => {
-            for (i, s) in spans.iter().enumerate() {
-                if s.get("name")
-                    .and_then(Json::as_str)
-                    .is_none_or(str::is_empty)
-                {
-                    errors.push(format!("{at}.spans[{i}].name must be a non-empty string"));
-                }
-                if s.get("count").and_then(Json::as_int).is_none_or(|v| v < 1) {
-                    errors.push(format!("{at}.spans[{i}].count must be a positive integer"));
-                }
-                if !s
-                    .get("total_ms")
-                    .and_then(Json::as_num)
-                    .is_some_and(|v| v >= 0.0)
-                {
-                    errors.push(format!(
-                        "{at}.spans[{i}].total_ms must be a non-negative number"
-                    ));
-                }
+}
+
+fn admissions_reconcile(doc: &Json, errors: &mut Vec<String>) {
+    for (at, row) in each(doc, "results[]") {
+        if let [Some(a), Some(ad), Some(r)] =
+            ["arrivals", "admitted", "rejected"].map(|k| int(row, k))
+        {
+            if ad.checked_add(r) != Some(a) {
+                errors.push(format!("{at}: admitted + rejected must equal arrivals"));
             }
         }
     }
 }
 
-/// Validates a serialized refinement report against schema v4 (the
-/// `BENCH_refine.json` document written by `snsp-search` /
-/// `snsp-experiments refine`).
-///
-/// Beyond structure, the algorithm's invariant is enforced: every result
-/// row must declare `never_worse: true` — a refinement report
-/// documenting a cost regression is invalid by definition — and the
-/// mean refined cost may not exceed the mean starting cost.
-///
-/// Returns every violation found (empty ⇒ valid); a parse failure is a
-/// single violation.
-pub fn validate_refine_report(text: &str) -> Result<(), Vec<String>> {
-    let doc = match parse(text) {
-        Ok(doc) => doc,
-        Err(e) => return Err(vec![format!("not JSON: {e}")]),
-    };
-    let mut errors = Vec::new();
-    check_kind(&doc, Some("refine"), &mut errors);
-    let mut check = |cond: bool, msg: &str| {
-        if !cond {
-            errors.push(msg.to_string());
-        }
-    };
-
-    check(
-        doc.get("schema_version").and_then(Json::as_int) == Some(REFINE_SCHEMA_VERSION),
-        "schema_version must be the integer 4",
-    );
-    check(
-        doc.get("generator")
-            .and_then(Json::as_str)
-            .is_some_and(|s| s.starts_with("snsp-search")),
-        "generator must be an snsp-search version string",
-    );
-    check(
-        doc.get("campaign")
-            .and_then(Json::as_str)
-            .is_some_and(|s| !s.is_empty()),
-        "campaign must be a non-empty string",
-    );
-
-    let point_count = match doc.get("config") {
-        None => {
-            errors.push("config object missing".to_string());
-            None
-        }
-        Some(config) => {
-            if config.get("seeds").and_then(Json::as_int).unwrap_or(0) < 1 {
-                errors.push("config.seeds must be a positive integer".to_string());
-            }
-            if config
-                .get("driver")
-                .and_then(Json::as_str)
-                .is_none_or(str::is_empty)
-            {
-                errors.push("config.driver must be a non-empty string".to_string());
-            }
-            for key in ["max_evals", "top_k"] {
-                if config.get(key).and_then(Json::as_int).unwrap_or(0) < 1 {
-                    errors.push(format!("config.{key} must be a positive integer"));
-                }
-            }
-            match config.get("points").and_then(Json::as_arr) {
-                None => {
-                    errors.push("config.points must be an array".to_string());
-                    None
-                }
-                Some(points) => {
-                    for (i, p) in points.iter().enumerate() {
-                        if p.get("label").and_then(Json::as_str).is_none() {
-                            errors.push(format!("config.points[{i}].label must be a string"));
-                        }
-                        if p.get("n_ops").and_then(Json::as_int).unwrap_or(0) < 1 {
-                            errors.push(format!(
-                                "config.points[{i}].n_ops must be a positive integer"
-                            ));
-                        }
-                        if p.get("alpha").and_then(Json::as_num).is_none() {
-                            errors.push(format!("config.points[{i}].alpha must be a number"));
-                        }
-                        if p.get("homogeneous").and_then(Json::as_bool).is_none() {
-                            errors
-                                .push(format!("config.points[{i}].homogeneous must be a boolean"));
-                        }
-                    }
-                    Some(points.len())
-                }
-            }
-        }
-    };
-
-    match doc.get("results").and_then(Json::as_arr) {
-        None => errors.push("results must be an array".to_string()),
-        Some(results) => {
-            if let Some(n) = point_count {
-                if results.len() != n {
-                    errors.push(format!(
-                        "results has {} entries but config.points has {n}",
-                        results.len()
-                    ));
-                }
-            }
-            for (i, point) in results.iter().enumerate() {
-                let at = format!("results[{i}]");
-                if point.get("label").and_then(Json::as_str).is_none() {
-                    errors.push(format!("{at}.label must be a string"));
-                }
-                let runs = point.get("runs").and_then(Json::as_int);
-                let feasible = point.get("feasible").and_then(Json::as_int);
-                if !matches!((runs, feasible), (Some(r), Some(f)) if (0..=r).contains(&f)) {
-                    errors.push(format!("{at} needs integer runs >= feasible >= 0"));
-                }
-                let feasible = feasible.unwrap_or(0);
-                let cost = |key: &str| point.get(key).and_then(Json::as_num);
-                for key in ["mean_start_cost", "mean_refined_cost"] {
-                    match point.get(key) {
-                        Some(Json::Null) if feasible == 0 => {}
-                        Some(Json::Num(_)) | Some(Json::Int(_)) if feasible > 0 => {}
-                        _ => errors.push(format!(
-                            "{at}.{key} must be a number iff feasible > 0 (else null)"
-                        )),
-                    }
-                }
-                if let (Some(start), Some(refined)) =
-                    (cost("mean_start_cost"), cost("mean_refined_cost"))
-                {
-                    if refined > start + 1e-9 {
-                        errors.push(format!("{at}: mean_refined_cost exceeds mean_start_cost"));
-                    }
-                }
-                match point.get("improved").and_then(Json::as_int) {
-                    Some(imp) if (0..=feasible).contains(&imp) => {}
-                    _ => errors.push(format!("{at}.improved must be an integer in [0, feasible]")),
-                }
-                if point.get("never_worse").and_then(Json::as_bool) != Some(true) {
-                    errors.push(format!("{at}.never_worse must be true"));
-                }
-                for key in ["mean_evals", "mean_accepted", "mean_lower_bound"] {
-                    if !point
-                        .get(key)
-                        .and_then(Json::as_num)
-                        .is_some_and(|v| v >= 0.0)
-                    {
-                        errors.push(format!("{at}.{key} must be a non-negative number"));
-                    }
-                }
-                match point.get("exact") {
-                    None => errors.push(format!("{at}.exact key missing")),
-                    Some(Json::Null) => {}
-                    Some(e) => {
-                        let solved = e.get("solved").and_then(Json::as_int);
-                        if solved.is_none_or(|s| s < 0) {
-                            errors
-                                .push(format!("{at}.exact.solved must be a non-negative integer"));
-                        }
-                        if e.get("optimal").and_then(Json::as_bool).is_none() {
-                            errors.push(format!("{at}.exact.optimal must be a boolean"));
-                        }
-                        for key in ["mean_cost", "max_gap_pct"] {
-                            match e.get(key) {
-                                Some(Json::Null) | Some(Json::Num(_)) | Some(Json::Int(_)) => {}
-                                _ => errors
-                                    .push(format!("{at}.exact.{key} must be a number or null")),
-                            }
-                        }
-                    }
-                }
-            }
-        }
+fn sweep_rules(doc: &Json, errors: &mut Vec<String>) {
+    one_per(doc, "results", "config.points", errors);
+    one_per(doc, "results[].heuristics", "config.heuristics", errors);
+    if len(doc, "config.heuristics") == Some(0) {
+        errors.push("config.heuristics must be non-empty".to_string());
     }
-
-    if let Some(timing) = doc.get("timing") {
-        if timing.get("workers").and_then(Json::as_int).unwrap_or(0) < 1 {
-            errors.push("timing.workers must be a positive integer".to_string());
-        }
-        for key in ["flatten_s", "run_s", "aggregate_s", "total_s"] {
-            if !timing
-                .get(key)
-                .and_then(Json::as_num)
-                .is_some_and(|v| v >= 0.0)
-            {
-                errors.push(format!("timing.{key} must be a non-negative number"));
-            }
-        }
-    }
-
-    if errors.is_empty() {
-        Ok(())
-    } else {
-        Err(errors)
-    }
+    at_most(doc, "results[].heuristics[]", "feasible", "runs", errors);
+    at_most(doc, "results[].reference", "solved", "runs", errors);
+    null_iff_infeasible(doc, "results[].heuristics[]", "mean_cost", errors);
 }
 
-fn validate_heur_row(row: &Json, i: usize, j: usize, errors: &mut Vec<String>) {
-    let at = format!("results[{i}].heuristics[{j}]");
-    if row.get("name").and_then(Json::as_str).is_none() {
-        errors.push(format!("{at}.name must be a string"));
+fn serve_rules(doc: &Json, errors: &mut Vec<String>) {
+    one_per(doc, "results", "config.points", errors);
+    admissions_reconcile(doc, errors);
+    let keys = ["p50_us", "p99_us", "max_us"];
+    ordered(doc, "results[].admit_latency", &keys, errors);
+}
+
+/// Every crash recovers, every drop is retransmitted, every duplicate is
+/// discarded (each pair of counters is equal), and every replay with
+/// crashes matched its crash-free twin. The table already requires zero
+/// audit failures.
+fn chaos_rules(doc: &Json, errors: &mut Vec<String>) {
+    one_per(doc, "results", "config.points", errors);
+    admissions_reconcile(doc, errors);
+    for (a, b) in [
+        ("crashes", "recoveries"),
+        ("msgs_dropped", "msgs_retransmitted"),
+        ("msgs_duplicated", "dups_discarded"),
+    ] {
+        at_most(doc, "results[]", a, b, errors);
+        at_most(doc, "results[]", b, a, errors);
     }
-    let runs = row.get("runs").and_then(Json::as_int);
-    let feasible = row.get("feasible").and_then(Json::as_int);
-    match (runs, feasible) {
-        (Some(r), Some(f)) if (0..=r).contains(&f) => {
-            let has_cost = !matches!(row.get("mean_cost"), Some(Json::Null) | None);
-            if has_cost != (f > 0) {
-                errors.push(format!("{at}.mean_cost must be present iff feasible > 0"));
-            }
-        }
-        _ => errors.push(format!("{at} needs integer runs >= feasible >= 0")),
-    }
-    if !row
-        .get("feasibility_pct")
-        .and_then(Json::as_num)
-        .is_some_and(|v| (0.0..=100.0).contains(&v))
-    {
-        errors.push(format!("{at}.feasibility_pct must be in [0, 100]"));
-    }
-    for key in ["mean_cost", "mean_procs"] {
-        match row.get(key) {
-            Some(Json::Null) | Some(Json::Num(_)) | Some(Json::Int(_)) => {}
-            _ => errors.push(format!("{at}.{key} must be a number or null")),
+    for (at, row) in each(doc, "results[]") {
+        // Null means no crashes were scheduled at this point.
+        let verdict = row.get("crash_fingerprint_match");
+        let crashed = int(row, "crashes").is_some_and(|c| c > 0);
+        if verdict == Some(&Json::Bool(false)) || crashed && verdict == Some(&Json::Null) {
+            errors.push(format!(
+                "{at}.crash_fingerprint_match must be true when crashes > 0: \
+                 a crash recovery diverged from the uninterrupted replay"
+            ));
         }
     }
 }
 
-fn validate_reference(reference: &Json, i: usize, errors: &mut Vec<String>) {
-    let at = format!("results[{i}].reference");
-    let runs = reference.get("runs").and_then(Json::as_int);
-    let solved = reference.get("solved").and_then(Json::as_int);
-    if !matches!((runs, solved), (Some(r), Some(s)) if (0..=r).contains(&s)) {
-        errors.push(format!("{at} needs integer runs >= solved >= 0"));
+fn perf_rules(doc: &Json, errors: &mut Vec<String>) {
+    one_per(doc, "results.heuristics", "config.points", errors);
+    one_per(doc, "results.bb", "config.bb_points", errors);
+    let rows = "results.heuristics[].rows[]";
+    at_most(doc, rows, "feasible", "runs", errors);
+}
+
+/// Refinement is never worse than its start, and costs are null exactly
+/// when no run was feasible.
+fn refine_rules(doc: &Json, errors: &mut Vec<String>) {
+    one_per(doc, "results", "config.points", errors);
+    for (a, b) in [
+        ("feasible", "runs"),
+        ("improved", "feasible"),
+        ("mean_refined_cost", "mean_start_cost"),
+    ] {
+        at_most(doc, "results[]", a, b, errors);
     }
-    if reference.get("optimal").and_then(Json::as_bool).is_none() {
-        errors.push(format!("{at}.optimal must be a boolean"));
-    }
-    match reference.get("mean_cost") {
-        Some(Json::Null) | Some(Json::Num(_)) | Some(Json::Int(_)) => {}
-        _ => errors.push(format!("{at}.mean_cost must be a number or null")),
+    for key in ["mean_start_cost", "mean_refined_cost"] {
+        null_iff_infeasible(doc, "results[]", key, errors);
     }
 }
 
-/// Validates a serialized chaos campaign report against schema v6 (the
-/// `BENCH_chaos.json` document written by `snsp-serve`'s fault-injection
-/// campaigns; `kind: "chaos"`).
-///
-/// Beyond structure, this enforces the recovery *semantics* the chaos
-/// tier promises: every drop retransmitted, every duplicate discarded,
-/// every crash recovered, `crash_fingerprint_match` true wherever
-/// crashes were scheduled, and zero invariant-audit failures.
-///
-/// Returns every violation found (empty ⇒ valid); a parse failure is a
-/// single violation.
-pub fn validate_chaos_report(text: &str) -> Result<(), Vec<String>> {
-    let doc = match parse(text) {
-        Ok(doc) => doc,
-        Err(e) => return Err(vec![format!("not JSON: {e}")]),
-    };
-    let mut errors = Vec::new();
-    check_kind(&doc, Some("chaos"), &mut errors);
-    let mut check = |cond: bool, msg: &str| {
-        if !cond {
-            errors.push(msg.to_string());
-        }
-    };
-
-    check(
-        doc.get("schema_version").and_then(Json::as_int) == Some(CHAOS_SCHEMA_VERSION),
-        "schema_version must be the integer 6",
-    );
-    check(
-        doc.get("generator")
-            .and_then(Json::as_str)
-            .is_some_and(|s| s.starts_with("snsp-serve")),
-        "generator must be an snsp-serve version string",
-    );
-    check(
-        doc.get("campaign")
-            .and_then(Json::as_str)
-            .is_some_and(|s| !s.is_empty()),
-        "campaign must be a non-empty string",
-    );
-
-    let point_count = match doc.get("config") {
-        None => {
-            errors.push("config object missing".to_string());
-            None
-        }
-        Some(config) => {
-            if config.get("seeds").and_then(Json::as_int).unwrap_or(0) < 1 {
-                errors.push("config.seeds must be a positive integer".to_string());
-            }
-            if config.get("shards").and_then(Json::as_int).unwrap_or(0) < 1 {
-                errors.push("config.shards must be a positive integer".to_string());
-            }
-            match config.get("points").and_then(Json::as_arr) {
-                None => {
-                    errors.push("config.points must be an array".to_string());
-                    None
-                }
-                Some(points) => {
-                    for (i, p) in points.iter().enumerate() {
-                        if p.get("label").and_then(Json::as_str).is_none() {
-                            errors.push(format!("config.points[{i}].label must be a string"));
-                        }
-                        for key in ["lambda", "mean_hold", "horizon"] {
-                            if !p.get(key).and_then(Json::as_num).is_some_and(|v| v > 0.0) {
-                                errors.push(format!(
-                                    "config.points[{i}].{key} must be a positive number"
-                                ));
-                            }
-                        }
-                        match p.get("fault") {
-                            None => {
-                                errors.push(format!("config.points[{i}].fault object missing"));
-                            }
-                            Some(fault) => {
-                                for key in [
-                                    "crash_rate",
-                                    "rack_rate",
-                                    "msg_drop",
-                                    "msg_dup",
-                                    "msg_delay",
-                                ] {
-                                    if !fault
-                                        .get(key)
-                                        .and_then(Json::as_num)
-                                        .is_some_and(|v| v >= 0.0)
-                                    {
-                                        errors.push(format!(
-                                            "config.points[{i}].fault.{key} must be a \
-                                             non-negative number"
-                                        ));
-                                    }
-                                }
-                                match fault.get("revoke") {
-                                    None => errors.push(format!(
-                                        "config.points[{i}].fault.revoke key missing"
-                                    )),
-                                    Some(Json::Null) => {}
-                                    Some(r) => {
-                                        for key in ["start", "end", "frac"] {
-                                            if r.get(key).and_then(Json::as_num).is_none() {
-                                                errors.push(format!(
-                                                    "config.points[{i}].fault.revoke.{key} \
-                                                     must be a number"
-                                                ));
-                                            }
-                                        }
-                                    }
-                                }
-                                if fault
-                                    .get("retry")
-                                    .and_then(|r| r.get("max_attempts"))
-                                    .and_then(Json::as_int)
-                                    .is_none()
-                                {
-                                    errors.push(format!(
-                                        "config.points[{i}].fault.retry.max_attempts must be \
-                                         an integer"
-                                    ));
-                                }
-                            }
-                        }
-                    }
-                    Some(points.len())
-                }
-            }
-        }
-    };
-
-    match doc.get("results").and_then(Json::as_arr) {
-        None => errors.push("results must be an array".to_string()),
-        Some(results) => {
-            if let Some(n) = point_count {
-                if results.len() != n {
-                    errors.push(format!(
-                        "results has {} entries but config.points has {n}",
-                        results.len()
-                    ));
-                }
-            }
-            for (i, point) in results.iter().enumerate() {
-                let at = format!("results[{i}]");
-                if point.get("label").and_then(Json::as_str).is_none() {
-                    errors.push(format!("{at}.label must be a string"));
-                }
-                let mut int_of = |key: &str| -> Option<i64> {
-                    let v = point.get(key).and_then(Json::as_int).filter(|&v| v >= 0);
-                    if v.is_none() {
-                        errors.push(format!("{at}.{key} must be a non-negative integer"));
-                    }
-                    v
-                };
-                let arrivals = int_of("arrivals");
-                let admitted = int_of("admitted");
-                let rejected = int_of("rejected");
-                let crashes = int_of("crashes");
-                let recoveries = int_of("recoveries");
-                let dropped = int_of("msgs_dropped");
-                let retransmitted = int_of("msgs_retransmitted");
-                let duplicated = int_of("msgs_duplicated");
-                let discarded = int_of("dups_discarded");
-                let audit_failures = int_of("audit_failures");
-                for key in [
-                    "traces",
-                    "departed",
-                    "evicted",
-                    "failures",
-                    "faults_injected",
-                    "rack_failures",
-                    "revocations",
-                    "msgs_delayed",
-                    "retry_enqueued",
-                    "readmitted",
-                    "retry_dropped",
-                    "shed",
-                ] {
-                    int_of(key);
-                }
-                if let (Some(a), Some(ad), Some(r)) = (arrivals, admitted, rejected) {
-                    if ad + r != a {
-                        errors.push(format!("{at}: admitted + rejected must equal arrivals"));
-                    }
-                }
-                if let (Some(c), Some(r)) = (crashes, recoveries) {
-                    if c != r {
-                        errors.push(format!(
-                            "{at}: every crash must recover (crashes == recoveries)"
-                        ));
-                    }
-                }
-                if let (Some(d), Some(r)) = (dropped, retransmitted) {
-                    if d != r {
-                        errors.push(format!(
-                            "{at}: every dropped message must be retransmitted \
-                             (msgs_dropped == msgs_retransmitted)"
-                        ));
-                    }
-                }
-                if let (Some(d), Some(x)) = (duplicated, discarded) {
-                    if d != x {
-                        errors.push(format!(
-                            "{at}: every duplicated message must be discarded \
-                             (msgs_duplicated == dups_discarded)"
-                        ));
-                    }
-                }
-                if audit_failures.is_some_and(|v| v != 0) {
-                    errors.push(format!(
-                        "{at}.audit_failures must be 0 — a platform invariant broke under faults"
-                    ));
-                }
-                for (key, lo, hi) in [("admission_rate", 0.0, 1.0), ("readmission_rate", 0.0, 1.0)]
-                {
-                    if !point
-                        .get(key)
-                        .and_then(Json::as_num)
-                        .is_some_and(|v| (lo..=hi).contains(&v))
-                    {
-                        errors.push(format!("{at}.{key} must be a number in [{lo}, {hi}]"));
-                    }
-                }
-                match point.get("crash_fingerprint_match") {
-                    // Null ⇒ no crashes were scheduled at this point.
-                    Some(Json::Null) => {
-                        if crashes.is_some_and(|c| c > 0) {
-                            errors.push(format!(
-                                "{at}.crash_fingerprint_match must not be null when crashes > 0"
-                            ));
-                        }
-                    }
-                    Some(Json::Bool(true)) => {}
-                    Some(Json::Bool(false)) => errors.push(format!(
-                        "{at}.crash_fingerprint_match is false — a crash recovery diverged \
-                         from the uninterrupted replay"
-                    )),
-                    _ => errors.push(format!(
-                        "{at}.crash_fingerprint_match must be a boolean or null"
-                    )),
-                }
-                if !point
-                    .get("mean_final_cost")
-                    .and_then(Json::as_num)
-                    .is_some_and(|v| v >= 0.0)
-                {
-                    errors.push(format!(
-                        "{at}.mean_final_cost must be a non-negative number"
-                    ));
-                }
-                if point
-                    .get("log_hash")
-                    .and_then(Json::as_str)
-                    .is_none_or(str::is_empty)
-                {
-                    errors.push(format!("{at}.log_hash must be a non-empty string"));
-                }
-            }
-        }
-    }
-
-    if let Some(timing) = doc.get("timing") {
-        if timing.get("workers").and_then(Json::as_int).unwrap_or(0) < 1 {
-            errors.push("timing.workers must be a positive integer".to_string());
-        }
-        for key in ["flatten_s", "run_s", "aggregate_s", "total_s"] {
-            if !timing
-                .get(key)
-                .and_then(Json::as_num)
-                .is_some_and(|v| v >= 0.0)
-            {
-                errors.push(format!("timing.{key} must be a non-negative number"));
-            }
-        }
-    }
-
-    if errors.is_empty() {
-        Ok(())
-    } else {
-        Err(errors)
-    }
+fn telemetry_rules(doc: &Json, errors: &mut Vec<String>) {
+    let keys = ["min", "p50", "p90", "p99", "max"];
+    ordered(doc, "deterministic.histograms[]", &keys, errors);
+    ordered(doc, "overlay.histograms[]", &keys, errors);
 }
 
-/// Validates a serialized trace report (`TRACE.json`) against schema v7
-/// (the deterministic event stream written by
-/// `snsp-experiments --trace-out`).
-///
-/// Beyond structure, the stream's ordering invariant is enforced: the
-/// `(run, tick, shard, seq)` stamps must be lexicographically
-/// non-decreasing — the canonical sort every exporter applies, and the
-/// property that makes two trace files byte-comparable.
-///
-/// Returns every violation found (empty ⇒ valid); a parse failure is a
-/// single violation.
-pub fn validate_trace_report(text: &str) -> Result<(), Vec<String>> {
-    let doc = match parse(text) {
-        Ok(doc) => doc,
-        Err(e) => return Err(vec![format!("not JSON: {e}")]),
-    };
-    let mut errors = Vec::new();
-    check_kind(&doc, Some("trace"), &mut errors);
-    let mut check = |cond: bool, msg: &str| {
-        if !cond {
-            errors.push(msg.to_string());
+/// The `(run, tick, shard, seq)` stamps are non-decreasing: the canonical
+/// sort every exporter applies, which makes two trace files comparable.
+fn trace_rules(doc: &Json, errors: &mut Vec<String>) {
+    let mut prev = None;
+    for (at, ev) in each(doc, "det_events[]") {
+        let stamp = ["run", "tick", "shard", "seq"].map(|k| int(ev, k).unwrap_or(0));
+        if prev.is_some_and(|p| stamp < p) {
+            errors.push(format!(
+                "{at}: (run, tick, shard, seq) must be non-decreasing"
+            ));
         }
-    };
-
-    check(
-        doc.get("schema_version").and_then(Json::as_int) == Some(TRACE_SCHEMA_VERSION),
-        "schema_version must be the integer 7",
-    );
-    check(
-        doc.get("generator")
-            .and_then(Json::as_str)
-            .is_some_and(|s| s.starts_with("snsp-")),
-        "generator must be an snsp tool version string",
-    );
-    check(
-        doc.get("campaign")
-            .and_then(Json::as_str)
-            .is_some_and(|s| !s.is_empty()),
-        "campaign must be a non-empty string",
-    );
-    check(
-        doc.get("dropped")
-            .and_then(Json::as_int)
-            .is_some_and(|v| v >= 0),
-        "dropped must be a non-negative integer",
-    );
-
-    match doc.get("det_events").and_then(Json::as_arr) {
-        None => errors.push("det_events must be an array".to_string()),
-        Some(events) => {
-            let mut prev: Option<(i64, i64, i64, i64)> = None;
-            for (i, ev) in events.iter().enumerate() {
-                let at = format!("det_events[{i}]");
-                let mut int_of = |key: &str| -> i64 {
-                    let v = ev.get(key).and_then(Json::as_int).filter(|&v| v >= 0);
-                    if v.is_none() {
-                        errors.push(format!("{at}.{key} must be a non-negative integer"));
-                    }
-                    v.unwrap_or(0)
-                };
-                let stamp = (
-                    int_of("run"),
-                    int_of("tick"),
-                    int_of("shard"),
-                    int_of("seq"),
-                );
-                if ev
-                    .get("event")
-                    .and_then(Json::as_str)
-                    .is_none_or(str::is_empty)
-                {
-                    errors.push(format!("{at}.event must be a non-empty string"));
-                }
-                if ev.get("detail").and_then(Json::as_str).is_none() {
-                    errors.push(format!("{at}.detail must be a string (may be empty)"));
-                }
-                if prev.is_some_and(|p| stamp < p) {
-                    errors.push(format!(
-                        "{at}: (run, tick, shard, seq) must be non-decreasing \
-                         (the canonical deterministic sort)"
-                    ));
-                }
-                prev = Some(stamp);
-            }
-        }
-    }
-
-    if errors.is_empty() {
-        Ok(())
-    } else {
-        Err(errors)
+        prev = Some(stamp);
     }
 }
 
@@ -1551,13 +823,17 @@ mod tests {
 
     #[test]
     fn real_reports_validate() {
-        validate_report(&rendered(true)).expect("timed report validates");
-        validate_report(&rendered(false)).expect("stable report validates");
+        Sweep
+            .validate(&rendered(true))
+            .expect("timed report validates");
+        Sweep
+            .validate(&rendered(false))
+            .expect("stable report validates");
     }
 
     #[test]
     fn non_json_is_one_violation() {
-        let errors = validate_report("{oops").unwrap_err();
+        let errors = Sweep.validate("{oops").unwrap_err();
         assert_eq!(errors.len(), 1);
         assert!(errors[0].starts_with("not JSON"));
     }
@@ -1565,7 +841,7 @@ mod tests {
     #[test]
     fn wrong_schema_version_is_rejected() {
         let text = rendered(false).replace("\"schema_version\": 1", "\"schema_version\": 2");
-        let errors = validate_report(&text).unwrap_err();
+        let errors = Sweep.validate(&text).unwrap_err();
         assert!(errors.iter().any(|e| e.contains("schema_version")));
     }
 
@@ -1573,15 +849,13 @@ mod tests {
     fn missing_results_is_rejected() {
         let text = "{\"schema_version\": 1, \"generator\": \"snsp-sweep 0\", \
                     \"campaign\": \"x\"}";
-        let errors = validate_report(text).unwrap_err();
+        let errors = Sweep.validate(text).unwrap_err();
         assert!(errors.iter().any(|e| e.contains("config")));
         assert!(errors.iter().any(|e| e.contains("results")));
     }
 
-    /// A minimal well-formed serve document (what `snsp-serve` renders;
-    /// kept in sync by snsp-serve's own round-trip tests).
-    /// A legacy v2 document (pre-sharding: no `config.shards`, no
-    /// `admit_latency` rows) — must stay readable forever.
+    /// A pre-sharding (v2-shaped) document: no `config.shards`, no
+    /// `admit_latency` rows.
     fn serve_doc_v2() -> String {
         serve_doc()
             .replace("\"schema_version\": 3", "\"schema_version\": 2")
@@ -1593,6 +867,8 @@ mod tests {
             )
     }
 
+    /// A minimal well-formed serve document (what `snsp-serve` renders;
+    /// kept in sync by snsp-serve's own round-trip tests).
     fn serve_doc() -> String {
         r#"{
   "schema_version": 3,
@@ -1645,57 +921,55 @@ mod tests {
 
     #[test]
     fn serve_schema_accepts_well_formed_documents() {
-        validate_serve_report(&serve_doc()).expect("serve v3 doc validates");
-    }
-
-    #[test]
-    fn serve_schema_keeps_v2_documents_readable() {
-        let v2 = serve_doc_v2();
-        assert!(v2.contains("\"schema_version\": 2"), "substitution applied");
-        assert!(!v2.contains("shards"), "substitution applied");
-        assert!(!v2.contains("admit_latency"), "substitution applied");
-        validate_serve_report(&v2).expect("legacy v2 doc validates");
+        Serve
+            .validate(&serve_doc())
+            .expect("serve v3 doc validates");
     }
 
     #[test]
     fn serve_v3_requires_the_new_columns() {
         // A v3 stamp without the v3 fields is invalid...
         let broken = serve_doc_v2().replace("\"schema_version\": 2", "\"schema_version\": 3");
-        let errors = validate_serve_report(&broken).unwrap_err();
+        let errors = Serve.validate(&broken).unwrap_err();
         assert!(errors.iter().any(|e| e.contains("config.shards")));
         assert!(errors.iter().any(|e| e.contains("admit_latency")));
+        // ...and so is a v2 document: only the current version is read.
+        let errors = Serve.validate(&serve_doc_v2()).unwrap_err();
+        assert!(errors.iter().any(|e| e.contains("schema_version")));
         // ...but a stable rendering may null the wall-clock column.
         let stable = serve_doc().replace(
             "{\"samples\": 18, \"p50_us\": 850.0, \"p99_us\": 2300.0, \"max_us\": 2400.0}",
             "null",
         );
-        validate_serve_report(&stable).expect("null admit_latency is the stable form");
+        Serve
+            .validate(&stable)
+            .expect("null admit_latency is the stable form");
         // Percentiles must be ordered.
         let unordered = serve_doc().replace("\"p99_us\": 2300.0", "\"p99_us\": 9300.0");
-        let errors = validate_serve_report(&unordered).unwrap_err();
+        let errors = Serve.validate(&unordered).unwrap_err();
         assert!(errors.iter().any(|e| e.contains("ordered")), "{errors:?}");
         // Versions past the current one are rejected.
         let future = serve_doc().replace("\"schema_version\": 3", "\"schema_version\": 4");
-        let errors = validate_serve_report(&future).unwrap_err();
+        let errors = Serve.validate(&future).unwrap_err();
         assert!(errors.iter().any(|e| e.contains("schema_version")));
     }
 
     #[test]
     fn serve_schema_rejects_v1_and_broken_documents() {
         // A campaign (v1) report is not a serve report.
-        let errors = validate_serve_report(&rendered(false)).unwrap_err();
+        let errors = Serve.validate(&rendered(false)).unwrap_err();
         assert!(errors.iter().any(|e| e.contains("schema_version")));
         assert!(errors.iter().any(|e| e.contains("kind")));
         // Admissions must reconcile with arrivals.
         let broken = serve_doc().replace("\"admitted\": 18", "\"admitted\": 19");
-        let errors = validate_serve_report(&broken).unwrap_err();
+        let errors = Serve.validate(&broken).unwrap_err();
         assert!(errors.iter().any(|e| e.contains("admitted + rejected")));
         // A missing burst key (as opposed to an explicit null) is flagged.
         let broken = serve_doc().replace(
             "\"burst\": {\"period\": 10.0, \"width\": 2.0, \"multiplier\": 4.0}\n",
             "\"unrelated\": 1\n",
         );
-        let errors = validate_serve_report(&broken).unwrap_err();
+        let errors = Serve.validate(&broken).unwrap_err();
         assert!(errors.iter().any(|e| e.contains("burst")), "{errors:?}");
     }
 
@@ -1759,29 +1033,29 @@ mod tests {
 
     #[test]
     fn perf_schema_accepts_well_formed_documents() {
-        validate_perf_report(&perf_doc()).expect("perf doc validates");
+        Perf.validate(&perf_doc()).expect("perf doc validates");
     }
 
     #[test]
     fn perf_schema_rejects_divergence_and_other_kinds() {
         // A v1 campaign report is not a perf report.
-        let errors = validate_perf_report(&rendered(false)).unwrap_err();
+        let errors = Perf.validate(&rendered(false)).unwrap_err();
         assert!(errors.iter().any(|e| e.contains("schema_version")));
         assert!(errors.iter().any(|e| e.contains("kind")));
         // An engine divergence invalidates the document outright.
         let broken = perf_doc().replacen("\"costs_match\": true", "\"costs_match\": false", 1);
-        let errors = validate_perf_report(&broken).unwrap_err();
+        let errors = Perf.validate(&broken).unwrap_err();
         assert!(
             errors.iter().any(|e| e.contains("costs_match")),
             "{errors:?}"
         );
         // Zero or negative speedups are structural nonsense.
         let broken = perf_doc().replace("\"speedup\": 100.0", "\"speedup\": 0.0");
-        let errors = validate_perf_report(&broken).unwrap_err();
+        let errors = Perf.validate(&broken).unwrap_err();
         assert!(errors.iter().any(|e| e.contains("speedup")), "{errors:?}");
         // A missing probe block is flagged.
         let broken = perf_doc().replace("\"demand_probe\"", "\"unrelated\"");
-        let errors = validate_perf_report(&broken).unwrap_err();
+        let errors = Perf.validate(&broken).unwrap_err();
         assert!(
             errors.iter().any(|e| e.contains("demand_probe")),
             "{errors:?}"
@@ -1794,15 +1068,16 @@ mod tests {
         let v3 = perf_doc()
             .replace("\"schema_version\": 4", "\"schema_version\": 3")
             .replace(",\n    \"peak_rss_kb\": 14336", "");
-        let errors = validate_perf_report(&v3).unwrap_err();
+        let errors = Perf.validate(&v3).unwrap_err();
         assert!(errors.iter().any(|e| e.contains("schema_version")));
         assert!(errors.iter().any(|e| e.contains("peak_rss_kb")));
         // ...but a platform without /proc may null the gauge.
         let nulled = perf_doc().replace("\"peak_rss_kb\": 14336", "\"peak_rss_kb\": null");
-        validate_perf_report(&nulled).expect("null RSS is the no-procfs form");
+        Perf.validate(&nulled)
+            .expect("null RSS is the no-procfs form");
         // Negative high-water marks are nonsense.
         let broken = perf_doc().replace("\"peak_rss_kb\": 14336", "\"peak_rss_kb\": -1");
-        let errors = validate_perf_report(&broken).unwrap_err();
+        let errors = Perf.validate(&broken).unwrap_err();
         assert!(
             errors.iter().any(|e| e.contains("peak_rss_kb")),
             "{errors:?}"
@@ -1846,14 +1121,18 @@ mod tests {
 
     #[test]
     fn telemetry_schema_accepts_well_formed_documents() {
-        validate_telemetry_report(&telemetry_doc()).expect("telemetry doc validates");
+        Telemetry
+            .validate(&telemetry_doc())
+            .expect("telemetry doc validates");
         // The stable form nulls the whole wall-clock overlay.
         let (head, _) = telemetry_doc()
             .split_once("\"overlay\"")
             .map(|(h, t)| (h.to_string(), t.to_string()))
             .unwrap();
         let stable = format!("{head}\"overlay\": null\n}}");
-        validate_telemetry_report(&stable).expect("null overlay is the stable form");
+        Telemetry
+            .validate(&stable)
+            .expect("null overlay is the stable form");
     }
 
     #[test]
@@ -1864,17 +1143,17 @@ mod tests {
             "\"deterministic\": {\n    \"counters\"",
             "\"deterministic\": {\n    \"spans\": [],\n    \"counters\"",
         );
-        let errors = validate_telemetry_report(&broken).unwrap_err();
+        let errors = Telemetry.validate(&broken).unwrap_err();
         assert!(
             errors.iter().any(|e| e.contains("deterministic.spans")),
             "{errors:?}"
         );
         // Percentiles must be ordered.
         let broken = telemetry_doc().replace("\"p50\": 850.0", "\"p50\": 9850.0");
-        let errors = validate_telemetry_report(&broken).unwrap_err();
+        let errors = Telemetry.validate(&broken).unwrap_err();
         assert!(errors.iter().any(|e| e.contains("ordered")), "{errors:?}");
         // Other kinds are rejected by name, and vice versa.
-        let errors = validate_telemetry_report(&perf_doc()).unwrap_err();
+        let errors = Telemetry.validate(&perf_doc()).unwrap_err();
         assert!(
             errors
                 .iter()
@@ -1882,10 +1161,10 @@ mod tests {
             "{errors:?}"
         );
         let telemetry = telemetry_doc();
-        assert!(validate_report(&telemetry).is_err());
-        assert!(validate_serve_report(&telemetry).is_err());
-        assert!(validate_perf_report(&telemetry).is_err());
-        assert!(validate_refine_report(&telemetry).is_err());
+        assert!(Sweep.validate(&telemetry).is_err());
+        assert!(Serve.validate(&telemetry).is_err());
+        assert!(Perf.validate(&telemetry).is_err());
+        assert!(Refine.validate(&telemetry).is_err());
     }
 
     /// A minimal well-formed refine document (what `snsp-search`
@@ -1940,23 +1219,25 @@ mod tests {
 
     #[test]
     fn refine_schema_accepts_well_formed_documents() {
-        validate_refine_report(&refine_doc()).expect("refine doc validates");
+        Refine
+            .validate(&refine_doc())
+            .expect("refine doc validates");
     }
 
     #[test]
     fn refine_schema_rejects_regressions_and_cross_kind_files() {
         // A v1 campaign report is not a refine report.
-        let errors = validate_refine_report(&rendered(false)).unwrap_err();
+        let errors = Refine.validate(&rendered(false)).unwrap_err();
         assert!(errors.iter().any(|e| e.contains("schema_version")));
         assert!(errors.iter().any(|e| e.contains("kind")));
-        // Nor are serve (v2) and perf (v3) documents.
-        let errors = validate_refine_report(&serve_doc()).unwrap_err();
+        // Nor are serve and perf documents.
+        let errors = Refine.validate(&serve_doc()).unwrap_err();
         assert!(errors.iter().any(|e| e.contains("kind")), "{errors:?}");
-        let errors = validate_refine_report(&perf_doc()).unwrap_err();
+        let errors = Refine.validate(&perf_doc()).unwrap_err();
         assert!(errors.iter().any(|e| e.contains("kind")), "{errors:?}");
         // A cost regression invalidates the document outright.
         let broken = refine_doc().replacen("\"never_worse\": true", "\"never_worse\": false", 1);
-        let errors = validate_refine_report(&broken).unwrap_err();
+        let errors = Refine.validate(&broken).unwrap_err();
         assert!(
             errors.iter().any(|e| e.contains("never_worse")),
             "{errors:?}"
@@ -1966,18 +1247,18 @@ mod tests {
             "\"mean_refined_cost\": 15096.0",
             "\"mean_refined_cost\": 17000.0",
         );
-        let errors = validate_refine_report(&broken).unwrap_err();
+        let errors = Refine.validate(&broken).unwrap_err();
         assert!(
             errors.iter().any(|e| e.contains("exceeds mean_start_cost")),
             "{errors:?}"
         );
         // A missing exact key (as opposed to an explicit null) is flagged.
         let broken = refine_doc().replacen("\"exact\": null", "\"unrelated\": null", 1);
-        let errors = validate_refine_report(&broken).unwrap_err();
+        let errors = Refine.validate(&broken).unwrap_err();
         assert!(errors.iter().any(|e| e.contains("exact")), "{errors:?}");
         // `improved` cannot exceed `feasible`.
         let broken = refine_doc().replacen("\"improved\": 1", "\"improved\": 3", 1);
-        let errors = validate_refine_report(&broken).unwrap_err();
+        let errors = Refine.validate(&broken).unwrap_err();
         assert!(errors.iter().any(|e| e.contains("improved")), "{errors:?}");
     }
 
@@ -1985,23 +1266,23 @@ mod tests {
     fn other_validators_reject_refine_documents() {
         // Cross-kind sniffing must fail loudly in every direction.
         let refine = refine_doc();
-        assert!(validate_report(&refine).is_err());
-        assert!(validate_serve_report(&refine).is_err());
-        assert!(validate_perf_report(&refine).is_err());
+        assert!(Sweep.validate(&refine).is_err());
+        assert!(Serve.validate(&refine).is_err());
+        assert!(Perf.validate(&refine).is_err());
     }
 
     #[test]
     fn cross_kind_errors_name_expected_and_found_kinds() {
         // Wrong-validator mistakes must read as "wrong file": the error
         // names the kind the validator wanted AND the kind it found.
-        let errors = validate_serve_report(&refine_doc()).unwrap_err();
+        let errors = Serve.validate(&refine_doc()).unwrap_err();
         assert!(
             errors
                 .iter()
                 .any(|e| e.contains("expected \"serve\"") && e.contains("found \"refine\"")),
             "{errors:?}"
         );
-        let errors = validate_refine_report(&perf_doc()).unwrap_err();
+        let errors = Refine.validate(&perf_doc()).unwrap_err();
         assert!(
             errors
                 .iter()
@@ -2010,7 +1291,7 @@ mod tests {
         );
         // The kindless v1 validator names the found kind too, and points
         // at the right validator.
-        let errors = validate_report(&serve_doc()).unwrap_err();
+        let errors = Sweep.validate(&serve_doc()).unwrap_err();
         assert!(
             errors
                 .iter()
@@ -2019,7 +1300,7 @@ mod tests {
         );
         // A kinded validator fed a kindless document says what kindless
         // documents are, instead of a bare rejection.
-        let errors = validate_perf_report(&rendered(false)).unwrap_err();
+        let errors = Perf.validate(&rendered(false)).unwrap_err();
         assert!(
             errors
                 .iter()
@@ -2029,12 +1310,44 @@ mod tests {
     }
 
     #[test]
+    fn undeclared_keys_are_rejected_and_kinds_are_sniffed() {
+        // The table is the complete description: an extra column fails.
+        let extra = serve_doc().replace("\"traces\": 2,", "\"traces\": 2, \"drain_s\": 1.0,");
+        let errors = Serve.validate(&extra).unwrap_err();
+        assert!(
+            errors
+                .iter()
+                .any(|e| e.contains("results[0].drain_s is not part")),
+            "{errors:?}"
+        );
+        // The sniffing entry point picks the table from the discriminator.
+        for (doc, kind) in [
+            (serve_doc(), Serve),
+            (perf_doc(), Perf),
+            (rendered(false), Sweep),
+        ] {
+            assert_eq!(validate(&doc), Ok(kind));
+        }
+        let errors = validate(&serve_doc().replace("\"serve\"", "\"bogus\"")).unwrap_err();
+        assert!(errors[0].contains("unknown kind"), "{errors:?}");
+        // Every kind's header carries its version and validates as such.
+        for kind in ArtifactKind::ALL {
+            let header = Json::obj(kind.header());
+            assert_eq!(
+                header.get("schema_version"),
+                Some(&Json::Int(kind.version()))
+            );
+            assert_eq!(ArtifactKind::of(&header), Ok(kind));
+        }
+    }
+
+    #[test]
     fn feasible_without_cost_is_rejected() {
         let text = rendered(false);
         // Break one heuristic row: claim feasibility but null the cost.
         let broken = text.replacen("\"mean_cost\": 1", "\"mean_cost\": null, \"x\": 1", 1);
         if broken != text {
-            let errors = validate_report(&broken).unwrap_err();
+            let errors = Sweep.validate(&broken).unwrap_err();
             assert!(errors.iter().any(|e| e.contains("mean_cost")), "{errors:?}");
         }
     }

@@ -11,9 +11,7 @@ use snsp_gen::TreeShape;
 
 use crate::campaign::{PointSpec, ReferenceConfig};
 use crate::json::Json;
-
-/// The schema version stamped into (and required of) every report.
-pub const SCHEMA_VERSION: i64 = 1;
+use crate::schema::ArtifactKind;
 
 /// Aggregated outcome of one heuristic at one scenario point.
 #[derive(Debug, Clone)]
@@ -144,12 +142,8 @@ impl CampaignReport {
     /// `"timing"` key is omitted and the output is byte-identical for
     /// every worker count (the *stable* form used by tests and CI diffs).
     pub fn to_json(&self, include_timing: bool) -> Json {
-        let mut pairs = vec![
-            ("schema_version", Json::Int(SCHEMA_VERSION)),
-            (
-                "generator",
-                Json::Str(format!("snsp-sweep {}", env!("CARGO_PKG_VERSION"))),
-            ),
+        let mut pairs = ArtifactKind::Sweep.header();
+        pairs.extend([
             ("campaign", Json::Str(self.campaign.clone())),
             (
                 "config",
@@ -206,7 +200,7 @@ impl CampaignReport {
                         .collect(),
                 ),
             ),
-        ];
+        ]);
         if include_timing {
             if let Some(t) = &self.timing {
                 pairs.push((

@@ -8,8 +8,8 @@
 //!   `(run, tick, shard, seq)`-stamped, canonically sorted, crash
 //!   re-replay duplicates collapsed — so the file is **byte-identical
 //!   at any worker count** and can be `cmp`'d or
-//!   [`diff`](crate::diff)'d across runs. Validated by
-//!   [`validate_trace_report`](crate::schema::validate_trace_report).
+//!   [`diff`](crate::diff)'d across runs. Validated against
+//!   [`ArtifactKind::Trace`].
 //! * [`chrome_trace_json`] renders *everything* (overlay events and the
 //!   optional wall-clock stamps included) in the Chrome `trace_event`
 //!   array format: one process per run, one thread lane per shard,
@@ -23,7 +23,7 @@ use snsp_telemetry::trace::{TraceEvent, TraceEventKind, TraceSnapshot};
 use snsp_telemetry::Class;
 
 use crate::json::Json;
-use crate::schema::TRACE_SCHEMA_VERSION;
+use crate::schema::ArtifactKind;
 
 /// Renders the deterministic `TRACE.json` document (schema v7) from a
 /// merged trace snapshot: Det events only, in canonical order, with the
@@ -31,13 +31,8 @@ use crate::schema::TRACE_SCHEMA_VERSION;
 /// byte-identity, and CI asserts it is zero).
 pub fn trace_json(snap: &TraceSnapshot, campaign: &str) -> Json {
     let det = snap.det_events();
-    Json::obj(vec![
-        ("schema_version", Json::Int(TRACE_SCHEMA_VERSION)),
-        (
-            "generator",
-            Json::Str(format!("snsp-sweep {}", env!("CARGO_PKG_VERSION"))),
-        ),
-        ("kind", Json::Str("trace".to_string())),
+    let mut pairs = ArtifactKind::Trace.header();
+    pairs.extend([
         ("campaign", Json::Str(campaign.to_string())),
         ("dropped", Json::Int(snap.dropped as i64)),
         (
@@ -58,7 +53,8 @@ pub fn trace_json(snap: &TraceSnapshot, campaign: &str) -> Json {
                     .collect(),
             ),
         ),
-    ])
+    ]);
+    Json::obj(pairs)
 }
 
 /// The synthetic-clock spacing (microseconds) between consecutive
@@ -170,7 +166,6 @@ fn chrome_event(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schema::validate_trace_report;
     use snsp_telemetry::trace::{LogicalTime, TraceEventKind};
 
     fn sample_snapshot() -> TraceSnapshot {
@@ -227,7 +222,9 @@ mod tests {
     #[test]
     fn trace_json_round_trips_through_the_validator() {
         let doc = trace_json(&sample_snapshot(), "unit");
-        validate_trace_report(&doc.render()).expect("valid v7 document");
+        ArtifactKind::Trace
+            .validate(&doc.render())
+            .expect("valid v7 document");
         // Det events only: the overlay steal is excluded.
         let events = doc.get("det_events").and_then(Json::as_arr).unwrap();
         assert_eq!(events.len(), 3);

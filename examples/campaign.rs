@@ -50,7 +50,9 @@ fn main() {
 
     // -- 3. Serialize, self-validate, and write the artifact.
     let json = report.render_json(true);
-    validate_report(&json).expect("schema v1 round-trips");
+    ArtifactKind::Sweep
+        .validate(&json)
+        .expect("schema v1 round-trips");
     let path = std::env::temp_dir().join("BENCH_sweep_example.json");
     std::fs::write(&path, &json).expect("write report");
     println!("wrote {}", path.display());

@@ -7,7 +7,7 @@
 //! first packed onto already-purchased machines (reusing shared
 //! downloads), departures reclaim capacity and re-consolidate, failures
 //! re-map displaced operators. The same trace then runs as one point of
-//! a parallel serve campaign with schema-v2 JSON output.
+//! a parallel serve campaign with schema-v3 JSON output.
 //!
 //! Run with: `cargo run --release --example online_serving`
 
@@ -51,7 +51,7 @@ fn main() {
     );
 
     // -- 3. The same scenario as a campaign grid (2 seeds per point) on
-    //       the work-stealing pool, with validated schema-v2 JSON.
+    //       the work-stealing pool, with validated schema-v3 JSON.
     let points = vec![
         ServePoint::new("calm", TraceParams::poisson(0.3, 6.0, 40.0)),
         ServePoint::new("flaky", params),
@@ -69,7 +69,9 @@ fn main() {
         );
     }
     let json = campaign_report.render_json(true);
-    validate_serve_report(&json).expect("schema v2 round-trips");
+    ArtifactKind::Serve
+        .validate(&json)
+        .expect("schema v3 round-trips");
     let path = std::env::temp_dir().join("BENCH_serve_example.json");
     std::fs::write(&path, &json).expect("write report");
     println!("wrote {}", path.display());

@@ -116,9 +116,7 @@ pub mod prelude {
         lower_bound, max_throughput_under_budget, solve_exact, BranchBoundConfig,
     };
     pub use snsp_sweep::{
-        run_campaign, validate_chaos_report, validate_perf_report, validate_refine_report,
-        validate_report, validate_serve_report, validate_telemetry_report, Campaign,
-        CampaignReport, PointSpec, ReferenceConfig,
+        run_campaign, ArtifactKind, Campaign, CampaignReport, PointSpec, ReferenceConfig,
     };
     pub use snsp_telemetry::{capture, Class, Counter, Gauge, Histogram, Snapshot, Span};
 }

@@ -241,7 +241,7 @@ fn shared_platform_core_path() {
 }
 
 /// `examples/online_serving.rs`: deterministic trace replay plus a small
-/// serve campaign with schema-v2 JSON.
+/// serve campaign with schema-v3 JSON.
 #[test]
 fn online_serving_core_path() {
     let params = TraceParams::poisson(0.4, 5.0, 20.0).with_failures(0.05);
@@ -253,7 +253,9 @@ fn online_serving_core_path() {
     let campaign = ServeCampaign::new("smoke", vec![ServePoint::new("flaky", params)], 2);
     let campaign_report = run_serve_campaign(&campaign);
     assert_eq!(campaign_report.points.len(), 1);
-    validate_serve_report(&campaign_report.render_json(true)).expect("schema v2 validates");
+    ArtifactKind::Serve
+        .validate(&campaign_report.render_json(true))
+        .expect("schema v3 validates");
 }
 
 /// `examples/campaign.rs`: parallel grid sweep with an exact reference
@@ -275,5 +277,7 @@ fn campaign_core_path() {
         assert!(point.heuristics.iter().any(|h| h.feasible > 0));
         assert!(point.reference.is_some());
     }
-    validate_report(&report.render_json(true)).expect("schema v1 validates");
+    ArtifactKind::Sweep
+        .validate(&report.render_json(true))
+        .expect("schema v1 validates");
 }

@@ -117,5 +117,7 @@ fn committed_refine_artifact_stays_valid_and_regenerable() {
     // validator itself.
     let body = std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_refine.json"))
         .expect("committed BENCH_refine.json exists at the repo root");
-    validate_refine_report(&body).expect("committed artifact validates");
+    ArtifactKind::Refine
+        .validate(&body)
+        .expect("committed artifact validates");
 }

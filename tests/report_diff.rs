@@ -3,7 +3,7 @@
 //! column injection must be flagged as a regression, and wall-clock
 //! drift must stay on the informational side of the gate.
 
-use snsp::sweep::{diff_reports, DiffOptions};
+use snsp::sweep::{diff_reports, DiffKind, DiffOptions};
 
 fn committed(name: &str) -> String {
     let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join(name);
@@ -94,6 +94,50 @@ fn timing_columns_are_toleranced_not_strict() {
     let stable = with_value(&body, "run_s", "null");
     let report = diff_reports(&body, &stable, tight).expect("same kind");
     assert!(report.clean(), "null-vs-value on timing is the form split");
+}
+
+/// The field table, not the key name, decides a column's class: a
+/// deterministic column whose key merely ends in `_s` (here one the serve
+/// table does not declare) gates strictly.
+#[test]
+fn det_column_named_like_a_timing_column_is_strict() {
+    let body = committed("BENCH_serve.json");
+    let with = |v: &str| {
+        let column = format!("\"drain_s\": {v},\n      \"traces\": ");
+        body.replacen("\"traces\": ", &column, 1)
+    };
+    let report =
+        diff_reports(&with("1.0"), &with("2.0"), DiffOptions::default()).expect("same kind");
+    assert!(
+        report
+            .regressions
+            .iter()
+            .any(|e| e.path == "results[0].drain_s" && e.kind == DiffKind::Strict),
+        "{}",
+        report.render_table()
+    );
+}
+
+/// Wall-clock columns the table declares as timing are informational
+/// whatever their key name: the perf B&B `ms` and `nodes_per_sec`.
+#[test]
+fn perf_wall_clock_columns_are_informational() {
+    let body = committed("BENCH_perf.json");
+    let drifted = with_value(&with_value(&body, "ms", "999.0"), "nodes_per_sec", "1.0");
+    let report = diff_reports(&body, &drifted, DiffOptions::default()).expect("same kind");
+    assert!(report.clean(), "{}", report.render_table());
+    let paths: Vec<&str> = report
+        .informational
+        .iter()
+        .map(|e| e.path.as_str())
+        .collect();
+    assert_eq!(
+        paths,
+        [
+            "results.bb[0].incremental.ms",
+            "results.bb[0].incremental.nodes_per_sec"
+        ]
+    );
 }
 
 /// Cross-kind comparisons refuse instead of reporting nonsense.

@@ -184,7 +184,9 @@ fn chaos_campaign_stable_json_is_worker_count_independent_and_certified() {
     };
     let serial = run_serve_campaign(&make(1));
     let stable = serial.render_chaos_json(false);
-    validate_chaos_report(&stable).expect("stable form validates as schema v6");
+    ArtifactKind::Chaos
+        .validate(&stable)
+        .expect("stable form validates as schema v6");
     let stormy = &serial.points[1];
     assert!(stormy.stats.crashes > 0, "the stormy point must crash");
     assert_eq!(

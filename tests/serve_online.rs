@@ -104,7 +104,7 @@ fn snapshots_verify_jointly_and_per_tenant() {
 }
 
 /// Campaign JSON (stable form) is byte-identical at every worker count,
-/// and validates against schema v2.
+/// and validates against schema v3.
 #[test]
 fn serve_campaign_is_worker_count_independent() {
     let build = |workers: usize| {
@@ -115,7 +115,9 @@ fn serve_campaign_is_worker_count_independent() {
         ServeCampaign::new("itest", points, 2).with_workers(workers)
     };
     let serial = run_serve_campaign(&build(1)).render_json(false);
-    validate_serve_report(&serial).expect("schema v2 validates");
+    ArtifactKind::Serve
+        .validate(&serial)
+        .expect("schema v3 validates");
     for workers in [2usize, 4] {
         let parallel = run_serve_campaign(&build(workers)).render_json(false);
         assert_eq!(serial, parallel, "{workers} workers diverged byte-wise");

@@ -124,13 +124,17 @@ fn schema_validation_round_trips() {
     let report = run_campaign(&demo_campaign(2));
     let timed = report.render_json(true);
     assert!(timed.contains("\"timing\""));
-    validate_report(&timed).expect("timed report is schema-valid");
-    validate_report(&report.render_json(false)).expect("stable report is schema-valid");
+    ArtifactKind::Sweep
+        .validate(&timed)
+        .expect("timed report is schema-valid");
+    ArtifactKind::Sweep
+        .validate(&report.render_json(false))
+        .expect("stable report is schema-valid");
 
     let truncated = &timed[..timed.len() / 2];
-    assert!(validate_report(truncated).is_err());
+    assert!(ArtifactKind::Sweep.validate(truncated).is_err());
     let wrong_version = timed.replace("\"schema_version\": 1", "\"schema_version\": 99");
-    assert!(validate_report(&wrong_version).is_err());
+    assert!(ArtifactKind::Sweep.validate(&wrong_version).is_err());
 }
 
 /// The report exposes enough typed data to rebuild the paper's tables:

@@ -10,7 +10,7 @@ use std::collections::BTreeMap;
 use std::sync::Mutex;
 
 use snsp::prelude::*;
-use snsp::sweep::{chrome_trace_json, trace_json, validate_trace_report, Json};
+use snsp::sweep::{chrome_trace_json, trace_json, ArtifactKind, Json};
 use snsp::telemetry::trace::{self, TraceSnapshot};
 
 /// The trace layer is process-global state; captures must not overlap
@@ -56,7 +56,9 @@ fn det_stream_and_trace_json_are_identical_at_every_worker_count() {
         "barrier folds must reach the trace"
     );
     let base_json = trace_json(&base, "trace-int").render();
-    validate_trace_report(&base_json).expect("rendered TRACE.json validates as schema v7");
+    ArtifactKind::Trace
+        .validate(&base_json)
+        .expect("rendered TRACE.json validates as schema v7");
 
     for (workers, replay_workers) in [(2, 1), (4, 1), (1, 2), (1, 4), (4, 4)] {
         let (_, snap) =
