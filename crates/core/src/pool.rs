@@ -10,8 +10,8 @@
 //!   steals the back half of the richest remaining range. Because every
 //!   job writes only its own result slot and jobs are pure functions of
 //!   their index, the collected output is identical for every worker
-//!   count and every interleaving. This is the campaign executor
-//!   (`snsp-sweep` re-exports it).
+//!   count and every interleaving. This is the campaign executor (under
+//!   `snsp_sweep::run_grid`) and the sharded replay's batch executor.
 //! * [`TaskDeque`] + [`run_workers`] — a **dynamic** frontier for
 //!   tree-shaped work whose extent is unknown up front (branch-and-bound
 //!   subtree splitting): workers pop open tasks from a shared LIFO
@@ -26,7 +26,7 @@
 //!
 //! Both executors surface a [`PoolStats`] snapshot (steals, donations,
 //! peak queue depth) independent of whether telemetry collection is on:
-//! [`run_jobs_stats`] returns one alongside the results, and
+//! [`run_jobs_checked`] returns one alongside the results, and
 //! [`TaskDeque::stats`] reads one off the live deque. When telemetry
 //! *is* enabled the same events also feed the overlay-class
 //! `pool.steals` / `pool.donations` counters, the
@@ -70,8 +70,8 @@ pub struct PoolStats {
     /// Jobs or tasks whose body unwound. Panics are contained with
     /// `catch_unwind` so the executor always drains instead of
     /// deadlocking on its pending counter; the count lets callers decide
-    /// whether the run's output is trustworthy ([`run_jobs_stats`]
-    /// re-raises, [`run_jobs_checked`] and [`TaskDeque::drain`] report).
+    /// whether the run's output is trustworthy ([`run_jobs`] re-raises,
+    /// [`run_jobs_checked`] and [`TaskDeque::drain`] report).
     pub panics: u64,
 }
 
@@ -128,25 +128,11 @@ impl Span {
 /// returns the results in index order.
 ///
 /// `workers` is clamped to `[1, n_jobs]`; with one worker the jobs run on
-/// the calling thread in index order, giving a true serial baseline.
+/// the calling thread in index order, giving a true serial baseline. If
+/// any job panics the pool still drains every other job (the unwind is
+/// contained per job), then re-raises with the panic count — callers
+/// that want to keep the surviving results use [`run_jobs_checked`].
 pub fn run_jobs<T, F>(n_jobs: usize, workers: usize, job: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    run_jobs_stats(n_jobs, workers, job).0
-}
-
-/// [`run_jobs`] returning a [`PoolStats`] snapshot alongside the
-/// results: steals = back-half range claims from a victim span,
-/// donations = 0 (the static pool never grows its frontier), peak queue
-/// depth = the largest initial span.
-///
-/// If any job panics the pool still drains every other job (the unwind
-/// is contained per-job), then this wrapper re-raises with the panic
-/// count — callers that want to keep the surviving results use
-/// [`run_jobs_checked`] instead.
-pub fn run_jobs_stats<T, F>(n_jobs: usize, workers: usize, job: F) -> (Vec<T>, PoolStats)
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
@@ -155,19 +141,21 @@ where
     if stats.panics > 0 {
         panic!("{} pool job(s) panicked", stats.panics);
     }
-    let out = slots
+    slots
         .into_iter()
         .map(|slot| slot.expect("every job index was claimed exactly once"))
-        .collect();
-    (out, stats)
+        .collect()
 }
 
-/// Panic-containing form of [`run_jobs_stats`]: every job body runs
-/// under `catch_unwind`, a job that unwinds yields `None` in its result
-/// slot (and bumps [`PoolStats::panics`]), and every *other* job still
-/// runs to completion — a poisoned job can never deadlock or starve the
-/// pool. Results are positional, so `out[i]` is `Some` iff `job(i)`
-/// returned normally.
+/// Panic-containing form of [`run_jobs`] that also returns a
+/// [`PoolStats`] snapshot: steals = back-half range claims from a victim
+/// span, donations = 0 (the static pool never grows its frontier), peak
+/// queue depth = the largest initial span. Every job body runs under
+/// `catch_unwind`, a job that unwinds yields `None` in its result slot
+/// (and bumps [`PoolStats::panics`]), and every *other* job still runs
+/// to completion — a poisoned job can never deadlock or starve the pool.
+/// Results are positional, so `out[i]` is `Some` iff `job(i)` returned
+/// normally.
 pub fn run_jobs_checked<T, F>(n_jobs: usize, workers: usize, job: F) -> (Vec<Option<T>>, PoolStats)
 where
     T: Send,
@@ -579,8 +567,8 @@ mod tests {
     #[test]
     fn run_jobs_stats_are_surfaced_without_telemetry() {
         // Serial: nothing to steal, the whole grid is one span.
-        let (out, stats) = run_jobs_stats(9, 1, |i| i);
-        assert_eq!(out, (0..9).collect::<Vec<_>>());
+        let (out, stats) = run_jobs_checked(9, 1, |i| i);
+        assert_eq!(out, (0..9).map(Some).collect::<Vec<_>>());
         assert_eq!(
             stats,
             PoolStats {
@@ -591,7 +579,7 @@ mod tests {
             }
         );
         // Front-loaded long jobs force the later workers to steal.
-        let (_, stats) = run_jobs_stats(24, 4, |i| {
+        let (_, stats) = run_jobs_checked(24, 4, |i| {
             if i < 4 {
                 std::thread::sleep(std::time::Duration::from_millis(10));
             }
@@ -659,7 +647,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "pool job(s) panicked")]
     fn run_jobs_stats_re_raises_after_draining() {
-        let _ = run_jobs_stats(8, 4, |i| {
+        let _ = run_jobs(8, 4, |i| {
             if i == 3 {
                 panic!("boom");
             }

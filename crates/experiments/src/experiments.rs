@@ -12,13 +12,6 @@ use snsp_sweep::{run_campaign, Campaign, CampaignReport, PointSpec, ReferenceCon
 
 use crate::table::{fmt_cost, Table};
 
-/// Runs one campaign over all grid points at once (the pool parallelizes
-/// across points × heuristics × seeds) and renders a cost table plus a
-/// feasibility table.
-fn sweep(title: &str, axis: &str, campaign: &Campaign) -> Vec<Table> {
-    report_tables(&run_campaign(campaign), title, axis)
-}
-
 /// Renders the classic cost/feasibility table pair from a campaign
 /// report (the human-readable view of `BENCH_sweep.json`).
 pub fn report_tables(report: &CampaignReport, title: &str, axis: &str) -> Vec<Table> {
@@ -72,46 +65,84 @@ fn points_of(points: impl IntoIterator<Item = (String, ScenarioParams)>) -> Vec<
         .collect()
 }
 
-/// The named campaign grids behind the `sweep` CLI subcommand and the CI
-/// `bench-snapshot` job. `ci` is a deliberately small fixed grid with an
-/// exact reference column, cheap enough to run on every push.
+/// One point per operator count, labelled by it.
+fn over_n(
+    ns: impl IntoIterator<Item = usize>,
+    params: impl Fn(usize) -> ScenarioParams,
+) -> Vec<PointSpec> {
+    points_of(ns.into_iter().map(|n| (n.to_string(), params(n))))
+}
+
+/// The table title and axis of the paper figures and §5 experiments
+/// that are sweep grids: `snsp-experiments <id>` renders [`grid`]`(id)`
+/// under them.
+pub fn paper_title(id: &str) -> Option<(&'static str, &'static str)> {
+    Some(match id {
+        "fig2a" => ("Fig. 2 (α = 0.9) — high frequency, small objects", "N"),
+        "fig2b" => ("Fig. 2 (α = 1.7) — high frequency, small objects", "N"),
+        "fig3" => (
+            "Fig. 3 (N = 60) — cost vs α, high frequency, small objects",
+            "alpha",
+        ),
+        "fig3n20" => (
+            "Fig. 3 (N = 20) — cost vs α, high frequency, small objects",
+            "alpha",
+        ),
+        "large" => ("Large objects (450–530 MB), α = 0.9, high frequency", "N"),
+        "lowfreq" => ("Low frequency (1/50 s), small objects, α = 0.9", "N"),
+        _ => return None,
+    })
+}
+
+/// The named campaign grids behind the `sweep` CLI subcommand, the paper
+/// ids [`paper_title`] names and the CI `artifacts` sweep row:
+///
+/// * `fig2a`/`fig2b` — Fig. 2, cost vs N at α = 0.9 / 1.7, high
+///   frequency, small objects;
+/// * `fig3`/`fig3n20` — Fig. 3, cost vs α at N = 60 (the paper's plot)
+///   and N = 20 (discussed in its text);
+/// * `large` — §5 text, large objects (450–530 MB): feasibility
+///   collapses past N ≈ 45;
+/// * `lowfreq` — §5 text, low download frequency (1/50 s) mirrors the
+///   high-frequency ranking with cheaper network cards;
+/// * `ci` — a deliberately small fixed grid with an exact reference
+///   column, cheap enough to run on every push;
+/// * `large-n` — production-scale trees, practical only since the
+///   incremental demand engine: a full six-heuristic sweep at N = 2000
+///   runs in CI smoke time.
 pub fn grid(id: &str, seeds: u64) -> Option<Campaign> {
-    let campaign = match id {
-        "fig2a" => Campaign::new(id, fig2_points(0.9), seeds),
-        "fig2b" => Campaign::new(id, fig2_points(1.7), seeds),
-        "fig3" => Campaign::new(id, fig3_points(60), seeds),
-        "fig3n20" => Campaign::new(id, fig3_points(20), seeds),
-        "large" => Campaign::new(id, large_points(), seeds),
-        "lowfreq" => Campaign::new(id, lowfreq_points(), seeds),
-        "ci" => Campaign::new(
-            id,
-            points_of(
-                [8usize, 12, 20, 60]
-                    .into_iter()
-                    .map(|n| (n.to_string(), ScenarioParams::paper(n, 0.9))),
-            ),
-            seeds,
-        )
-        .with_reference(ReferenceConfig {
+    let alpha = |a: f64| move |n| ScenarioParams::paper(n, a);
+    let over_alpha = |n: usize| {
+        points_of((5..=25).map(|a| {
+            let alpha = a as f64 / 10.0;
+            (format!("{alpha:.1}"), ScenarioParams::paper(n, alpha))
+        }))
+    };
+    let fig2_ns = || (20..=140).step_by(20);
+    let points = match id {
+        "fig2a" => over_n(fig2_ns(), alpha(0.9)),
+        "fig2b" => over_n(fig2_ns(), alpha(1.7)),
+        "fig3" => over_alpha(60),
+        "fig3n20" => over_alpha(20),
+        "large" => over_n((5..=65).step_by(10), |n| {
+            ScenarioParams::paper(n, 0.9).with_sizes(SizeRange::LARGE)
+        }),
+        "lowfreq" => over_n(fig2_ns(), |n| {
+            ScenarioParams::paper(n, 0.9).with_freq(Frequency::LOW)
+        }),
+        "ci" => over_n([8, 12, 20, 60], alpha(0.9)),
+        "large-n" => over_n([250, 500, 1000, 2000], alpha(0.9)),
+        _ => return None,
+    };
+    let campaign = Campaign::new(id, points, seeds);
+    Some(match id {
+        "ci" => campaign.with_reference(ReferenceConfig {
             max_ops: 12,
             node_budget: 200_000,
             workers: 1,
         }),
-        // Production-scale trees, practical only since the incremental
-        // demand engine: a full six-heuristic sweep at N = 2000 runs in
-        // CI smoke time.
-        "large-n" => Campaign::new(
-            id,
-            points_of(
-                [250usize, 500, 1000, 2000]
-                    .into_iter()
-                    .map(|n| (n.to_string(), ScenarioParams::paper(n, 0.9))),
-            ),
-            seeds,
-        ),
-        _ => return None,
-    };
-    Some(campaign)
+        _ => campaign,
+    })
 }
 
 /// Every grid id accepted by [`grid`].
@@ -530,39 +561,6 @@ pub fn refine_tables(report: &snsp_search::RefineCampaignReport, title: &str) ->
     vec![t]
 }
 
-fn fig2_points(alpha: f64) -> Vec<PointSpec> {
-    points_of(
-        (20..=140)
-            .step_by(20)
-            .map(|n| (n.to_string(), ScenarioParams::paper(n, alpha))),
-    )
-}
-
-fn fig3_points(n: usize) -> Vec<PointSpec> {
-    points_of((5..=25).map(|a| {
-        let alpha = a as f64 / 10.0;
-        (format!("{alpha:.1}"), ScenarioParams::paper(n, alpha))
-    }))
-}
-
-fn large_points() -> Vec<PointSpec> {
-    points_of((5..=65).step_by(10).map(|n| {
-        (
-            n.to_string(),
-            ScenarioParams::paper(n, 0.9).with_sizes(SizeRange::LARGE),
-        )
-    }))
-}
-
-fn lowfreq_points() -> Vec<PointSpec> {
-    points_of((20..=140).step_by(20).map(|n| {
-        (
-            n.to_string(),
-            ScenarioParams::paper(n, 0.9).with_freq(Frequency::LOW),
-        )
-    }))
-}
-
 /// Table 1: the purchase catalog with the paper's price/performance ratios.
 pub fn table1() -> Vec<Table> {
     let catalog = Catalog::paper();
@@ -594,44 +592,6 @@ pub fn table1() -> Vec<Table> {
     vec![cpus, nics]
 }
 
-/// Fig. 2(a)/(b): cost vs N, high frequency, small objects, fixed α.
-pub fn fig2(alpha: f64, seeds: u64) -> Vec<Table> {
-    sweep(
-        &format!("Fig. 2 (α = {alpha}) — high frequency, small objects"),
-        "N",
-        &Campaign::new("fig2", fig2_points(alpha), seeds),
-    )
-}
-
-/// Fig. 3: cost vs α at fixed N (the paper shows N = 60 and discusses
-/// N = 20).
-pub fn fig3(n: usize, seeds: u64) -> Vec<Table> {
-    sweep(
-        &format!("Fig. 3 (N = {n}) — cost vs α, high frequency, small objects"),
-        "alpha",
-        &Campaign::new("fig3", fig3_points(n), seeds),
-    )
-}
-
-/// §5 text: large objects (450–530 MB); feasibility collapses past N ≈ 45.
-pub fn large_objects(seeds: u64) -> Vec<Table> {
-    sweep(
-        "Large objects (450–530 MB), α = 0.9, high frequency",
-        "N",
-        &Campaign::new("large", large_points(), seeds),
-    )
-}
-
-/// §5 text: low download frequency (1/50 s) mirrors the high-frequency
-/// ranking with cheaper network cards.
-pub fn low_frequency(seeds: u64) -> Vec<Table> {
-    sweep(
-        "Low frequency (1/50 s), small objects, α = 0.9",
-        "N",
-        &Campaign::new("lowfreq", lowfreq_points(), seeds),
-    )
-}
-
 /// §5 text: download-rate sweep — frequencies below 1/10 s stop mattering.
 pub fn rate_sweep(seeds: u64) -> Vec<Table> {
     let freqs = [
@@ -649,10 +609,10 @@ pub fn rate_sweep(seeds: u64) -> Vec<Table> {
                 ScenarioParams::paper(n, 0.9).with_freq(Frequency(f)),
             )
         }));
-        tables.extend(sweep(
+        tables.extend(report_tables(
+            &run_campaign(&Campaign::new("rates", points, seeds)),
             &format!("Download-rate sweep, N = {n}, α = 0.9"),
             "freq (1/s)",
-            &Campaign::new("rates", points, seeds),
         ));
     }
     tables
@@ -683,10 +643,10 @@ pub fn vs_optimal(seeds: u64) -> Vec<Table> {
             node_budget: 500_000,
             workers: 1,
         });
-    sweep(
+    report_tables(
+        &run_campaign(&campaign),
         "Heuristics vs exact optimum — CONSTR-HOM (entry CPU, 1 Gbps NIC)",
         "point",
-        &campaign,
     )
 }
 
@@ -992,6 +952,9 @@ mod tests {
             assert!(!campaign.points.is_empty());
         }
         assert!(grid("nope", 2).is_none());
+        let titled = GRID_IDS.iter().filter(|id| paper_title(id).is_some());
+        let paper = ["fig2a", "fig2b", "fig3", "fig3n20", "large", "lowfreq"];
+        assert_eq!(titled.copied().collect::<Vec<_>>(), paper);
     }
 
     #[test]

@@ -105,7 +105,9 @@ use std::time::Instant;
 
 use snsp_search::run_refine_campaign;
 use snsp_serve::run_serve_campaign;
-use snsp_sweep::{diff_reports, run_campaign, ArtifactKind, DiffOptions, ReferenceConfig};
+use snsp_sweep::{
+    diff_reports, run_campaign, ArtifactKind, DiffOptions, PhaseTiming, ReferenceConfig,
+};
 use table::Table;
 
 struct Args {
@@ -174,40 +176,13 @@ fn parse_args() -> Result<Args, String> {
     }
     while let Some(flag) = args.next() {
         match flag.as_str() {
-            "--seeds" => {
-                parsed.seeds = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&s: &u64| s >= 1)
-                    .ok_or("--seeds needs a positive integer")?;
-            }
+            "--seeds" => parsed.seeds = positive(args.next(), &flag)? as u64,
             "--out" => {
                 parsed.out_dir = PathBuf::from(args.next().ok_or("--out needs a directory")?);
             }
-            "--workers" => {
-                parsed.workers = Some(
-                    args.next()
-                        .and_then(|v| v.parse().ok())
-                        .filter(|&w| w >= 1)
-                        .ok_or("--workers needs a positive integer")?,
-                );
-            }
-            "--replay-workers" => {
-                parsed.replay_workers = Some(
-                    args.next()
-                        .and_then(|v| v.parse().ok())
-                        .filter(|&w| w >= 1)
-                        .ok_or("--replay-workers needs a positive integer")?,
-                );
-            }
-            "--bb-workers" => {
-                parsed.bb_workers = Some(
-                    args.next()
-                        .and_then(|v| v.parse().ok())
-                        .filter(|&w| w >= 1)
-                        .ok_or("--bb-workers needs a positive integer")?,
-                );
-            }
+            "--workers" => parsed.workers = Some(positive(args.next(), &flag)?),
+            "--replay-workers" => parsed.replay_workers = Some(positive(args.next(), &flag)?),
+            "--bb-workers" => parsed.bb_workers = Some(positive(args.next(), &flag)?),
             "--grid" => {
                 parsed.grid = Some(args.next().ok_or("--grid needs a grid id")?);
             }
@@ -243,6 +218,14 @@ fn parse_args() -> Result<Args, String> {
         }
     }
     Ok(parsed)
+}
+
+/// The positive integer `flag` needs as its value.
+fn positive(value: Option<String>, flag: &str) -> Result<usize, String> {
+    value
+        .and_then(|v| v.parse().ok())
+        .filter(|&n| n >= 1)
+        .ok_or_else(|| format!("{flag} needs a positive integer"))
 }
 
 fn usage() -> String {
@@ -396,14 +379,13 @@ fn run_summary(path: &PathBuf) -> Result<(), String> {
 }
 
 fn run_one(id: &str, seeds: u64) -> Result<Vec<Table>, String> {
+    if let Some((title, axis)) = experiments::paper_title(id) {
+        let campaign = experiments::grid(id, seeds).expect("every paper id has a grid");
+        let report = run_campaign(&campaign);
+        return Ok(experiments::report_tables(&report, title, axis));
+    }
     Ok(match id {
         "table1" => experiments::table1(),
-        "fig2a" => experiments::fig2(0.9, seeds),
-        "fig2b" => experiments::fig2(1.7, seeds),
-        "fig3" => experiments::fig3(60, seeds),
-        "fig3n20" => experiments::fig3(20, seeds),
-        "large" => experiments::large_objects(seeds),
-        "lowfreq" => experiments::low_frequency(seeds),
         "rates" => experiments::rate_sweep(seeds),
         "vsopt" => experiments::vs_optimal(seeds.min(5)),
         "engine" => experiments::engine_validation(seeds.min(5)),
@@ -432,17 +414,74 @@ fn write_tables(id: &str, tables: &[Table], out_dir: &std::path::Path) {
     }
 }
 
+/// One campaign subcommand run, `<cmd> --grid <grid>`, timed from its
+/// start.
+struct GridRun<'a> {
+    cmd: &'a str,
+    grid: &'a str,
+    started: Instant,
+}
+
+impl<'a> GridRun<'a> {
+    fn start(args: &'a Args, cmd: &'a str) -> Result<Self, String> {
+        let grid = args
+            .grid
+            .as_deref()
+            .ok_or_else(|| format!("{cmd} needs --grid <id>\n{}", usage()))?;
+        Ok(GridRun {
+            cmd,
+            grid,
+            started: Instant::now(),
+        })
+    }
+
+    /// The campaign built for this grid, or an error listing `ids`.
+    fn campaign<C>(&self, built: Option<C>, ids: &[&str]) -> Result<C, String> {
+        built.ok_or_else(|| {
+            let (cmd, grid) = (self.cmd, self.grid);
+            format!("unknown {cmd} grid {grid}; available: {}", ids.join(" "))
+        })
+    }
+
+    /// The output tail every campaign subcommand shares: prints the
+    /// tables and writes them to `<out>/<cmd>_<grid>*.csv`, validates and
+    /// writes the artifact (`--json`, default `<out>/BENCH_<kind>.json`)
+    /// and the telemetry, and prints one timing line.
+    fn finish(
+        &self,
+        args: &Args,
+        tables: &[Table],
+        kind: ArtifactKind,
+        body: &str,
+        telem: Option<snsp_telemetry::Snapshot>,
+        timing: Option<PhaseTiming>,
+    ) -> Result<(), String> {
+        let (cmd, grid) = (self.cmd, self.grid);
+        write_tables(&format!("{cmd}_{grid}"), tables, &args.out_dir);
+        let default_name = format!("BENCH_{}.json", kind.name());
+        let json_path = args
+            .json
+            .clone()
+            .unwrap_or_else(|| args.out_dir.join(default_name));
+        write_artifact(kind, body, &json_path)?;
+        println!("[json] {}", json_path.display());
+        write_telemetry(args, telem, &format!("{cmd} {grid}"))?;
+        let phases = timing.map_or(String::new(), |t| {
+            format!(
+                "{} jobs on {} workers: flatten {:.3}s, run {:.3}s, aggregate {:.3}s, ",
+                t.jobs, t.workers, t.flatten_s, t.run_s, t.aggregate_s
+            )
+        });
+        let total = self.started.elapsed().as_secs_f64();
+        println!("[{cmd} {grid}] {phases}total {total:.3}s");
+        Ok(())
+    }
+}
+
 fn run_sweep(args: &Args) -> Result<(), String> {
-    let grid_id = args
-        .grid
-        .as_deref()
-        .ok_or_else(|| format!("sweep needs --grid <id>\n{}", usage()))?;
-    let mut campaign = experiments::grid(grid_id, args.seeds).ok_or_else(|| {
-        format!(
-            "unknown grid {grid_id}; available: {}",
-            experiments::GRID_IDS.join(" ")
-        )
-    })?;
+    let run = GridRun::start(args, "sweep")?;
+    let built = experiments::grid(run.grid, args.seeds);
+    let mut campaign = run.campaign(built, experiments::GRID_IDS)?;
     if let Some(w) = args.workers {
         campaign = campaign.with_workers(w);
     }
@@ -454,25 +493,17 @@ fn run_sweep(args: &Args) -> Result<(), String> {
     }
 
     let (report, telem) = run_captured(args.telemetry, || run_campaign(&campaign));
-    let tables = experiments::report_tables(&report, &format!("campaign {grid_id}"), "point");
-    write_tables(&format!("sweep_{grid_id}"), &tables, &args.out_dir);
-
-    let json_path = args
-        .json
-        .clone()
-        .unwrap_or_else(|| args.out_dir.join("BENCH_sweep.json"));
+    let title = format!("campaign {}", run.grid);
+    let tables = experiments::report_tables(&report, &title, "point");
     let body = report.render_json(!args.stable_json);
-    write_artifact(ArtifactKind::Sweep, &body, &json_path)?;
-    println!("[json] {}", json_path.display());
-    write_telemetry(args, telem, &format!("sweep {grid_id}"))?;
-    if let Some(t) = &report.timing {
-        println!(
-            "[sweep {grid_id}] {} jobs on {} workers: flatten {:.3}s, run {:.3}s, \
-             aggregate {:.3}s, total {:.3}s",
-            t.jobs, t.workers, t.flatten_s, t.run_s, t.aggregate_s, t.total_s
-        );
-    }
-    Ok(())
+    run.finish(
+        args,
+        &tables,
+        ArtifactKind::Sweep,
+        &body,
+        telem,
+        report.timing,
+    )
 }
 
 /// The `serve` and `chaos` subcommands: one campaign type and one
@@ -480,20 +511,14 @@ fn run_sweep(args: &Args) -> Result<(), String> {
 /// the flight recorder next to the trace, and writes the v6 artifact;
 /// `serve` writes the v3 one.
 fn run_serve(args: &Args, chaos: bool) -> Result<(), String> {
-    let cmd = if chaos { "chaos" } else { "serve" };
-    let grid_id = args
-        .grid
-        .as_deref()
-        .ok_or_else(|| format!("{cmd} needs --grid <id>\n{}", usage()))?;
-    let (grid, ids) = if chaos {
-        let grid = experiments::chaos_grid(grid_id, args.seeds);
-        (grid, experiments::CHAOS_GRID_IDS)
+    let run = GridRun::start(args, if chaos { "chaos" } else { "serve" })?;
+    let mut campaign = if chaos {
+        let built = experiments::chaos_grid(run.grid, args.seeds);
+        run.campaign(built, experiments::CHAOS_GRID_IDS)?
     } else {
-        let grid = experiments::serve_grid(grid_id, args.seeds);
-        (grid, experiments::SERVE_GRID_IDS)
+        let built = experiments::serve_grid(run.grid, args.seeds);
+        run.campaign(built, experiments::SERVE_GRID_IDS)?
     };
-    let mut campaign =
-        grid.ok_or_else(|| format!("unknown {cmd} grid {grid_id}; available: {}", ids.join(" ")))?;
     if let Some(w) = args.workers {
         campaign = campaign.with_workers(w);
     }
@@ -515,50 +540,25 @@ fn run_serve(args: &Args, chaos: bool) -> Result<(), String> {
     }
     trace_begin(args);
     let (report, telem) = run_captured(args.telemetry, || run_serve_campaign(&campaign));
-    write_trace(args, &format!("{cmd} {grid_id}"))?;
+    write_trace(args, &format!("{} {}", run.cmd, run.grid))?;
     snsp_telemetry::trace::set_flight_path(None);
-    let title = format!("{cmd} campaign {grid_id}");
-    let tables = if chaos {
-        experiments::chaos_tables(&report, &title)
-    } else {
-        experiments::serve_tables(&report, &title)
-    };
-    write_tables(&format!("{cmd}_{grid_id}"), &tables, &args.out_dir);
-
-    let (kind, default_name, body) = if chaos {
+    let title = format!("{} campaign {}", run.cmd, run.grid);
+    let (tables, kind, body) = if chaos {
         let body = report.render_chaos_json(!args.stable_json);
-        (ArtifactKind::Chaos, "BENCH_chaos.json", body)
+        let tables = experiments::chaos_tables(&report, &title);
+        (tables, ArtifactKind::Chaos, body)
     } else {
         let body = report.render_json(!args.stable_json);
-        (ArtifactKind::Serve, "BENCH_serve.json", body)
+        let tables = experiments::serve_tables(&report, &title);
+        (tables, ArtifactKind::Serve, body)
     };
-    let json_path = args
-        .json
-        .clone()
-        .unwrap_or_else(|| args.out_dir.join(default_name));
-    write_artifact(kind, &body, &json_path)?;
-    println!("[json] {}", json_path.display());
-    write_telemetry(args, telem, &format!("{cmd} {grid_id}"))?;
-    if let Some(t) = &report.timing {
-        println!(
-            "[{cmd} {grid_id}] {} traces on {} workers: run {:.3}s, total {:.3}s",
-            t.jobs, t.workers, t.run_s, t.total_s
-        );
-    }
-    Ok(())
+    run.finish(args, &tables, kind, &body, telem, report.timing)
 }
 
 fn run_refine(args: &Args) -> Result<(), String> {
-    let grid_id = args
-        .grid
-        .as_deref()
-        .ok_or_else(|| format!("refine needs --grid <id>\n{}", usage()))?;
-    let mut campaign = snsp_search::refine_grid(grid_id, args.seeds).ok_or_else(|| {
-        format!(
-            "unknown refine grid {grid_id}; available: {}",
-            snsp_search::REFINE_GRID_IDS.join(" ")
-        )
-    })?;
+    let run = GridRun::start(args, "refine")?;
+    let built = snsp_search::refine_grid(run.grid, args.seeds);
+    let mut campaign = run.campaign(built, snsp_search::REFINE_GRID_IDS)?;
     if let Some(w) = args.workers {
         campaign = campaign.with_workers(w);
     }
@@ -567,24 +567,17 @@ fn run_refine(args: &Args) -> Result<(), String> {
     }
 
     let (report, telem) = run_captured(args.telemetry, || run_refine_campaign(&campaign));
-    let tables = experiments::refine_tables(&report, &format!("refine campaign {grid_id}"));
-    write_tables(&format!("refine_{grid_id}"), &tables, &args.out_dir);
-
-    let json_path = args
-        .json
-        .clone()
-        .unwrap_or_else(|| args.out_dir.join("BENCH_refine.json"));
+    let title = format!("refine campaign {}", run.grid);
+    let tables = experiments::refine_tables(&report, &title);
     let body = report.render_json(!args.stable_json);
-    write_artifact(ArtifactKind::Refine, &body, &json_path)?;
-    println!("[json] {}", json_path.display());
-    write_telemetry(args, telem, &format!("refine {grid_id}"))?;
-    if let Some(t) = &report.timing {
-        println!(
-            "[refine {grid_id}] {} jobs on {} workers: run {:.3}s, total {:.3}s",
-            t.jobs, t.workers, t.run_s, t.total_s
-        );
-    }
-    Ok(())
+    run.finish(
+        args,
+        &tables,
+        ArtifactKind::Refine,
+        &body,
+        telem,
+        report.timing,
+    )
 }
 
 fn run_validate(path: &PathBuf) -> Result<(), String> {
@@ -609,34 +602,11 @@ fn run_validate(path: &PathBuf) -> Result<(), String> {
 }
 
 fn run_perf(args: &Args) -> Result<(), String> {
-    let grid_id = args
-        .grid
-        .as_deref()
-        .ok_or_else(|| format!("perf needs --grid <id>\n{}", usage()))?;
-    let campaign = perf::perf_grid(grid_id, args.seeds).ok_or_else(|| {
-        format!(
-            "unknown perf grid {grid_id}; available: {}",
-            perf::PERF_GRID_IDS.join(" ")
-        )
-    })?;
-
-    let started = Instant::now();
+    let run = GridRun::start(args, "perf")?;
+    let campaign = run.campaign(perf::perf_grid(run.grid, args.seeds), perf::PERF_GRID_IDS)?;
     let (report, telem) = run_captured(args.telemetry, || perf::run_perf(&campaign));
-    let tables = report.tables();
-    write_tables(&format!("perf_{grid_id}"), &tables, &args.out_dir);
-
-    let json_path = args
-        .json
-        .clone()
-        .unwrap_or_else(|| args.out_dir.join("BENCH_perf.json"));
-    write_artifact(ArtifactKind::Perf, &report.render_json(), &json_path)?;
-    println!("[json] {}", json_path.display());
-    write_telemetry(args, telem, &format!("perf {grid_id}"))?;
-    println!(
-        "[perf {grid_id}] measured in {:.1}s",
-        started.elapsed().as_secs_f64()
-    );
-    Ok(())
+    let (tables, body) = (report.tables(), report.render_json());
+    run.finish(args, &tables, ArtifactKind::Perf, &body, telem, None)
 }
 
 fn main() {
@@ -674,29 +644,15 @@ fn main() {
         }
         return;
     }
-    if args.experiment == "sweep" {
-        if let Err(e) = run_sweep(&args) {
-            eprintln!("{e}");
-            std::process::exit(2);
-        }
-        return;
-    }
-    if matches!(args.experiment.as_str(), "serve" | "chaos") {
-        if let Err(e) = run_serve(&args, args.experiment == "chaos") {
-            eprintln!("{e}");
-            std::process::exit(2);
-        }
-        return;
-    }
-    if args.experiment == "perf" {
-        if let Err(e) = run_perf(&args) {
-            eprintln!("{e}");
-            std::process::exit(2);
-        }
-        return;
-    }
-    if args.experiment == "refine" {
-        if let Err(e) = run_refine(&args) {
+    let campaign = match args.experiment.as_str() {
+        "sweep" => Some(run_sweep(&args)),
+        "serve" | "chaos" => Some(run_serve(&args, args.experiment == "chaos")),
+        "perf" => Some(run_perf(&args)),
+        "refine" => Some(run_refine(&args)),
+        _ => None,
+    };
+    if let Some(outcome) = campaign {
+        if let Err(e) = outcome {
             eprintln!("{e}");
             std::process::exit(2);
         }

@@ -38,6 +38,7 @@ use snsp_sweep::{ArtifactKind, Json};
 use crate::table::Table;
 
 /// One heuristic-timing grid point.
+#[derive(Clone)]
 pub struct PerfPoint {
     /// Row label.
     pub label: String,
@@ -46,6 +47,7 @@ pub struct PerfPoint {
 }
 
 /// One branch-and-bound timing point.
+#[derive(Clone)]
 pub struct BbPoint {
     /// Row label.
     pub label: String,
@@ -288,30 +290,13 @@ pub fn run_perf(campaign: &PerfCampaign) -> PerfReport {
     PerfReport {
         campaign: campaign.id,
         seeds: campaign.seeds,
-        points: campaign.points.iter().map(clone_point).collect(),
-        bb_points: campaign.bb_points.iter().map(clone_bb_point).collect(),
+        points: campaign.points.clone(),
+        bb_points: campaign.bb_points.clone(),
         probe_n_ops: campaign.probe_n_ops,
         heuristics,
         bb,
         probe,
         peak_rss_kb: (rss > 0).then_some(rss),
-    }
-}
-
-fn clone_point(p: &PerfPoint) -> PerfPoint {
-    PerfPoint {
-        label: p.label.clone(),
-        params: p.params,
-    }
-}
-
-fn clone_bb_point(p: &BbPoint) -> BbPoint {
-    BbPoint {
-        label: p.label.clone(),
-        n_ops: p.n_ops,
-        alpha: p.alpha,
-        homogeneous: p.homogeneous,
-        node_budget: p.node_budget,
     }
 }
 
@@ -354,94 +339,58 @@ fn run_probe(n: usize) -> ProbeResult {
 impl PerfReport {
     /// Serializes schema v4 (layout is fixed; values are measurements).
     pub fn to_json(&self) -> Json {
-        let mut pairs = ArtifactKind::Perf.header();
-        pairs.extend([
-            ("campaign", Json::Str(format!("perf-{}", self.campaign))),
+        let points = self.points.iter().map(|p| {
+            Json::obj(vec![
+                ("label", Json::Str(p.label.clone())),
+                ("n_ops", Json::Int(p.params.n_ops as i64)),
+                ("alpha", Json::Num(p.params.alpha)),
+            ])
+        });
+        let bb_points = self.bb_points.iter().map(|p| {
+            Json::obj(vec![
+                ("label", Json::Str(p.label.clone())),
+                ("n_ops", Json::Int(p.n_ops as i64)),
+                ("alpha", Json::Num(p.alpha)),
+                ("homogeneous", Json::Bool(p.homogeneous)),
+                ("node_budget", Json::Int(p.node_budget as i64)),
+            ])
+        });
+        let config = vec![
+            ("points", Json::Arr(points.collect())),
+            ("bb_points", Json::Arr(bb_points.collect())),
+            ("probe_n_ops", Json::Int(self.probe_n_ops as i64)),
+        ];
+        let heuristics = self.points.iter().zip(&self.heuristics).map(|(p, rows)| {
+            Json::obj(vec![
+                ("label", Json::Str(p.label.clone())),
+                ("rows", Json::Arr(rows.iter().map(heur_row_json).collect())),
+            ])
+        });
+        let probe = &self.probe;
+        let results = Json::obj(vec![
+            ("heuristics", Json::Arr(heuristics.collect())),
+            ("bb", Json::Arr(self.bb.iter().map(bb_row_json).collect())),
             (
-                "config",
+                "demand_probe",
                 Json::obj(vec![
-                    ("seeds", Json::Int(self.seeds as i64)),
+                    ("probes", Json::Int(probe.probes as i64)),
+                    ("incremental_ms", Json::Num(probe.incremental_ms)),
+                    ("oracle_ms", Json::Num(probe.oracle_ms)),
                     (
-                        "points",
-                        Json::Arr(
-                            self.points
-                                .iter()
-                                .map(|p| {
-                                    Json::obj(vec![
-                                        ("label", Json::Str(p.label.clone())),
-                                        ("n_ops", Json::Int(p.params.n_ops as i64)),
-                                        ("alpha", Json::Num(p.params.alpha)),
-                                    ])
-                                })
-                                .collect(),
-                        ),
+                        "speedup",
+                        Json::Num(speedup(probe.oracle_ms, probe.incremental_ms)),
                     ),
-                    (
-                        "bb_points",
-                        Json::Arr(
-                            self.bb_points
-                                .iter()
-                                .map(|p| {
-                                    Json::obj(vec![
-                                        ("label", Json::Str(p.label.clone())),
-                                        ("n_ops", Json::Int(p.n_ops as i64)),
-                                        ("alpha", Json::Num(p.alpha)),
-                                        ("homogeneous", Json::Bool(p.homogeneous)),
-                                        ("node_budget", Json::Int(p.node_budget as i64)),
-                                    ])
-                                })
-                                .collect(),
-                        ),
-                    ),
-                    ("probe_n_ops", Json::Int(self.probe_n_ops as i64)),
+                    ("accepted_match", Json::Bool(probe.accepted_match)),
                 ]),
             ),
             (
-                "results",
-                Json::obj(vec![
-                    (
-                        "heuristics",
-                        Json::Arr(
-                            self.points
-                                .iter()
-                                .zip(&self.heuristics)
-                                .map(|(p, rows)| {
-                                    Json::obj(vec![
-                                        ("label", Json::Str(p.label.clone())),
-                                        (
-                                            "rows",
-                                            Json::Arr(rows.iter().map(heur_row_json).collect()),
-                                        ),
-                                    ])
-                                })
-                                .collect(),
-                        ),
-                    ),
-                    ("bb", Json::Arr(self.bb.iter().map(bb_row_json).collect())),
-                    (
-                        "demand_probe",
-                        Json::obj(vec![
-                            ("probes", Json::Int(self.probe.probes as i64)),
-                            ("incremental_ms", Json::Num(self.probe.incremental_ms)),
-                            ("oracle_ms", Json::Num(self.probe.oracle_ms)),
-                            (
-                                "speedup",
-                                Json::Num(speedup(self.probe.oracle_ms, self.probe.incremental_ms)),
-                            ),
-                            ("accepted_match", Json::Bool(self.probe.accepted_match)),
-                        ]),
-                    ),
-                    (
-                        "peak_rss_kb",
-                        match self.peak_rss_kb {
-                            Some(kb) => Json::Int(kb as i64),
-                            None => Json::Null,
-                        },
-                    ),
-                ]),
+                "peak_rss_kb",
+                self.peak_rss_kb
+                    .map_or(Json::Null, |kb| Json::Int(kb as i64)),
             ),
         ]);
-        Json::obj(pairs)
+        let campaign = format!("perf-{}", self.campaign);
+        ArtifactKind::Perf.document(&campaign, self.seeds, config, results, None)
     }
 
     /// [`to_json`](Self::to_json) rendered to pretty-printed text.

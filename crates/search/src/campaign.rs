@@ -1,5 +1,5 @@
-//! Refinement campaigns: heuristic-vs-refined-vs-exact grids on the
-//! sweep pool.
+//! Refinement campaigns: heuristic-vs-refined-vs-exact grids on
+//! [`snsp_sweep::run_grid`].
 //!
 //! A [`RefineCampaign`] crosses scenario points with seeds; every job is
 //! a pure function of its grid coordinates (generate → constructive
@@ -18,14 +18,12 @@
 //! satisfies `refined ≤ start` by construction, and the schema rejects
 //! any report where it does not.
 
-use std::time::Instant;
-
 use snsp_core::heuristics::PipelineOptions;
 use snsp_core::platform::Catalog;
 use snsp_core::refine::RefineOptions;
 use snsp_gen::{generate, ScenarioParams, TreeShape};
-use snsp_solver::{lower_bound, solve_exact, BranchBoundConfig};
-use snsp_sweep::{run_jobs, ArtifactKind, Json, PhaseTiming};
+use snsp_solver::{lower_bound, solve_exact};
+use snsp_sweep::{run_grid, ArtifactKind, Json, PhaseTiming, ReferenceConfig};
 
 use crate::drivers::refine_portfolio;
 
@@ -42,31 +40,6 @@ pub struct RefinePoint {
     pub homogeneous: bool,
 }
 
-/// Exact-reference policy for a refinement campaign.
-#[derive(Debug, Clone, Copy)]
-pub struct RefineReference {
-    /// Run the branch-and-bound only on points with at most this many
-    /// operators.
-    pub max_ops: usize,
-    /// Node budget per exact solve.
-    pub node_budget: u64,
-    /// Branch-and-bound worker threads per exact solve (`<= 1` =
-    /// serial). Execution knob only: the certified optimum — and hence
-    /// the stable report — is identical at any value, so it is not
-    /// echoed in the JSON.
-    pub workers: usize,
-}
-
-impl Default for RefineReference {
-    fn default() -> Self {
-        RefineReference {
-            max_ops: 60,
-            node_budget: 600_000,
-            workers: 1,
-        }
-    }
-}
-
 /// A grid of refinement scenarios.
 pub struct RefineCampaign {
     /// Campaign identifier.
@@ -80,7 +53,7 @@ pub struct RefineCampaign {
     /// How many of the cheapest constructive starts each job refines.
     pub top_k: usize,
     /// Exact reference on small points, if any.
-    pub reference: Option<RefineReference>,
+    pub reference: Option<ReferenceConfig>,
     /// Worker threads; `None` uses available parallelism.
     pub workers: Option<usize>,
 }
@@ -106,7 +79,7 @@ impl RefineCampaign {
     }
 
     /// Adds the exact reference column.
-    pub fn with_reference(mut self, reference: RefineReference) -> Self {
+    pub fn with_reference(mut self, reference: ReferenceConfig) -> Self {
         self.reference = Some(reference);
         self
     }
@@ -115,14 +88,6 @@ impl RefineCampaign {
     pub fn with_workers(mut self, workers: usize) -> Self {
         self.workers = Some(workers.max(1));
         self
-    }
-
-    fn resolved_workers(&self) -> usize {
-        self.workers.unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(4)
-        })
     }
 }
 
@@ -306,55 +271,29 @@ impl RefineCampaignReport {
     /// Serializes schema v4. With `include_timing = false` the output is
     /// the *stable* form: byte-identical at every worker count.
     pub fn to_json(&self, include_timing: bool) -> Json {
-        let mut pairs = ArtifactKind::Refine.header();
-        pairs.extend([
-            ("campaign", Json::Str(self.campaign.clone())),
-            (
-                "config",
-                Json::obj(vec![
-                    ("seeds", Json::Int(self.seeds as i64)),
-                    ("driver", Json::Str(self.refine.driver.name().to_string())),
-                    ("max_evals", Json::Int(self.refine.max_evals as i64)),
-                    ("top_k", Json::Int(self.top_k as i64)),
-                    (
-                        "points",
-                        Json::Arr(
-                            self.config_points
-                                .iter()
-                                .map(|p| {
-                                    Json::obj(vec![
-                                        ("label", Json::Str(p.label.clone())),
-                                        ("n_ops", Json::Int(p.params.n_ops as i64)),
-                                        ("alpha", Json::Num(p.params.alpha)),
-                                        ("homogeneous", Json::Bool(p.homogeneous)),
-                                    ])
-                                })
-                                .collect(),
-                        ),
-                    ),
-                ]),
-            ),
-            (
-                "results",
-                Json::Arr(self.points.iter().map(|p| p.to_json()).collect()),
-            ),
-        ]);
-        if include_timing {
-            if let Some(t) = &self.timing {
-                pairs.push((
-                    "timing",
-                    Json::obj(vec![
-                        ("workers", Json::Int(t.workers as i64)),
-                        ("jobs", Json::Int(t.jobs as i64)),
-                        ("flatten_s", Json::Num(t.flatten_s)),
-                        ("run_s", Json::Num(t.run_s)),
-                        ("aggregate_s", Json::Num(t.aggregate_s)),
-                        ("total_s", Json::Num(t.total_s)),
-                    ]),
-                ));
-            }
-        }
-        Json::obj(pairs)
+        let points = self.config_points.iter().map(|p| {
+            Json::obj(vec![
+                ("label", Json::Str(p.label.clone())),
+                ("n_ops", Json::Int(p.params.n_ops as i64)),
+                ("alpha", Json::Num(p.params.alpha)),
+                ("homogeneous", Json::Bool(p.homogeneous)),
+            ])
+        });
+        let config = vec![
+            ("driver", Json::Str(self.refine.driver.name().to_string())),
+            ("max_evals", Json::Int(self.refine.max_evals as i64)),
+            ("top_k", Json::Int(self.top_k as i64)),
+            ("points", Json::Arr(points.collect())),
+        ];
+        let results = Json::Arr(self.points.iter().map(|p| p.to_json()).collect());
+        let timing = self.timing.filter(|_| include_timing);
+        ArtifactKind::Refine.document(
+            &self.campaign,
+            self.seeds,
+            config,
+            results,
+            timing.map(|t| t.to_json(None)),
+        )
     }
 
     /// [`to_json`](Self::to_json) rendered to pretty-printed text.
@@ -401,17 +340,12 @@ fn run_job(campaign: &RefineCampaign, point: &RefinePoint, seed: u64) -> JobResu
     };
     let exact = campaign
         .reference
-        .filter(|r| point.params.n_ops <= r.max_ops)
+        .filter(|r| r.covers(point.params.n_ops))
         .and_then(|r| {
             // The B&B prunes strictly below its incumbent, so seed one
             // dollar above the refined cost: the optimum stays reachable
             // even when the refinement already found it.
-            let config = BranchBoundConfig {
-                node_budget: r.node_budget,
-                upper_bound: refined_cost.map(|c| c + 1),
-                workers: r.workers,
-            };
-            let res = solve_exact(&inst, &config);
+            let res = solve_exact(&inst, &r.branch_bound(refined_cost.map(|c| c + 1)));
             res.mapping.as_ref().map(|_| ExactRun {
                 cost: res.cost,
                 optimal: res.optimal,
@@ -429,42 +363,21 @@ fn run_job(campaign: &RefineCampaign, point: &RefinePoint, seed: u64) -> JobResu
     }
 }
 
-/// Runs the campaign: `points × seeds` jobs on the sweep pool,
-/// aggregated in grid order.
+/// Runs the campaign: `points × seeds` jobs on the sweep's grid
+/// driver, aggregated in grid order.
 pub fn run_refine_campaign(campaign: &RefineCampaign) -> RefineCampaignReport {
-    let t0 = Instant::now();
-    let n_points = campaign.points.len();
-    let n_seeds = campaign.seeds as usize;
-    let total_jobs = n_points * n_seeds;
-    let workers = campaign.resolved_workers();
-    let flatten_s = t0.elapsed().as_secs_f64();
-
-    let t_run = Instant::now();
-    let runs: Vec<JobResult> = run_jobs(total_jobs, workers, |job| {
-        let point = &campaign.points[job / n_seeds];
-        let seed = (job % n_seeds) as u64;
-        run_job(campaign, point, seed)
-    });
-    let run_s = t_run.elapsed().as_secs_f64();
-
-    let t_agg = Instant::now();
-    let points: Vec<RefinePointReport> = campaign
-        .points
-        .iter()
-        .enumerate()
-        .map(|(p, point)| {
+    let (points, timing) = run_grid(
+        &campaign.points,
+        |_| campaign.seeds as usize,
+        campaign.workers,
+        |point, seed| run_job(campaign, point, seed as u64),
+        |point, runs| {
             let with_exact = campaign
                 .reference
-                .is_some_and(|r| point.params.n_ops <= r.max_ops);
-            RefinePointReport::from_runs(
-                &point.label,
-                &runs[p * n_seeds..(p + 1) * n_seeds],
-                with_exact,
-            )
-        })
-        .collect();
-    let aggregate_s = t_agg.elapsed().as_secs_f64();
-
+                .is_some_and(|r| r.covers(point.params.n_ops));
+            RefinePointReport::from_runs(&point.label, runs, with_exact)
+        },
+    );
     RefineCampaignReport {
         campaign: campaign.id.clone(),
         seeds: campaign.seeds,
@@ -472,14 +385,7 @@ pub fn run_refine_campaign(campaign: &RefineCampaign) -> RefineCampaignReport {
         top_k: campaign.top_k,
         config_points: campaign.points.clone(),
         points,
-        timing: Some(PhaseTiming {
-            workers,
-            jobs: total_jobs,
-            flatten_s,
-            run_s,
-            aggregate_s,
-            total_s: t0.elapsed().as_secs_f64(),
-        }),
+        timing: Some(timing),
     }
 }
 
@@ -520,7 +426,11 @@ pub fn refine_grid(id: &str, seeds: u64) -> Option<RefineCampaign> {
             seeds,
         )
         .with_refine(anneal)
-        .with_reference(RefineReference::default()),
+        .with_reference(ReferenceConfig {
+            max_ops: 60,
+            node_budget: 600_000,
+            workers: 1,
+        }),
         "fig2" => RefineCampaign::new(
             id,
             (20..=140).step_by(20).map(|n| het(n, 0.9)).collect(),

@@ -58,7 +58,7 @@ pub mod state;
 
 pub use campaign::{
     refine_grid, run_refine_campaign, ExactColumn, RefineCampaign, RefineCampaignReport,
-    RefinePoint, RefinePointReport, RefineReference, REFINE_GRID_IDS,
+    RefinePoint, RefinePointReport, REFINE_GRID_IDS,
 };
 pub use drivers::{refine, refine_portfolio, solve_refined_seeded, Budget, RefineOutcome};
 pub use moves::{Move, Target};

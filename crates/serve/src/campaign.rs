@@ -1,7 +1,8 @@
-//! Trace campaigns: whole grids of serving scenarios on the sweep pool.
+//! Trace campaigns: whole grids of serving scenarios on
+//! [`snsp_sweep::run_grid`].
 //!
 //! A [`ServeCampaign`] crosses scenario points with seeds and drains the
-//! resulting replays through `snsp-sweep`'s work-stealing pool. Every
+//! resulting replays through `snsp-sweep`'s grid driver. Every
 //! point carries a [`FaultSpec`] — all off by default, so a plain point
 //! is a plain replay — and every job is a pure function of its grid
 //! coordinates (`generate_trace(point.params, seed)`, that seed's fault
@@ -23,10 +24,8 @@
 //!   event logs and final fingerprints must agree for
 //!   `crash_fingerprint_match` to hold.
 
-use std::time::Instant;
-
 use snsp_gen::{generate_trace, TraceParams};
-use snsp_sweep::{run_jobs, ArtifactKind, Json, PhaseTiming, PIPELINE_SEED_STRIDE};
+use snsp_sweep::{run_grid, ArtifactKind, Json, PhaseTiming, PIPELINE_SEED_STRIDE};
 
 use crate::fault::{ChaosStats, FaultPlan, FaultSpec};
 use crate::report::{fnv1a, percentile, TraceReport, FNV_OFFSET};
@@ -95,12 +94,6 @@ impl ServeCampaign {
         }
     }
 
-    /// Overrides the serving policy.
-    pub fn with_config(mut self, config: ServeConfig) -> Self {
-        self.config = config;
-        self
-    }
-
     /// Pins the worker count (clamped to at least 1, as in `Campaign`).
     pub fn with_workers(mut self, workers: usize) -> Self {
         self.workers = Some(workers.max(1));
@@ -115,14 +108,6 @@ impl ServeCampaign {
         self.shards = shards.max(1);
         self.replay_workers = replay_workers.max(1);
         self
-    }
-
-    fn resolved_workers(&self) -> usize {
-        self.workers.unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(4)
-        })
     }
 }
 
@@ -378,37 +363,21 @@ impl ServeCampaignReport {
         };
         let points = self.config_points.iter();
         let points = points.map(|p| point_config_json(p, chaos)).collect();
+        let config = vec![
+            ("slo_frac", Json::Num(self.slo_frac)),
+            ("shards", Json::Int(self.shards as i64)),
+            ("points", Json::Arr(points)),
+        ];
         let results = self.points.iter();
         let results = results.map(|p| p.to_json(chaos, include_timing)).collect();
-        let mut pairs = kind.header();
-        pairs.extend([
-            ("campaign", Json::Str(self.campaign.clone())),
-            (
-                "config",
-                Json::obj(vec![
-                    ("seeds", Json::Int(self.seeds as i64)),
-                    ("slo_frac", Json::Num(self.slo_frac)),
-                    ("shards", Json::Int(self.shards as i64)),
-                    ("points", Json::Arr(points)),
-                ]),
-            ),
-            ("results", Json::Arr(results)),
-        ]);
-        if let (true, Some(t)) = (include_timing, &self.timing) {
-            pairs.push((
-                "timing",
-                Json::obj(vec![
-                    ("workers", Json::Int(t.workers as i64)),
-                    ("replay_workers", Json::Int(self.replay_workers as i64)),
-                    ("jobs", Json::Int(t.jobs as i64)),
-                    ("flatten_s", Json::Num(t.flatten_s)),
-                    ("run_s", Json::Num(t.run_s)),
-                    ("aggregate_s", Json::Num(t.aggregate_s)),
-                    ("total_s", Json::Num(t.total_s)),
-                ]),
-            ));
-        }
-        Json::obj(pairs)
+        let timing = self.timing.filter(|_| include_timing);
+        kind.document(
+            &self.campaign,
+            self.seeds,
+            config,
+            Json::Arr(results),
+            timing.map(|t| t.to_json(Some(self.replay_workers))),
+        )
     }
 }
 
@@ -491,57 +460,42 @@ fn fault_config_json(f: &FaultSpec) -> Json {
     ])
 }
 
-/// Runs the campaign: `points × seeds` replays on the sweep pool,
-/// aggregated in grid order. Each seed instantiates its own fault plan
-/// from the point's spec; a plan that schedules crashes also replays its
-/// crash-free twin for the `crash_fingerprint_match` verdict.
+/// Runs the campaign: `points × seeds` replays on the sweep's grid
+/// driver, aggregated in grid order. Each seed instantiates its own
+/// fault plan from the point's spec; a plan that schedules crashes also
+/// replays its crash-free twin for the `crash_fingerprint_match` verdict.
 pub fn run_serve_campaign(campaign: &ServeCampaign) -> ServeCampaignReport {
-    let t0 = Instant::now();
-    let n_points = campaign.points.len();
-    let n_seeds = campaign.seeds as usize;
-    let total_jobs = n_points * n_seeds;
-    let workers = campaign.resolved_workers();
-    let flatten_s = t0.elapsed().as_secs_f64();
-
-    let t_run = Instant::now();
     let shard_opts = ShardOptions {
         shards: campaign.shards.max(1),
         workers: campaign.replay_workers.max(1),
     };
-    let runs: Vec<Run> = run_jobs(total_jobs, workers, |job| {
-        let point = &campaign.points[job / n_seeds];
-        let seed = (job % n_seeds) as u64;
-        let trace = generate_trace(&point.params, seed);
-        // Each trace seed draws its own fault streams, same stride rule
-        // as per-tenant admission seeds.
-        let mut fault = point.fault;
-        fault.seed ^= (seed + 1).wrapping_mul(PIPELINE_SEED_STRIDE);
-        let plan = FaultPlan::instantiate(&fault, point.params.horizon);
-        let (base, stats, state) = replay(&trace, &campaign.config, &shard_opts, &plan);
-        let crash_match = (plan.crash_count() > 0).then(|| {
-            let twin = plan.without_crashes();
-            let (twin_base, _, twin_state) = replay(&trace, &campaign.config, &shard_opts, &twin);
-            base.log == twin_base.log && state.fingerprint() == twin_state.fingerprint()
-        });
-        Run {
-            base,
-            stats,
-            crash_match,
-        }
-    });
-    let run_s = t_run.elapsed().as_secs_f64();
-
-    let t_agg = Instant::now();
-    let points: Vec<ServePointReport> = campaign
-        .points
-        .iter()
-        .enumerate()
-        .map(|(p, point)| {
-            ServePointReport::from_runs(&point.label, &runs[p * n_seeds..(p + 1) * n_seeds])
-        })
-        .collect();
-    let aggregate_s = t_agg.elapsed().as_secs_f64();
-
+    let (points, timing) = run_grid(
+        &campaign.points,
+        |_| campaign.seeds as usize,
+        campaign.workers,
+        |point, seed| {
+            let seed = seed as u64;
+            let trace = generate_trace(&point.params, seed);
+            // Each trace seed draws its own fault streams, same stride rule
+            // as per-tenant admission seeds.
+            let mut fault = point.fault;
+            fault.seed ^= (seed + 1).wrapping_mul(PIPELINE_SEED_STRIDE);
+            let plan = FaultPlan::instantiate(&fault, point.params.horizon);
+            let (base, stats, state) = replay(&trace, &campaign.config, &shard_opts, &plan);
+            let crash_match = (plan.crash_count() > 0).then(|| {
+                let twin = plan.without_crashes();
+                let (twin_base, _, twin_state) =
+                    replay(&trace, &campaign.config, &shard_opts, &twin);
+                base.log == twin_base.log && state.fingerprint() == twin_state.fingerprint()
+            });
+            Run {
+                base,
+                stats,
+                crash_match,
+            }
+        },
+        |point, runs| ServePointReport::from_runs(&point.label, runs),
+    );
     ServeCampaignReport {
         campaign: campaign.id.clone(),
         seeds: campaign.seeds,
@@ -550,14 +504,7 @@ pub fn run_serve_campaign(campaign: &ServeCampaign) -> ServeCampaignReport {
         replay_workers: shard_opts.workers,
         config_points: campaign.points.clone(),
         points,
-        timing: Some(PhaseTiming {
-            workers,
-            jobs: total_jobs,
-            flatten_s,
-            run_s,
-            aggregate_s,
-            total_s: t0.elapsed().as_secs_f64(),
-        }),
+        timing: Some(timing),
     }
 }
 

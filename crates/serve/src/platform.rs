@@ -1132,6 +1132,40 @@ mod tests {
     }
 
     #[test]
+    fn failures_are_cost_neutral_unless_purchases_are_frozen() {
+        // Residents packed onto one machine: losing it re-buys the same
+        // kind, so a failure moves neither cost nor counts — why the
+        // `100k-flaky` serve row reports the same cost integral as
+        // `100k`. Frozen, no replacement can be bought and every
+        // resident is evicted.
+        let packed = || {
+            let mut live = environment(12);
+            for id in 0..3u32 {
+                admit(&mut live, id, spec(4, 0.3, 220 + id as u64)).expect("small tenants fit");
+            }
+            assert_eq!(live.proc_count(), 1, "small tenants share one machine");
+            live
+        };
+        let mut thawed = packed();
+        let (cost, tenants) = (thawed.cost(), thawed.tenant_count());
+        let out = thawed.fail_slot(thawed.live_slots()[0]);
+        assert!(out.evicted.is_empty(), "a thawed failure evicts nobody");
+        assert_eq!(out.remapped.len(), tenants);
+        assert_eq!(thawed.cost(), cost);
+        assert_eq!(thawed.proc_count(), 1);
+        assert_eq!(thawed.tenant_count(), tenants);
+        thawed.audit().expect("re-bought platform audits clean");
+
+        let mut frozen = packed();
+        frozen.set_purchase_freeze(true);
+        let out = frozen.fail_slot(frozen.live_slots()[0]);
+        assert_eq!(out.evicted.len(), tenants, "frozen, every resident goes");
+        assert_eq!(frozen.tenant_count(), 0);
+        assert_eq!(frozen.cost(), 0);
+        frozen.audit().expect("emptied platform audits clean");
+    }
+
+    #[test]
     fn budgeted_departure_never_beats_unbudgeted_and_stays_feasible() {
         // The budgeted refinement subsumes the old single pass: a zero
         // budget degenerates to exactly that first sweep (which always

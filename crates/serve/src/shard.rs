@@ -636,9 +636,87 @@ pub(crate) fn replay_batch(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::audit_platform;
     use crate::sim::run_trace_sharded;
+    use proptest::prelude::*;
+    use snsp_core::heuristics::SubtreeBottomUp;
     use snsp_core::multi::verify_joint;
-    use snsp_gen::{generate_trace, trace_environment, TraceParams};
+    use snsp_gen::{generate_trace, trace_environment, TraceParams, TreeShape};
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The sharded platform as its own model: random admit / depart /
+        /// fail / shed / freeze-and-thaw sequences keep the audit clean
+        /// after every step, a refused admission and a departure or shed
+        /// of a non-resident change nothing, a failure loses exactly its
+        /// evictions, and no step grows the cost while purchases are
+        /// frozen.
+        #[test]
+        fn random_operation_sequences_keep_the_platform_consistent(
+            env_seed in 0u64..1000,
+            shards in 1usize..5,
+            steps in collection::vec(0u64..1 << 32, 10..40),
+        ) {
+            let params = TraceParams::poisson(0.5, 5.0, 20.0);
+            let (objects, platform) = trace_environment(&params, env_seed);
+            let mut sharded = ShardedPlatform::new(objects, platform, shards);
+            let mut frozen = false;
+            for (k, &step) in steps.iter().enumerate() {
+                // A small id pool, so departures and sheds often miss.
+                let (op, arg) = (step % 6, step / 6);
+                let id = TenantId((arg % 16) as u32);
+                let home = sharded.route(id);
+                let resident = sharded.shard(home).tenant(id).is_some();
+                let (cost, tenants) = (sharded.cost(), sharded.tenant_count());
+                let print = sharded.fingerprint();
+                let unchanged = match op {
+                    0 | 1 if resident => continue,
+                    0 | 1 => {
+                        let spec = TenantSpec {
+                            n_ops: 3 + (arg % 10) as usize,
+                            alpha: 1.0,
+                            rho: 0.2 + (arg % 7) as f64 * 0.5,
+                            shape: TreeShape::Random,
+                            tree_seed: arg,
+                        };
+                        let opts = Default::default();
+                        sharded.admit_spec(id, &spec, &SubtreeBottomUp, arg, &opts).is_err()
+                    }
+                    2 => {
+                        prop_assert_eq!(sharded.depart(id), resident);
+                        !resident
+                    }
+                    3 => {
+                        if let Some((_, out)) = sharded.fail(arg) {
+                            let after = sharded.tenant_count();
+                            prop_assert_eq!(after, tenants - out.evicted.len(), "step {}", k);
+                        }
+                        false
+                    }
+                    4 => {
+                        prop_assert_eq!(sharded.shard_mut(home).shed(id), resident);
+                        !resident
+                    }
+                    _ => {
+                        frozen = !frozen;
+                        for s in 0..shards {
+                            sharded.shard_mut(s).set_purchase_freeze(frozen);
+                        }
+                        false
+                    }
+                };
+                let audit = audit_platform(&sharded);
+                prop_assert!(audit.is_ok(), "step {}: {:?}", k, audit);
+                if unchanged {
+                    prop_assert_eq!(sharded.fingerprint(), print, "step {} mutated", k);
+                }
+                if frozen {
+                    prop_assert!(sharded.cost() <= cost, "step {}: cost grew frozen", k);
+                }
+            }
+        }
+    }
 
     #[test]
     fn routing_is_stable_and_covers_all_shards() {

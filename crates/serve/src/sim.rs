@@ -34,9 +34,9 @@ use std::sync::Mutex;
 
 use snsp_core::heuristics::{Heuristic, PipelineOptions, SubtreeBottomUp};
 use snsp_core::ids::TenantId;
+use snsp_core::pool::run_jobs_checked;
 use snsp_engine::{meets_slo, SimConfig};
 use snsp_gen::{trace_environment, TenantSpec, TimedEvent, Trace, TraceEvent};
-use snsp_sweep::pool::run_jobs_checked;
 use snsp_sweep::PIPELINE_SEED_STRIDE;
 use snsp_telemetry::trace::{LogicalTime, TraceEventKind};
 use snsp_telemetry::{Class, Counter, Gauge, Histogram};

@@ -66,7 +66,7 @@
 
 use snsp_core::constraints;
 use snsp_core::heuristics::{
-    select_servers, HeuristicError, PlacedGroup, PlacedOps, ServerSelector, ServerStrategy,
+    select_servers, PlacedGroup, PlacedOps, ServerSelector, ServerStrategy,
 };
 use snsp_core::ids::{OpId, TypeId};
 use snsp_core::instance::Instance;
@@ -531,17 +531,6 @@ pub fn solve_exhaustive(inst: &Instance) -> ExactResult {
             workers: 1,
         },
     )
-}
-
-/// Convenience: returns an error-style option when no mapping exists.
-pub fn optimal_cost(inst: &Instance, config: &BranchBoundConfig) -> Result<u64, HeuristicError> {
-    let res = solve_exact(inst, config);
-    match res.mapping {
-        Some(_) => Ok(res.cost),
-        None => Err(HeuristicError::NoFeasibleProcessor {
-            op: inst.tree.root(),
-        }),
-    }
 }
 
 /// The original recompute-per-node search, kept as the slow reference

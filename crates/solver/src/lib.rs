@@ -30,8 +30,7 @@ pub mod ilp;
 pub mod inverse;
 
 pub use bb::{
-    optimal_cost, solve_exact, solve_exact_reference, solve_exhaustive, BranchBoundConfig,
-    ExactResult,
+    solve_exact, solve_exact_reference, solve_exhaustive, BranchBoundConfig, ExactResult,
 };
 pub use bounds::{lower_bound, min_processors, LowerBound};
 pub use ilp::{formulate, Ilp, IlpOptions};

@@ -1,23 +1,27 @@
 //! Campaign configuration and execution.
 //!
-//! A [`Campaign`] is a grid of scenario points × heuristics × seeds,
-//! flattened into independent jobs and executed on the work-stealing
-//! pool. Every job is a pure function of its grid coordinates: the
-//! instance comes from `snsp_gen::generate(params, shape, seed)` and the
-//! pipeline RNG from [`solve_seeded`] with a seed derived from the
-//! scenario seed alone, exactly as the seed repository's serial loop did.
-//! Aggregation happens in grid order after the pool drains, so the
-//! resulting [`CampaignReport`] is identical at
-//! every worker count.
+//! [`run_grid`] is the one campaign driver: it lays a grid's points ×
+//! cells out on the work-stealing pool, folds each point back in grid
+//! order and times the phases. The sweep, refinement and serve campaigns
+//! all run on it.
+//!
+//! A [`Campaign`] is the sweep's grid: scenario points × heuristics ×
+//! seeds, plus an optional exact reference column. Every job is a pure
+//! function of its grid coordinates: the instance comes from
+//! `snsp_gen::generate(params, shape, seed)` and the pipeline RNG from
+//! [`solve_seeded`] with a seed derived from the scenario seed alone,
+//! exactly as the seed repository's serial loop did. Aggregation happens
+//! in grid order after the pool drains, so the resulting
+//! [`CampaignReport`] is identical at every worker count.
 
 use std::time::Instant;
 
 use snsp_core::heuristics::{all_heuristics, solve_seeded, Heuristic, PipelineOptions};
 use snsp_core::platform::Catalog;
+use snsp_core::pool::run_jobs;
 use snsp_gen::{generate, ScenarioParams, TreeShape};
 use snsp_solver::{solve_exact, BranchBoundConfig};
 
-use crate::pool::run_jobs;
 use crate::sink::{CampaignReport, HeurStats, PhaseTiming, PointReport, ReferenceStats};
 
 /// The multiplier turning a scenario seed into the pipeline RNG seed
@@ -47,13 +51,14 @@ impl PointSpec {
     }
 }
 
-/// Exact-solver reference column: run the branch-and-bound on every seed
-/// of every small-enough point and report the mean optimum next to the
-/// heuristics.
+/// Exact-solver reference column of a sweep or refinement campaign: run
+/// the branch-and-bound on every seed of every small-enough point and
+/// report the optimum next to the heuristics.
 #[derive(Debug, Clone, Copy)]
 pub struct ReferenceConfig {
     /// Only points with `n_ops <= max_ops` get a reference column (the
-    /// B&B blows up beyond ~20 operators, as the paper observed of CPLEX).
+    /// default 20 is where an unseeded B&B blows up, as the paper
+    /// observed of CPLEX).
     pub max_ops: usize,
     /// Search-node budget per instance; exhausting it demotes the column
     /// to `optimal = false`.
@@ -75,8 +80,19 @@ impl Default for ReferenceConfig {
 }
 
 impl ReferenceConfig {
-    fn eligible(&self, point: &PointSpec) -> bool {
-        point.params.n_ops <= self.max_ops
+    /// Whether the reference column covers a point of `n_ops` operators.
+    pub fn covers(&self, n_ops: usize) -> bool {
+        n_ops <= self.max_ops
+    }
+
+    /// The branch-and-bound configuration of one reference solve, seeded
+    /// with an incumbent `upper_bound` when one is known.
+    pub fn branch_bound(&self, upper_bound: Option<u64>) -> BranchBoundConfig {
+        BranchBoundConfig {
+            node_budget: self.node_budget,
+            upper_bound,
+            workers: self.workers,
+        }
     }
 }
 
@@ -147,96 +163,144 @@ impl Campaign {
         self.workers = Some(workers.max(1));
         self
     }
-
-    fn resolved_workers(&self) -> usize {
-        self.workers.unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(4)
-        })
-    }
 }
 
-/// Outcome of one heuristic job: `(cost, proc_count)` when feasible.
-type HeurOutcome = Option<(u64, usize)>;
-
-/// Outcome of one reference (B&B) job.
-#[derive(Debug, Clone, Copy)]
-struct RefOutcome {
-    cost: Option<u64>,
-    optimal: bool,
-}
-
-enum JobOutcome {
-    Heur(HeurOutcome),
-    Ref(RefOutcome),
-}
-
-/// Runs the campaign and aggregates a [`CampaignReport`].
+/// Runs a scenario grid on the work-stealing pool and folds it back
+/// into one row per point — the driver under every campaign kind.
 ///
-/// The job grid is `points × heuristics × seeds`, followed by
-/// `eligible-reference-points × seeds` exact-solver jobs, all drained by
-/// one pool invocation so reference work steals idle workers too.
-pub fn run_campaign(campaign: &Campaign) -> CampaignReport {
+/// Point `p` owns `cells(p)` jobs, laid out point-major, and
+/// `job(point, cell)` runs one of them; after the pool drains,
+/// `fold(point, outcomes)` turns each point's outcomes (in cell order)
+/// into its row, in grid order. Because every job is a pure function of
+/// its coordinates, the rows are identical at every worker count.
+/// `workers: None` uses the available parallelism and `Some(0)` runs
+/// serially. The [`PhaseTiming`] counts `Σ cells` jobs.
+pub fn run_grid<P, T, R>(
+    points: &[P],
+    cells: impl Fn(&P) -> usize,
+    workers: Option<usize>,
+    job: impl Fn(&P, usize) -> T + Sync,
+    mut fold: impl FnMut(&P, &[T]) -> R,
+) -> (Vec<R>, PhaseTiming)
+where
+    P: Sync,
+    T: Send,
+{
     let t0 = Instant::now();
-    let n_points = campaign.points.len();
-    let n_heur = campaign.heuristics.len();
-    let n_seeds = campaign.seeds as usize;
-    let heur_jobs = n_points * n_heur * n_seeds;
-    let ref_points: Vec<usize> = campaign
-        .reference
-        .map(|r| {
-            (0..n_points)
-                .filter(|&p| r.eligible(&campaign.points[p]))
-                .collect()
-        })
-        .unwrap_or_default();
-    let total_jobs = heur_jobs + ref_points.len() * n_seeds;
-    let workers = campaign.resolved_workers();
+    let workers = workers
+        .unwrap_or_else(|| std::thread::available_parallelism().map_or(4, |n| n.get()))
+        .max(1);
+    let counts: Vec<usize> = points.iter().map(cells).collect();
+    let coords: Vec<(usize, usize)> = counts
+        .iter()
+        .enumerate()
+        .flat_map(|(p, &n)| (0..n).map(move |c| (p, c)))
+        .collect();
     let flatten_s = t0.elapsed().as_secs_f64();
 
     let t_run = Instant::now();
-    let outcomes = run_jobs(total_jobs, workers, |job| {
-        if job < heur_jobs {
-            let point = &campaign.points[job / (n_heur * n_seeds)];
-            let heur = &campaign.heuristics[(job / n_seeds) % n_heur];
-            let seed = (job % n_seeds) as u64;
-            let inst = instantiate(campaign, point, seed);
-            let outcome = solve_seeded(
-                heur.as_ref(),
-                &inst,
-                seed.wrapping_mul(PIPELINE_SEED_STRIDE),
-                &campaign.opts,
-            )
-            .ok()
-            .map(|s| (s.cost, s.mapping.proc_count()));
-            JobOutcome::Heur(outcome)
-        } else {
-            let rel = job - heur_jobs;
-            let point = &campaign.points[ref_points[rel / n_seeds]];
-            let seed = (rel % n_seeds) as u64;
-            let inst = instantiate(campaign, point, seed);
-            let reference = campaign.reference.expect("reference jobs imply a config");
-            let exact = solve_exact(
-                &inst,
-                &BranchBoundConfig {
-                    node_budget: reference.node_budget,
-                    upper_bound: None,
-                    workers: reference.workers,
-                },
-            );
-            JobOutcome::Ref(RefOutcome {
-                cost: exact.mapping.is_some().then_some(exact.cost),
-                optimal: exact.optimal,
-            })
-        }
+    let outcomes = run_jobs(coords.len(), workers, |i| {
+        let (p, c) = coords[i];
+        job(&points[p], c)
     });
     let run_s = t_run.elapsed().as_secs_f64();
 
     let t_agg = Instant::now();
-    let points = aggregate(campaign, &outcomes, heur_jobs, &ref_points);
+    let mut rest = outcomes.as_slice();
+    let rows = points
+        .iter()
+        .zip(counts)
+        .map(|(point, n)| {
+            let (mine, tail) = rest.split_at(n);
+            rest = tail;
+            fold(point, mine)
+        })
+        .collect();
     let aggregate_s = t_agg.elapsed().as_secs_f64();
+    let timing = PhaseTiming {
+        workers,
+        jobs: coords.len(),
+        flatten_s,
+        run_s,
+        aggregate_s,
+        total_s: t0.elapsed().as_secs_f64(),
+    };
+    (rows, timing)
+}
 
+/// One job's outcome: `(cost, proc_count)` of the mapping found, if
+/// any, and — for reference jobs — whether the search ran to completion.
+#[derive(Debug, Clone, Copy)]
+struct Outcome {
+    found: Option<(u64, usize)>,
+    optimal: bool,
+}
+
+/// Runs the campaign and aggregates a [`CampaignReport`].
+///
+/// Each point's cells are `heuristics × seeds` heuristic jobs followed,
+/// on points the exact reference covers, by `seeds` branch-and-bound
+/// jobs, all drained by one [`run_grid`] so reference work steals idle
+/// workers too.
+pub fn run_campaign(campaign: &Campaign) -> CampaignReport {
+    let n_seeds = campaign.seeds as usize;
+    let heur_cells = campaign.heuristics.len() * n_seeds;
+    let reference = |point: &PointSpec| campaign.reference.filter(|r| r.covers(point.params.n_ops));
+    let (points, timing) = run_grid(
+        &campaign.points,
+        |point| heur_cells + reference(point).map_or(0, |_| n_seeds),
+        campaign.workers,
+        |point, cell| {
+            let seed = (cell % n_seeds) as u64;
+            let inst = instantiate(campaign, point, seed);
+            if cell < heur_cells {
+                let heur = &campaign.heuristics[cell / n_seeds];
+                let solution = solve_seeded(
+                    heur.as_ref(),
+                    &inst,
+                    seed.wrapping_mul(PIPELINE_SEED_STRIDE),
+                    &campaign.opts,
+                );
+                Outcome {
+                    found: solution.ok().map(|s| (s.cost, s.mapping.proc_count())),
+                    optimal: false,
+                }
+            } else {
+                let r = reference(point).expect("reference cells imply a config");
+                let exact = solve_exact(&inst, &r.branch_bound(None));
+                Outcome {
+                    found: exact.mapping.map(|m| (exact.cost, m.proc_count())),
+                    optimal: exact.optimal,
+                }
+            }
+        },
+        |point, outcomes| {
+            let (heur, refs) = outcomes.split_at(heur_cells);
+            let heuristics = campaign.heuristics.iter().enumerate();
+            let heuristics = heuristics.map(|(h, heuristic)| {
+                let runs = &heur[h * n_seeds..(h + 1) * n_seeds];
+                let feasible: Vec<(u64, usize)> = runs.iter().filter_map(|o| o.found).collect();
+                HeurStats::from_outcomes(heuristic.name(), n_seeds, &feasible)
+            });
+            let reference = reference(point).map(|_| {
+                let solved: Vec<u64> = refs.iter().filter_map(|o| o.found).map(|f| f.0).collect();
+                ReferenceStats {
+                    runs: refs.len(),
+                    solved: solved.len(),
+                    mean_cost: (!solved.is_empty())
+                        .then(|| solved.iter().sum::<u64>() as f64 / solved.len() as f64),
+                    optimal: refs.iter().all(|o| o.optimal),
+                }
+            });
+            PointReport {
+                label: point.label.clone(),
+                n_ops: point.params.n_ops,
+                alpha: point.params.alpha,
+                heuristics: heuristics.collect(),
+                reference,
+            }
+        },
+    );
     CampaignReport {
         campaign: campaign.id.clone(),
         seeds: campaign.seeds,
@@ -244,14 +308,7 @@ pub fn run_campaign(campaign: &Campaign) -> CampaignReport {
         reference: campaign.reference,
         config_points: campaign.points.clone(),
         points,
-        timing: Some(PhaseTiming {
-            workers,
-            jobs: total_jobs,
-            flatten_s,
-            run_s,
-            aggregate_s,
-            total_s: t0.elapsed().as_secs_f64(),
-        }),
+        timing: Some(timing),
     }
 }
 
@@ -263,65 +320,49 @@ fn instantiate(campaign: &Campaign, point: &PointSpec, seed: u64) -> snsp_core::
     inst
 }
 
-/// The typed sink pass: folds the flat outcome vector back into
-/// per-point, per-heuristic statistics, in grid order.
-fn aggregate(
-    campaign: &Campaign,
-    outcomes: &[JobOutcome],
-    heur_jobs: usize,
-    ref_points: &[usize],
-) -> Vec<PointReport> {
-    let n_heur = campaign.heuristics.len();
-    let n_seeds = campaign.seeds as usize;
-    campaign
-        .points
-        .iter()
-        .enumerate()
-        .map(|(p, point)| {
-            let heuristics = campaign
-                .heuristics
-                .iter()
-                .enumerate()
-                .map(|(h, heur)| {
-                    let cells: Vec<(u64, usize)> = (0..n_seeds)
-                        .filter_map(|s| match &outcomes[(p * n_heur + h) * n_seeds + s] {
-                            JobOutcome::Heur(o) => *o,
-                            JobOutcome::Ref(_) => unreachable!("heuristic job range"),
-                        })
-                        .collect();
-                    HeurStats::from_outcomes(heur.name(), n_seeds, &cells)
-                })
-                .collect();
-            let reference = ref_points.iter().position(|&rp| rp == p).map(|rel| {
-                let runs: Vec<RefOutcome> = (0..n_seeds)
-                    .map(|s| match &outcomes[heur_jobs + rel * n_seeds + s] {
-                        JobOutcome::Ref(r) => *r,
-                        JobOutcome::Heur(_) => unreachable!("reference job range"),
-                    })
-                    .collect();
-                let solved: Vec<u64> = runs.iter().filter_map(|r| r.cost).collect();
-                ReferenceStats {
-                    runs: runs.len(),
-                    solved: solved.len(),
-                    mean_cost: (!solved.is_empty())
-                        .then(|| solved.iter().sum::<u64>() as f64 / solved.len() as f64),
-                    optimal: runs.iter().all(|r| r.optimal),
-                }
-            });
-            PointReport {
-                label: point.label.clone(),
-                n_ops: point.params.n_ops,
-                alpha: point.params.alpha,
-                heuristics,
-                reference,
-            }
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn run_grid_lays_out_uneven_points_and_folds_in_grid_order() {
+        // (point id, cells): uneven, one point owning no cells at all.
+        // Every job reports its coordinates and whether it ran on the
+        // calling thread.
+        let points = [(0, 3), (1, 0), (2, 1), (3, 5), (4, 2)];
+        let caller = std::thread::current().id();
+        let grid = |workers| {
+            run_grid(
+                &points,
+                |&(_, cells)| cells,
+                workers,
+                |&(id, _), cell| (id, cell, std::thread::current().id() == caller),
+                |&(id, _), outcomes| (id, outcomes.to_vec()),
+            )
+        };
+        type Row = (usize, Vec<(usize, usize, bool)>);
+        let layout = |rows: &[Row]| -> Vec<(usize, Vec<(usize, usize)>)> {
+            let cells = |row: &[(usize, usize, bool)]| row.iter().map(|o| (o.0, o.1)).collect();
+            rows.iter().map(|(id, row)| (*id, cells(row))).collect()
+        };
+        let expected: Vec<(usize, Vec<(usize, usize)>)> = points
+            .iter()
+            .map(|&(id, cells)| (id, (0..cells).map(|c| (id, c)).collect()))
+            .collect();
+        for workers in [1usize, 2, 4, 7] {
+            let (rows, timing) = grid(Some(workers));
+            assert_eq!(layout(&rows), expected, "{workers} workers");
+            assert_eq!(timing.jobs, 11, "timing counts Σ cells");
+            assert_eq!(timing.workers, workers);
+        }
+        let (rows, timing) = grid(Some(0));
+        assert_eq!(layout(&rows), expected);
+        assert_eq!(timing.workers, 1, "Some(0) clamps to one worker");
+        assert!(
+            rows.iter().flat_map(|(_, row)| row).all(|o| o.2),
+            "Some(0) runs every job on the calling thread"
+        );
+    }
 
     fn small_campaign(workers: usize) -> Campaign {
         let points = vec![

@@ -7,6 +7,16 @@
 //! drained by a work-stealing `std::thread::scope` pool, and folded by a
 //! typed sink into a versioned, machine-readable `BENCH_sweep.json`.
 //!
+//! [`run_grid`] is the driver every campaign kind shares — this crate's
+//! sweep, `snsp-search`'s refinement campaigns and `snsp-serve`'s serve
+//! and chaos campaigns. It resolves the worker count, lays each point's
+//! cells out point-major on [`snsp_core::pool::run_jobs`], folds each
+//! point in grid order and times the phases ([`PhaseTiming`]). Their
+//! writers, and the perf writer, fill one document skeleton
+//! ([`ArtifactKind::document`]): the kind's header, `campaign`, `config`
+//! with `seeds` first, `results`, and in timed form the `timing` block
+//! ([`PhaseTiming::to_json`]).
+//!
 //! Three guarantees:
 //!
 //! * **Scheduling-independent determinism** — every job derives its RNG
@@ -48,15 +58,11 @@ pub mod schema;
 pub mod sink;
 pub mod tracefile;
 
-/// The work-stealing executors (re-exported from [`snsp_core::pool`],
-/// where they moved so that `snsp-solver` — a dependency of this crate —
-/// can run its parallel branch-and-bound on the same pool).
-pub use snsp_core::pool;
-
-pub use campaign::{run_campaign, Campaign, PointSpec, ReferenceConfig, PIPELINE_SEED_STRIDE};
+pub use campaign::{
+    run_campaign, run_grid, Campaign, PointSpec, ReferenceConfig, PIPELINE_SEED_STRIDE,
+};
 pub use diff::{diff_reports, DiffEntry, DiffKind, DiffOptions, DiffReport};
 pub use json::Json;
-pub use pool::run_jobs;
 pub use schema::{validate, ArtifactKind};
 pub use sink::{CampaignReport, HeurStats, PhaseTiming, PointReport, ReferenceStats};
 pub use tracefile::{chrome_trace_json, trace_json};

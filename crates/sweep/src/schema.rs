@@ -7,8 +7,10 @@
 //! (the `timing` block), and its class: deterministic, wall-clock or
 //! identity metadata. The walker rejects every key the table does not
 //! declare, so the table is the complete description of the artifact.
-//! Invariants that span rows live in one small hook per kind, and every
-//! writer takes its header from [`ArtifactKind::header`].
+//! Invariants that span rows live in one small hook per kind. Every
+//! writer takes its header from [`ArtifactKind::header`]; the campaign
+//! writers (sweep, serve, perf, refine, chaos) fill the whole
+//! [`ArtifactKind::document`] skeleton around it.
 //!
 //! ```
 //! use snsp_sweep::{validate, ArtifactKind, Json};
@@ -415,6 +417,30 @@ impl ArtifactKind {
             pairs.push(("kind", Json::Str(kind.to_string())));
         }
         pairs
+    }
+
+    /// The document skeleton every campaign writer fills: the
+    /// [`header`](Self::header), `campaign`, `config` (`seeds` first,
+    /// then the kind's own keys), `results` and, in the timed form only,
+    /// the `timing` block.
+    pub fn document(
+        self,
+        campaign: &str,
+        seeds: u64,
+        config: Vec<(&'static str, Json)>,
+        results: Json,
+        timing: Option<Json>,
+    ) -> Json {
+        let mut config_pairs = vec![("seeds", Json::Int(seeds as i64))];
+        config_pairs.extend(config);
+        let mut pairs = self.header();
+        pairs.extend([
+            ("campaign", Json::Str(campaign.to_string())),
+            ("config", Json::obj(config_pairs)),
+            ("results", results),
+        ]);
+        pairs.extend(timing.map(|t| ("timing", t)));
+        Json::obj(pairs)
     }
 
     /// Sniffs a document's kind from its `kind` discriminator; a kindless

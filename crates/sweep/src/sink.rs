@@ -137,86 +137,76 @@ pub struct CampaignReport {
     pub timing: Option<PhaseTiming>,
 }
 
+impl PhaseTiming {
+    /// The `timing` block every campaign report ends with; serve and
+    /// chaos reports pass their per-replay worker count, which goes
+    /// second.
+    pub fn to_json(&self, replay_workers: Option<usize>) -> Json {
+        let mut pairs = vec![("workers", Json::Int(self.workers as i64))];
+        pairs.extend(replay_workers.map(|r| ("replay_workers", Json::Int(r as i64))));
+        pairs.extend([
+            ("jobs", Json::Int(self.jobs as i64)),
+            ("flatten_s", Json::Num(self.flatten_s)),
+            ("run_s", Json::Num(self.run_s)),
+            ("aggregate_s", Json::Num(self.aggregate_s)),
+            ("total_s", Json::Num(self.total_s)),
+        ]);
+        Json::obj(pairs)
+    }
+}
+
+impl PointReport {
+    fn to_json(&self) -> Json {
+        Json::obj(vec![
+            ("label", Json::Str(self.label.clone())),
+            ("n_ops", Json::Int(self.n_ops as i64)),
+            ("alpha", Json::Num(self.alpha)),
+            (
+                "heuristics",
+                Json::Arr(self.heuristics.iter().map(HeurStats::to_json).collect()),
+            ),
+            (
+                "reference",
+                self.reference
+                    .as_ref()
+                    .map_or(Json::Null, ReferenceStats::to_json),
+            ),
+        ])
+    }
+}
+
 impl CampaignReport {
     /// Serializes schema v1. With `include_timing = false` the
     /// `"timing"` key is omitted and the output is byte-identical for
     /// every worker count (the *stable* form used by tests and CI diffs).
     pub fn to_json(&self, include_timing: bool) -> Json {
-        let mut pairs = ArtifactKind::Sweep.header();
-        pairs.extend([
-            ("campaign", Json::Str(self.campaign.clone())),
+        let names = self.heuristic_names.iter();
+        let reference = self.reference.map_or(Json::Null, |r| {
+            Json::obj(vec![
+                ("max_ops", Json::Int(r.max_ops as i64)),
+                ("node_budget", Json::Int(r.node_budget as i64)),
+            ])
+        });
+        let config = vec![
             (
-                "config",
-                Json::obj(vec![
-                    ("seeds", Json::Int(self.seeds as i64)),
-                    (
-                        "heuristics",
-                        Json::Arr(
-                            self.heuristic_names
-                                .iter()
-                                .map(|n| Json::Str(n.to_string()))
-                                .collect(),
-                        ),
-                    ),
-                    (
-                        "reference",
-                        match &self.reference {
-                            None => Json::Null,
-                            Some(r) => Json::obj(vec![
-                                ("max_ops", Json::Int(r.max_ops as i64)),
-                                ("node_budget", Json::Int(r.node_budget as i64)),
-                            ]),
-                        },
-                    ),
-                    (
-                        "points",
-                        Json::Arr(self.config_points.iter().map(point_config_json).collect()),
-                    ),
-                ]),
+                "heuristics",
+                Json::Arr(names.map(|n| Json::Str(n.to_string())).collect()),
             ),
+            ("reference", reference),
             (
-                "results",
-                Json::Arr(
-                    self.points
-                        .iter()
-                        .map(|p| {
-                            Json::obj(vec![
-                                ("label", Json::Str(p.label.clone())),
-                                ("n_ops", Json::Int(p.n_ops as i64)),
-                                ("alpha", Json::Num(p.alpha)),
-                                (
-                                    "heuristics",
-                                    Json::Arr(p.heuristics.iter().map(|h| h.to_json()).collect()),
-                                ),
-                                (
-                                    "reference",
-                                    p.reference
-                                        .as_ref()
-                                        .map(|r| r.to_json())
-                                        .unwrap_or(Json::Null),
-                                ),
-                            ])
-                        })
-                        .collect(),
-                ),
+                "points",
+                Json::Arr(self.config_points.iter().map(point_config_json).collect()),
             ),
-        ]);
-        if include_timing {
-            if let Some(t) = &self.timing {
-                pairs.push((
-                    "timing",
-                    Json::obj(vec![
-                        ("workers", Json::Int(t.workers as i64)),
-                        ("jobs", Json::Int(t.jobs as i64)),
-                        ("flatten_s", Json::Num(t.flatten_s)),
-                        ("run_s", Json::Num(t.run_s)),
-                        ("aggregate_s", Json::Num(t.aggregate_s)),
-                        ("total_s", Json::Num(t.total_s)),
-                    ]),
-                ));
-            }
-        }
-        Json::obj(pairs)
+        ];
+        let results = Json::Arr(self.points.iter().map(PointReport::to_json).collect());
+        let timing = self.timing.filter(|_| include_timing);
+        ArtifactKind::Sweep.document(
+            &self.campaign,
+            self.seeds,
+            config,
+            results,
+            timing.map(|t| t.to_json(None)),
+        )
     }
 
     /// [`to_json`](Self::to_json) rendered to pretty-printed text.
