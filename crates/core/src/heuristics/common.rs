@@ -90,27 +90,15 @@ impl std::fmt::Display for HeuristicError {
 
 impl std::error::Error for HeuristicError {}
 
-/// Placement-time policy knobs (see DESIGN.md "ablations").
-#[derive(Debug, Clone, Copy)]
+/// Placement-time policy knobs. Downloads are always counted once per
+/// distinct object type per processor, the paper's model.
+#[derive(Debug, Clone, Copy, Default)]
 pub struct PlacementOptions {
-    /// Count one download per distinct object type per processor (the
-    /// paper's model). `false` charges one download per leaf occurrence —
-    /// the naive accounting ablation.
-    pub dedup_downloads: bool,
     /// Route every probe through the [`GroupBuilder::demand_of`] reference
     /// oracle (full recompute per query) instead of the incremental
     /// accumulator. Only for the perf harness's before/after comparison
     /// and the solution-stability tests; never enable in production.
     pub demand_oracle: bool,
-}
-
-impl Default for PlacementOptions {
-    fn default() -> Self {
-        PlacementOptions {
-            dedup_downloads: true,
-            demand_oracle: false,
-        }
-    }
 }
 
 /// Resource requirements of a hypothetical operator set, relative to the
@@ -245,7 +233,7 @@ struct ProbeState {
     ops: Vec<OpId>,
     /// Membership bitmask over all operators.
     in_set: Vec<bool>,
-    /// Per-type count of members needing the type (dedup accounting).
+    /// Per-type count of members needing the type.
     type_count: Vec<u32>,
     /// Types whose count left zero this session (reset bookkeeping).
     touched_types: Vec<TypeId>,
@@ -262,10 +250,8 @@ struct ProbeState {
     work: f64,
     download_rate: f64,
     comm_rate: f64,
-    /// Distinct needed types that are undownloadable (dedup accounting).
+    /// Distinct needed types that are undownloadable.
     undown_types: u32,
-    /// Members with an undownloadable leaf occurrence (naive accounting).
-    undown_ops: u32,
     undo: Vec<UndoRecord>,
 }
 
@@ -386,16 +372,7 @@ impl<'a> GroupBuilder<'a> {
 
         for &op in ops {
             d.work += self.inst.tree.work(op);
-            if self.opts.dedup_downloads {
-                types.extend(self.inst.tree.leaf_types(op));
-            } else {
-                for &ty in self.inst.tree.leaf_types(op) {
-                    d.download_rate += self.inst.object_rate(ty);
-                    if self.inst.object_rate(ty) > self.inst.platform.best_link_for(ty) + 1e-9 {
-                        d.undownloadable = true;
-                    }
-                }
-            }
+            types.extend(self.inst.tree.leaf_types(op));
             let mut cut = |other: OpId, rate: f64, d: &mut Demand| {
                 d.comm_rate += rate;
                 d.max_cut_edge = d.max_cut_edge.max(rate);
@@ -416,15 +393,13 @@ impl<'a> GroupBuilder<'a> {
                 }
             }
         }
-        if self.opts.dedup_downloads {
-            types.sort_unstable();
-            types.dedup();
-            for ty in types {
-                let rate = self.inst.object_rate(ty);
-                d.download_rate += rate;
-                if rate > self.inst.platform.best_link_for(ty) + 1e-9 {
-                    d.undownloadable = true;
-                }
+        types.sort_unstable();
+        types.dedup();
+        for ty in types {
+            let rate = self.inst.object_rate(ty);
+            d.download_rate += rate;
+            if rate > self.inst.platform.best_link_for(ty) + 1e-9 {
+                d.undownloadable = true;
             }
         }
         d.max_group_traffic = group_traffic.iter().copied().fold(0.0, f64::max);
@@ -493,7 +468,6 @@ impl<'a> GroupBuilder<'a> {
         p.download_rate = 0.0;
         p.comm_rate = 0.0;
         p.undown_types = 0;
-        p.undown_ops = 0;
         p.undo.clear();
         if p.group_traffic.len() < self.groups.len() {
             p.group_traffic.resize(self.groups.len(), 0.0);
@@ -558,12 +532,6 @@ impl<'a> GroupBuilder<'a> {
         self.probe.in_set[op.index()]
     }
 
-    /// Number of operators in the current probe session.
-    #[inline]
-    pub fn probe_len(&self) -> usize {
-        self.probe.ops.len()
-    }
-
     /// Adds `op` to the probe session in O(degree + types-of-op):
     /// work/downloads via the instance index, incident edges flipped
     /// between the cut set and internal, and boundary traffic toward
@@ -588,23 +556,16 @@ impl<'a> GroupBuilder<'a> {
             return;
         }
         p.work += idx.work(op);
-        if self.opts.dedup_downloads {
-            for &ty in idx.op_types(op) {
-                let count = &mut p.type_count[ty.index()];
-                if *count == 0 {
-                    p.touched_types.push(ty);
-                    p.download_rate += idx.type_rate(ty);
-                    if idx.type_undownloadable(ty) {
-                        p.undown_types += 1;
-                    }
+        for &ty in idx.op_types(op) {
+            let count = &mut p.type_count[ty.index()];
+            if *count == 0 {
+                p.touched_types.push(ty);
+                p.download_rate += idx.type_rate(ty);
+                if idx.type_undownloadable(ty) {
+                    p.undown_types += 1;
                 }
-                *count += 1;
             }
-        } else {
-            p.download_rate += idx.leaf_rate_sum(op);
-            if idx.leaf_undownloadable(op) {
-                p.undown_ops += 1;
-            }
+            *count += 1;
         }
         let bp_thresh = self.bp_thresh;
         for &(nb, rate) in idx.neighbors(op) {
@@ -676,16 +637,12 @@ impl<'a> GroupBuilder<'a> {
         p.work = rec.work;
         p.download_rate = rec.download_rate;
         p.comm_rate = rec.comm_rate;
-        if self.opts.dedup_downloads {
-            for &ty in idx.op_types(op) {
-                let count = &mut p.type_count[ty.index()];
-                *count -= 1;
-                if *count == 0 && idx.type_undownloadable(ty) {
-                    p.undown_types -= 1;
-                }
+        for &ty in idx.op_types(op) {
+            let count = &mut p.type_count[ty.index()];
+            *count -= 1;
+            if *count == 0 && idx.type_undownloadable(ty) {
+                p.undown_types -= 1;
             }
-        } else if idx.leaf_undownloadable(op) {
-            p.undown_ops -= 1;
         }
         let bp_thresh = self.bp_thresh;
         for &(nb, rate) in idx.neighbors(op) {
@@ -756,11 +713,7 @@ impl<'a> GroupBuilder<'a> {
     /// Whether some object the probed set needs is undownloadable.
     #[inline]
     fn probe_undownloadable(&self) -> bool {
-        if self.opts.dedup_downloads {
-            self.probe.undown_types > 0
-        } else {
-            self.probe.undown_ops > 0
-        }
+        self.probe.undown_types > 0
     }
 
     /// Whether the probed set fits catalog kind `kind_idx` — the O(1)
@@ -868,11 +821,6 @@ impl<'a> GroupBuilder<'a> {
         }
     }
 
-    /// Changes the tentative kind of group `g`.
-    pub fn set_kind(&mut self, g: usize, kind: usize) {
-        self.groups[g].kind = kind;
-    }
-
     /// Sells group `g` back: its operators become unassigned again.
     /// Session-safe: pending probe traffic toward `g` is forgotten, which
     /// is exactly the oracle's view of the now-unassigned operators.
@@ -929,29 +877,6 @@ impl<'a> GroupBuilder<'a> {
         }
     }
 
-    /// Tree neighbours of `op` with the bandwidth of the shared edge:
-    /// operator children (edge `ρ·δ_child`) and the parent (edge `ρ·δ_op`).
-    pub fn neighbors(&self, op: OpId) -> Vec<(OpId, f64)> {
-        let mut out: Vec<(OpId, f64)> = self
-            .inst
-            .tree
-            .children(op)
-            .iter()
-            .map(|&c| (c, self.inst.edge_rate(c)))
-            .collect();
-        if let Some(p) = self.inst.tree.parent(op) {
-            out.push((p, self.inst.edge_rate(op)));
-        }
-        out
-    }
-
-    /// The neighbour with the most demanding communication requirement.
-    pub fn max_comm_neighbor(&self, op: OpId) -> Option<(OpId, f64)> {
-        self.neighbors(op)
-            .into_iter()
-            .max_by(|a, b| a.1.partial_cmp(&b.1).unwrap())
-    }
-
     /// The paper's grouping technique, iterated: place `op` alone if
     /// possible, otherwise repeatedly absorb the neighbour with the most
     /// demanding communication toward the growing candidate set (selling
@@ -962,8 +887,7 @@ impl<'a> GroupBuilder<'a> {
     /// iterate until the candidate fits or the whole tree is absorbed.
     /// With 1 GB/s links and near-root edges carrying more than 1 GB/s of
     /// cumulative output, a single pairing can never be feasible, so the
-    /// literal rule would reject instances the paper reports as solvable
-    /// (see DESIGN.md).
+    /// literal rule would reject instances the paper reports as solvable.
     pub fn place_with_grouping(
         &mut self,
         op: OpId,
@@ -1093,18 +1017,8 @@ mod tests {
         let inst = chain_instance();
         let b = GroupBuilder::new(&inst, PlacementOptions::default());
         let d = b.demand_of(&[OpId(2)]);
-        // op2 reads t0 twice → one 5 MB/s download with dedup.
+        // op2 reads t0 twice → one 5 MB/s download.
         assert!((d.download_rate - 5.0).abs() < 1e-9);
-
-        let naive = GroupBuilder::new(
-            &inst,
-            PlacementOptions {
-                dedup_downloads: false,
-                ..Default::default()
-            },
-        );
-        let d = naive.demand_of(&[OpId(2)]);
-        assert!((d.download_rate - 10.0).abs() < 1e-9);
     }
 
     #[test]
@@ -1264,14 +1178,11 @@ mod tests {
         );
     }
 
-    fn random_mutation_equivalence(dedup_downloads: bool) {
+    #[test]
+    fn probe_matches_oracle_on_random_mutations_dedup() {
         for seed in 0..24u64 {
             let inst = paper_like_instance(40, 1.1, seed);
-            let opts = PlacementOptions {
-                dedup_downloads,
-                ..Default::default()
-            };
-            let mut b = GroupBuilder::new(&inst, opts);
+            let mut b = GroupBuilder::new(&inst, PlacementOptions::default());
             let mut rng = StdRng::seed_from_u64(seed ^ 0xA5A5);
 
             // Random grouping state: a handful of groups over random ops.
@@ -1291,7 +1202,7 @@ mod tests {
             let mut session: Vec<OpId> = Vec::new();
             b.probe_reset();
             for step in 0..300 {
-                let ctx = format!("seed {seed} step {step} dedup {dedup_downloads}");
+                let ctx = format!("seed {seed} step {step}");
                 match rng.gen_range(0..8) {
                     // Add any operator not yet in the set (assigned or
                     // not — union probes add assigned ops too).
@@ -1345,16 +1256,6 @@ mod tests {
             assert_demand_eq(&b.probe_demand(), &b.demand_of(&session), "final");
             assert_eq!(b.probe_cheapest_kind(), b.cheapest_kind_for(&session));
         }
-    }
-
-    #[test]
-    fn probe_matches_oracle_on_random_mutations_dedup() {
-        random_mutation_equivalence(true);
-    }
-
-    #[test]
-    fn probe_matches_oracle_on_random_mutations_naive() {
-        random_mutation_equivalence(false);
     }
 
     #[test]

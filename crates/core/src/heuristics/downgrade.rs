@@ -3,7 +3,6 @@
 //! catalog kind that still satisfies its CPU and NIC requirements.
 
 use super::common::PlacedOps;
-use crate::ids::ProcId;
 use crate::instance::Instance;
 use crate::mapping::Download;
 
@@ -74,16 +73,6 @@ pub fn downgrade(inst: &Instance, placed: &mut PlacedOps, downloads: &[Download]
         // constraint check will reject the mapping.
     }
     changed
-}
-
-/// The demand of a single processor, for diagnostics.
-pub fn demand_of_proc(
-    inst: &Instance,
-    placed: &PlacedOps,
-    downloads: &[Download],
-    proc: ProcId,
-) -> FinalDemand {
-    final_demands(inst, placed, downloads)[proc.index()]
 }
 
 #[cfg(test)]

@@ -61,31 +61,23 @@ pub trait Heuristic: Send + Sync {
 }
 
 /// Knobs for the full pipeline (placement + server selection + downgrade).
+/// Server selection follows the heuristic's own preference
+/// ([`Heuristic::prefers_random_servers`]).
 #[derive(Debug, Clone, Copy)]
 pub struct PipelineOptions {
     /// Placement-time accounting options.
     pub placement: PlacementOptions,
-    /// Server-selection strategy; `None` uses the heuristic's preference.
-    pub server_strategy: Option<ServerStrategy>,
-    /// Whether to run the downgrade pass (on by default; disable for the
-    /// ablation bench).
+    /// Whether to run the downgrade pass (on by default; the `vsopt`
+    /// experiment turns it off to compare against the exact optimum on
+    /// CONSTR-HOM, as the paper does).
     pub downgrade: bool,
-    /// Optional anytime local-search post-pass. [`solve`] itself runs
-    /// the constructive pipeline only (the algorithms live downstream in
-    /// `snsp-search`, which depends on this crate); set this and call
-    /// `snsp_search::solve_refined` / `solve_refined_seeded` to descend
-    /// from the constructive solution. `None` everywhere reproduces the
-    /// paper's pipeline exactly.
-    pub refine: Option<crate::refine::RefineOptions>,
 }
 
 impl Default for PipelineOptions {
     fn default() -> Self {
         PipelineOptions {
             placement: PlacementOptions::default(),
-            server_strategy: None,
             downgrade: true,
-            refine: None,
         }
     }
 }
@@ -109,13 +101,11 @@ pub fn solve(
     opts: &PipelineOptions,
 ) -> Result<Solution, HeuristicError> {
     let mut placed = heuristic.place(inst, rng, &opts.placement)?;
-    let strategy = opts
-        .server_strategy
-        .unwrap_or(if heuristic.prefers_random_servers() {
-            ServerStrategy::Random
-        } else {
-            ServerStrategy::ThreeLoop
-        });
+    let strategy = if heuristic.prefers_random_servers() {
+        ServerStrategy::Random
+    } else {
+        ServerStrategy::ThreeLoop
+    };
     let downloads = select_servers(inst, &placed, strategy, rng)?;
     if opts.downgrade {
         downgrade::downgrade(inst, &mut placed, &downloads);

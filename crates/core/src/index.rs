@@ -26,9 +26,8 @@ pub struct InstanceIndex {
     /// CSR offsets into `adj`; `adj[adj_off[i]..adj_off[i+1]]` lists the
     /// tree neighbours of operator `i` as `(neighbour, edge rate)`,
     /// operator children first (edge `ρ·δ_child`), then the parent (edge
-    /// `ρ·δ_op`) — the same order [`GroupBuilder::neighbors`] reports.
-    ///
-    /// [`GroupBuilder::neighbors`]: crate::heuristics::GroupBuilder::neighbors
+    /// `ρ·δ_op`) — the order `GroupBuilder::demand_of` walks them, so
+    /// running sums add up in the reference oracle's order.
     adj_off: Vec<u32>,
     adj: Vec<(OpId, f64)>,
     /// CSR offsets into `types`; `types[ty_off[i]..ty_off[i+1]]` lists
@@ -40,11 +39,6 @@ pub struct InstanceIndex {
     /// Whether `rate_k` exceeds every holder's link (the object can never
     /// be downloaded; any set needing it is infeasible).
     type_undownloadable: Vec<bool>,
-    /// Per-operator download rate counted once per leaf *occurrence*
-    /// (the naive accounting of `dedup_downloads = false`).
-    leaf_rate_sum: Vec<f64>,
-    /// Whether any leaf occurrence of the operator is undownloadable.
-    leaf_undownloadable: Vec<bool>,
 }
 
 impl InstanceIndex {
@@ -68,8 +62,6 @@ impl InstanceIndex {
         let mut adj = Vec::new();
         let mut ty_off = Vec::with_capacity(n_ops + 1);
         let mut types = Vec::new();
-        let mut leaf_rate_sum = Vec::with_capacity(n_ops);
-        let mut leaf_undownloadable = Vec::with_capacity(n_ops);
         adj_off.push(0);
         ty_off.push(0);
         for op in inst.tree.ops() {
@@ -87,15 +79,6 @@ impl InstanceIndex {
             tys.dedup();
             types.extend(tys);
             ty_off.push(types.len() as u32);
-
-            let mut rate = 0.0;
-            let mut undown = false;
-            for &ty in inst.tree.leaf_types(op) {
-                rate += type_rate[ty.index()];
-                undown |= type_undownloadable[ty.index()];
-            }
-            leaf_rate_sum.push(rate);
-            leaf_undownloadable.push(undown);
         }
 
         InstanceIndex {
@@ -108,8 +91,6 @@ impl InstanceIndex {
             types,
             type_rate,
             type_undownloadable,
-            leaf_rate_sum,
-            leaf_undownloadable,
         }
     }
 
@@ -157,19 +138,6 @@ impl InstanceIndex {
     pub fn type_undownloadable(&self, ty: TypeId) -> bool {
         self.type_undownloadable[ty.index()]
     }
-
-    /// Download rate of `op` counted per leaf occurrence (naive
-    /// accounting, `dedup_downloads = false`).
-    #[inline]
-    pub fn leaf_rate_sum(&self, op: OpId) -> f64 {
-        self.leaf_rate_sum[op.index()]
-    }
-
-    /// Whether any leaf occurrence of `op` is undownloadable.
-    #[inline]
-    pub fn leaf_undownloadable(&self, op: OpId) -> bool {
-        self.leaf_undownloadable[op.index()]
-    }
 }
 
 #[cfg(test)]
@@ -215,9 +183,8 @@ mod tests {
         assert_eq!(nbs.len(), 2);
         assert_eq!(nbs[0], (OpId(2), inst.edge_rate(OpId(2))));
         assert_eq!(nbs[1], (OpId(0), inst.edge_rate(OpId(1))));
-        // op2 reads t0 twice: dedup list has one entry, the naive rate two.
+        // op2 reads t0 twice: the distinct-type list has one entry.
         assert_eq!(idx.op_types(OpId(2)), &[TypeId(0)]);
-        assert!((idx.leaf_rate_sum(OpId(2)) - 2.0 * idx.type_rate(TypeId(0))).abs() < 1e-12);
     }
 
     #[test]

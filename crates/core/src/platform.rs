@@ -242,11 +242,6 @@ impl Catalog {
         self.kinds.iter().map(|k| k.speed).fold(0.0, f64::max)
     }
 
-    /// Maximum NIC bandwidth across kinds.
-    pub fn max_bandwidth(&self) -> f64 {
-        self.kinds.iter().map(|k| k.bandwidth).fold(0.0, f64::max)
-    }
-
     /// Best speed-per-dollar across kinds (used by cost lower bounds).
     pub fn best_speed_per_dollar(&self) -> f64 {
         self.kinds
@@ -270,7 +265,8 @@ pub struct Server {
     /// Network-card bandwidth `Bs_l` in MB/s (paper: 10 Gbps cards).
     pub nic_bandwidth: f64,
     /// Bandwidth `bs_l` of the link from this server to any processor, in
-    /// MB/s (paper: "1 GB link", read as 1 GB/s; see DESIGN.md).
+    /// MB/s (paper: "1 GB link", read as 1 GB/s = 1000 MB/s: the paper
+    /// writes bytes here but quotes the NIC cards in Gbps).
     pub link_bandwidth: f64,
 }
 

@@ -1,13 +1,10 @@
 //! Configuration for the anytime local-search refinement post-pass.
 //!
 //! These are **pure data**: the algorithms live in `snsp-search` (which
-//! depends on this crate), but the knobs live here so that
-//! [`PipelineOptions`](crate::heuristics::PipelineOptions) can carry a
-//! `refine: Option<RefineOptions>` field without a dependency cycle.
+//! depends on this crate), and its entry points (`snsp_search::refine`,
+//! `snsp_search::refine_portfolio`) take a [`RefineOptions`] directly.
 //! [`heuristics::solve`](crate::heuristics::solve) runs the constructive
-//! pipeline only; `snsp_search::solve_refined` is the entry point that
-//! honors the field, and the sweep/serve/experiments layers route
-//! through it.
+//! pipeline only.
 
 /// Which local-search driver refines the constructive solution.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -18,9 +15,10 @@ pub enum RefineDriver {
     /// Greedy descent evaluating the whole neighborhood per step and
     /// applying the steepest (largest cost drop) move.
     Steepest,
-    /// Simulated annealing with geometric cooling and a seeded RNG; the
-    /// best verified solution along the trajectory is returned.
-    Anneal(AnnealSchedule),
+    /// Simulated annealing with a fixed geometric cooling schedule and a
+    /// seeded RNG; the best verified solution along the trajectory is
+    /// returned.
+    Anneal,
 }
 
 impl RefineDriver {
@@ -29,28 +27,7 @@ impl RefineDriver {
         match self {
             RefineDriver::FirstImprovement => "first-improvement",
             RefineDriver::Steepest => "steepest",
-            RefineDriver::Anneal(_) => "anneal",
-        }
-    }
-}
-
-/// Geometric cooling schedule for [`RefineDriver::Anneal`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AnnealSchedule {
-    /// Initial temperature in dollars (the cost scale of uphill moves
-    /// still accepted early on).
-    pub t0: f64,
-    /// Multiplicative decay applied to the temperature per proposal.
-    pub cooling: f64,
-}
-
-impl Default for AnnealSchedule {
-    fn default() -> Self {
-        // A chassis costs $7,548: start accepting uphill moves of about
-        // a quarter machine and cool to near-greedy within ~2k proposals.
-        AnnealSchedule {
-            t0: 2_000.0,
-            cooling: 0.996,
+            RefineDriver::Anneal => "anneal",
         }
     }
 }
@@ -67,10 +44,6 @@ pub struct RefineOptions {
     pub max_evals: u64,
     /// Seed for the annealing RNG and the download re-route attempts.
     pub seed: u64,
-    /// How many seeded random download re-routings to try when the
-    /// deterministic three-pass server selection cannot source a
-    /// candidate state's streams (the `Reroute` neighborhood).
-    pub reroute_attempts: u32,
 }
 
 impl Default for RefineOptions {
@@ -79,7 +52,6 @@ impl Default for RefineOptions {
             driver: RefineDriver::FirstImprovement,
             max_evals: 4_096,
             seed: 0,
-            reroute_attempts: 2,
         }
     }
 }
@@ -95,8 +67,6 @@ mod tests {
         assert!(opts.max_evals >= 1);
         assert_eq!(opts.driver.name(), "first-improvement");
         assert_eq!(RefineDriver::Steepest.name(), "steepest");
-        let sched = AnnealSchedule::default();
-        assert!(sched.t0 > 0.0 && (0.0..1.0).contains(&sched.cooling));
-        assert_eq!(RefineDriver::Anneal(sched).name(), "anneal");
+        assert_eq!(RefineDriver::Anneal.name(), "anneal");
     }
 }

@@ -8,7 +8,7 @@
 //!
 //! We therefore add a calibration constant κ (`kappa`): `w_i` is measured
 //! in Gop, speeds in Gop/s, and κ is fitted so that the paper's reported
-//! feasibility thresholds hold simultaneously (see DESIGN.md):
+//! feasibility thresholds hold simultaneously:
 //!
 //! * N = 20 trees become infeasible around α ≈ 2.2 (we get ≈ 2.14),
 //! * N = 60 trees around α ≈ 1.8 (we get ≈ 1.81),
@@ -28,7 +28,8 @@ pub struct WorkModel {
 }
 
 impl WorkModel {
-    /// κ fitted to the paper's feasibility thresholds (DESIGN.md).
+    /// κ fitted to the paper's feasibility thresholds (see the module
+    /// docs for the four it satisfies).
     pub const PAPER_KAPPA: f64 = 1.5e-4;
 
     /// Creates a work model with explicit κ.

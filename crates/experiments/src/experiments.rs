@@ -1,4 +1,5 @@
-//! One function per paper table/figure (see DESIGN.md's experiment index).
+//! One function per paper table/figure; `run_one` in `main.rs` maps each
+//! experiment id to its function.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -345,14 +346,28 @@ pub fn chaos_grid(id: &str, seeds: u64) -> Option<snsp_serve::ServeCampaign> {
 /// Every grid id accepted by [`chaos_grid`].
 pub const CHAOS_GRID_IDS: &[&str] = &["ci", "racks", "msg-storm"];
 
+/// The most events one fault mechanism may schedule over a grid point's
+/// horizon. Crashes, rack lotteries (bursts × rack size) and tick
+/// barriers count separately; the Poisson mechanisms count by their
+/// expected number. A plan past this bound only exhausts memory or time.
+pub const MAX_FAULT_EVENTS: f64 = 100_000.0;
+
 /// Parses a `--fault-plan` override: comma-separated `key=value` pairs
-/// replacing every grid point's fault spec.
+/// replacing every grid point's fault spec, range-checked against the
+/// longest point `horizon` before any replay starts.
 ///
 /// Keys: `seed=N`, `crash=RATE`, `rack=RATE:SIZE`,
 /// `drop=P` / `dup=P` / `delay=P` (message faults),
 /// `revoke=START:END:FRAC`, `tick=DT`, `retry=BASE:FACTOR:MAX`,
 /// `degrade=PRESSURE:MAX_SHED`.
-pub fn parse_fault_plan(text: &str) -> Result<snsp_serve::FaultSpec, String> {
+///
+/// Every number must be finite and non-negative. Probabilities and the
+/// revoke fraction must be at most 1, and counts (`seed`, rack size,
+/// retry attempts, degrade pressure and shed) whole numbers. A revoke
+/// window may not start after it ends, and no mechanism may schedule
+/// more than [`MAX_FAULT_EVENTS`] events over `horizon`. Errors name the
+/// offending key.
+pub fn parse_fault_plan(text: &str, horizon: f64) -> Result<snsp_serve::FaultSpec, String> {
     use snsp_serve::{DegradePolicy, FaultSpec, RetryPolicy};
     let mut spec = FaultSpec::default();
     for part in text.split(',').filter(|p| !p.is_empty()) {
@@ -366,72 +381,94 @@ pub fn parse_fault_plan(text: &str) -> Result<snsp_serve::FaultSpec, String> {
                     .map_err(|_| format!("--fault-plan {key}: {v:?} is not a number"))
             })
             .collect::<Result<_, _>>()?;
-        let arity = |n: usize| -> Result<(), String> {
-            if nums.len() == n {
-                Ok(())
-            } else {
-                Err(format!(
-                    "--fault-plan {key} needs {n} colon-separated value(s), got {}",
-                    nums.len()
-                ))
-            }
-        };
-        match key {
-            "seed" => {
-                arity(1)?;
-                spec.seed = nums[0] as u64;
-            }
-            "crash" => {
-                arity(1)?;
-                spec.crash_rate = nums[0];
-            }
-            "rack" => {
-                arity(2)?;
-                spec.rack_rate = nums[0];
-                spec.rack_size = nums[1] as usize;
-            }
-            "drop" => {
-                arity(1)?;
-                spec.msg_drop = nums[0];
-            }
-            "dup" => {
-                arity(1)?;
-                spec.msg_dup = nums[0];
-            }
-            "delay" => {
-                arity(1)?;
-                spec.msg_delay = nums[0];
-            }
-            "revoke" => {
-                arity(3)?;
-                spec.revoke_at = Some((nums[0], nums[1]));
-                spec.revoke_frac = nums[2];
-            }
-            "tick" => {
-                arity(1)?;
-                spec.tick_every = nums[0];
-            }
-            "retry" => {
-                arity(3)?;
-                spec.retry = RetryPolicy {
-                    base: nums[0],
-                    factor: nums[1],
-                    max_attempts: nums[2] as u32,
-                };
-            }
-            "degrade" => {
-                arity(2)?;
-                spec.degrade = DegradePolicy {
-                    pressure: nums[0] as usize,
-                    max_shed: nums[1] as usize,
-                };
-            }
+        let arity = match key {
+            "seed" | "crash" | "drop" | "dup" | "delay" | "tick" => 1,
+            "rack" | "degrade" => 2,
+            "revoke" | "retry" => 3,
             other => {
                 return Err(format!(
                     "--fault-plan key {other:?} unknown (seed, crash, rack, drop, dup, delay, \
                      revoke, tick, retry, degrade)"
                 ))
             }
+        };
+        let bad = |why: &str| format!("--fault-plan {key}={value}: {why}");
+        if nums.len() != arity {
+            let got = nums.len();
+            return Err(bad(&format!(
+                "needs {arity} colon-separated value(s), got {got}"
+            )));
+        }
+        if nums.iter().any(|x| !x.is_finite() || *x < 0.0) {
+            return Err(bad("every value must be finite and non-negative"));
+        }
+        let count = |x: f64, what: &str, max: f64| {
+            if x.fract() != 0.0 || x > max {
+                Err(bad(&format!("{what} must be a whole number <= {max}")))
+            } else {
+                Ok(x)
+            }
+        };
+        let probability = |x: f64| {
+            if x > 1.0 {
+                Err(bad("a probability or fraction must be at most 1"))
+            } else {
+                Ok(x)
+            }
+        };
+        let at_most = |events: f64, what: &str| {
+            if events > MAX_FAULT_EVENTS {
+                Err(bad(&format!(
+                    "schedules about {events:.3e} {what} over a horizon of {horizon}, \
+                     more than {MAX_FAULT_EVENTS}"
+                )))
+            } else {
+                Ok(())
+            }
+        };
+        match key {
+            "seed" => spec.seed = count(nums[0], "the seed", u64::MAX as f64)? as u64,
+            "crash" => {
+                at_most(nums[0] * horizon, "crashes")?;
+                spec.crash_rate = nums[0];
+            }
+            "rack" => {
+                let size = count(nums[1], "the rack size", usize::MAX as f64)?;
+                at_most(nums[0] * horizon * size, "rack lotteries")?;
+                spec.rack_rate = nums[0];
+                spec.rack_size = size as usize;
+            }
+            "drop" => spec.msg_drop = probability(nums[0])?,
+            "dup" => spec.msg_dup = probability(nums[0])?,
+            "delay" => spec.msg_delay = probability(nums[0])?,
+            "revoke" => {
+                if nums[0] > nums[1] {
+                    return Err(bad("the window starts after it ends"));
+                }
+                spec.revoke_at = Some((nums[0], nums[1]));
+                spec.revoke_frac = probability(nums[2])?;
+            }
+            "tick" => {
+                if nums[0] > 0.0 {
+                    at_most(horizon / nums[0], "barriers")?;
+                }
+                spec.tick_every = nums[0];
+            }
+            "retry" => {
+                spec.retry = RetryPolicy {
+                    base: nums[0],
+                    factor: nums[1],
+                    max_attempts: count(nums[2], "the attempt count", u32::MAX as f64)? as u32,
+                };
+            }
+            "degrade" => {
+                let max = usize::MAX as f64;
+                spec.degrade = DegradePolicy {
+                    pressure: count(nums[0], "the pressure", max)? as usize,
+                    max_shed: count(nums[1], "the shed count", max)? as usize,
+                };
+            }
+            _ => unreachable!("the arity match rejected every other key"),
         }
     }
     Ok(spec)
@@ -1026,8 +1063,16 @@ mod tests {
 
     #[test]
     fn fault_plan_strings_parse_and_reject_garbage() {
+        // The chaos ci grid's longest horizon.
+        let horizon = chaos_grid("ci", 1)
+            .unwrap()
+            .points
+            .iter()
+            .map(|p| p.params.horizon)
+            .fold(0.0, f64::max);
+        let parse = |text: &str| parse_fault_plan(text, horizon);
         let spec =
-            parse_fault_plan("crash=0.2,rack=0.1:2,drop=0.05,dup=0.02,delay=0.03,revoke=10:14:0.5,tick=2,retry=0.5:2:6,degrade=4:2,seed=7")
+            parse("crash=0.2,rack=0.1:2,drop=0.05,dup=0.02,delay=0.03,revoke=10:14:0.5,tick=2,retry=0.5:2:6,degrade=4:2,seed=7")
                 .expect("full spec parses");
         assert_eq!(spec.seed, 7);
         assert_eq!(spec.crash_rate, 0.2);
@@ -1037,16 +1082,39 @@ mod tests {
         assert_eq!(spec.revoke_frac, 0.5);
         assert_eq!(spec.retry.max_attempts, 6);
         assert_eq!(spec.degrade.pressure, 4);
-        assert!(
-            parse_fault_plan("")
-                .expect("empty spec is all-off")
-                .crash_rate
-                == 0.0
-        );
-        assert!(parse_fault_plan("crash").is_err(), "missing =");
-        assert!(parse_fault_plan("crash=x").is_err(), "not a number");
-        assert!(parse_fault_plan("rack=0.1").is_err(), "wrong arity");
-        assert!(parse_fault_plan("warp=9").is_err(), "unknown key");
+        assert!(parse("").expect("empty spec is all-off").crash_rate == 0.0);
+        parse("crash=0.4,drop=0.1,dup=0.05,delay=0.05,retry=0.5:2:6,tick=2,seed=9")
+            .expect("CI's harsh plan parses");
+        assert!(parse("crash").is_err(), "missing =");
+        assert!(parse("crash=x").is_err(), "not a number");
+        assert!(parse("rack=0.1").is_err(), "wrong arity");
+        assert!(parse("warp=9").is_err(), "unknown key");
+        for (text, why) in [
+            ("crash=inf", "non-finite"),
+            ("crash=nan", "non-finite"),
+            ("drop=-1", "negative"),
+            ("crash=1e7", "too many crashes"),
+            ("tick=1e-300", "too many barriers"),
+            ("tick=1e-6", "too many barriers"),
+            ("rack=1:3000000", "too many rack lotteries"),
+            ("rack=1:1e19", "too many rack lotteries"),
+            ("rack=0.1:2.5", "fractional rack size"),
+            ("revoke=5:3:2", "reversed window and fraction above 1"),
+            ("revoke=5:3:0.5", "reversed window"),
+            ("revoke=3:5:2", "fraction above 1"),
+            ("dup=1.5", "probability above 1"),
+            ("seed=1.5", "fractional seed"),
+            ("retry=0.5:2:6.5", "fractional attempt count"),
+            ("degrade=4.5:2", "fractional pressure"),
+            ("degrade=4:0.5", "fractional shed count"),
+        ] {
+            let key = text.split('=').next().unwrap();
+            let err = parse(text).expect_err(why);
+            assert!(
+                err.contains(key),
+                "{text}: {why}: {err:?} does not name {key}"
+            );
+        }
     }
 
     #[test]

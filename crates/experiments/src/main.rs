@@ -41,7 +41,9 @@
 //!   (the crash_fingerprint_match column), and the platform invariants
 //!   are audited after every fault. --fault-plan overrides every point's
 //!   fault spec with comma-separated key=value pairs
-//!   (e.g. "crash=0.2,drop=0.05,revoke=10:14:0.5,retry=0.5:2:6,tick=2").
+//!   (e.g. "crash=0.2,drop=0.05,revoke=10:14:0.5,retry=0.5:2:6,tick=2"),
+//!   range-checked before any replay starts: an out-of-range value exits
+//!   2 naming its key.
 //!
 //! snsp-experiments perf --grid <ci|large-n> [--seeds K] [--json PATH]
 //!                       [--out DIR]
@@ -527,7 +529,12 @@ fn run_serve(args: &Args, chaos: bool) -> Result<(), String> {
         campaign = campaign.with_shards(shards, r);
     }
     if let (true, Some(plan)) = (chaos, &args.fault_plan) {
-        let spec = experiments::parse_fault_plan(plan)?;
+        let horizon = campaign
+            .points
+            .iter()
+            .map(|p| p.params.horizon)
+            .fold(0.0, f64::max);
+        let spec = experiments::parse_fault_plan(plan, horizon)?;
         for point in &mut campaign.points {
             point.fault = spec;
         }

@@ -209,7 +209,6 @@ pub fn run_perf(campaign: &PerfCampaign) -> PerfReport {
     let oracle = PipelineOptions {
         placement: PlacementOptions {
             demand_oracle: true,
-            ..Default::default()
         },
         ..Default::default()
     };
@@ -308,11 +307,7 @@ pub fn run_perf(campaign: &PerfCampaign) -> PerfReport {
 fn run_probe(n: usize) -> ProbeResult {
     let inst = generate(&ScenarioParams::paper(n, 0.9), TreeShape::Random, 1);
     let sweep = |demand_oracle: bool| -> (f64, u64) {
-        let opts = PlacementOptions {
-            demand_oracle,
-            ..Default::default()
-        };
-        let mut builder = GroupBuilder::new(&inst, opts);
+        let mut builder = GroupBuilder::new(&inst, PlacementOptions { demand_oracle });
         let top = inst.platform.catalog.most_expensive();
         let ops: Vec<OpId> = inst.tree.ops().collect();
         let g = builder.create_group(vec![ops[0]], top);

@@ -319,13 +319,9 @@ fn run_job(campaign: &RefineCampaign, point: &RefinePoint, seed: u64) -> JobResu
         &PipelineOptions::default(),
     )
     .ok();
-    let opts = PipelineOptions {
-        refine: Some(campaign.refine),
-        ..Default::default()
-    };
     let outcome = start
         .as_ref()
-        .and_then(|_| refine_portfolio(&inst, seed, &opts, campaign.top_k));
+        .and_then(|_| refine_portfolio(&inst, seed, &campaign.refine, campaign.top_k));
     let (start_cost, refined_cost, evals, accepted) = match (&start, &outcome) {
         (Some(s), Some(o)) => (
             Some(s.cost),
@@ -406,7 +402,7 @@ pub fn refine_grid(id: &str, seeds: u64) -> Option<RefineCampaign> {
         homogeneous: true,
     };
     let anneal = RefineOptions {
-        driver: snsp_core::refine::RefineDriver::Anneal(Default::default()),
+        driver: snsp_core::refine::RefineDriver::Anneal,
         max_evals: 3_000,
         ..Default::default()
     };

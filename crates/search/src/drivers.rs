@@ -5,13 +5,21 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use snsp_core::heuristics::{
-    all_heuristics, solve_seeded, HeuristicError, PipelineOptions, PlacementOptions, Solution,
+    all_heuristics, solve_seeded, PipelineOptions, PlacementOptions, Solution,
 };
 use snsp_core::instance::Instance;
-use snsp_core::refine::{AnnealSchedule, RefineDriver, RefineOptions};
+use snsp_core::refine::{RefineDriver, RefineOptions};
 
 use crate::moves::{enumerate, propose, Move};
 use crate::state::{telemetry_for, RefineStats, Screened, SearchState};
+
+/// Initial annealing temperature in dollars. A chassis costs $7,548, so
+/// early on uphill moves of about a quarter machine are still accepted.
+const ANNEAL_T0: f64 = 2_000.0;
+
+/// Multiplicative temperature decay per annealing proposal: near-greedy
+/// within about 2k proposals.
+const ANNEAL_COOLING: f64 = 0.996;
 
 /// A shared, strictly-decreasing work allowance. One unit is one screened
 /// candidate move (or annealing proposal); callers outside this crate —
@@ -74,7 +82,7 @@ pub fn refine(
     placement: PlacementOptions,
     opts: &RefineOptions,
 ) -> RefineOutcome {
-    let mut state = SearchState::new(inst, start, placement, opts.seed, opts.reroute_attempts);
+    let mut state = SearchState::new(inst, start, placement, opts.seed);
     let mut budget = Budget::new(opts.max_evals);
     let mut stats = RefineStats {
         start_cost: start.cost,
@@ -90,11 +98,10 @@ pub fn refine(
             greedy(&mut state, &mut budget, &mut stats, true);
             state.solution(start.heuristic)
         }
-        RefineDriver::Anneal(sched) => anneal(
+        RefineDriver::Anneal => anneal(
             &mut state,
             &mut budget,
             &mut stats,
-            sched,
             opts.seed,
             start.heuristic,
         ),
@@ -170,19 +177,19 @@ fn state_reroute_seed(base: u64, k: u64) -> u64 {
     base.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ k
 }
 
-/// Simulated annealing with geometric cooling. Every accepted state is
-/// fully verified (the trajectory never leaves the feasible region), and
-/// the best state along the way is snapshotted and returned.
+/// Simulated annealing with geometric cooling from [`ANNEAL_T0`] by
+/// [`ANNEAL_COOLING`] per proposal. Every accepted state is fully
+/// verified (the trajectory never leaves the feasible region), and the
+/// best state along the way is snapshotted and returned.
 fn anneal(
     state: &mut SearchState<'_>,
     budget: &mut Budget,
     stats: &mut RefineStats,
-    sched: AnnealSchedule,
     seed: u64,
     heuristic: &'static str,
 ) -> Solution {
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut t = sched.t0.max(1e-9);
+    let mut t = ANNEAL_T0;
     let mut best = state.solution(heuristic);
     while budget.charge(1) {
         let mv = propose(state, &mut rng);
@@ -190,7 +197,7 @@ fn anneal(
             if state.try_reroute(seed ^ u64::from(attempt)) {
                 stats.rerouted += 1;
             }
-            t *= sched.cooling;
+            t *= ANNEAL_COOLING;
             continue;
         }
         if let Some(sc) = state.screen(&mv) {
@@ -211,46 +218,25 @@ fn anneal(
                 }
             }
         }
-        t *= sched.cooling;
+        t *= ANNEAL_COOLING;
     }
     best
 }
 
-/// The solve-path integration: runs the constructive pipeline
-/// (`snsp_core::heuristics::solve_seeded`) and then honors
-/// [`PipelineOptions::refine`] as the post-pass. With `refine: None`
-/// this is exactly `solve_seeded`.
-pub fn solve_refined_seeded(
-    heuristic: &dyn snsp_core::heuristics::Heuristic,
-    inst: &Instance,
-    seed: u64,
-    opts: &PipelineOptions,
-) -> Result<Solution, HeuristicError> {
-    let sol = solve_seeded(heuristic, inst, seed, opts)?;
-    Ok(match opts.refine {
-        Some(r) => refine(inst, &sol, opts.placement, &r).solution,
-        None => sol,
-    })
-}
-
-/// The portfolio driver: race all six paper heuristics as starts, keep
-/// the feasible ones, refine the cheapest `top_k`, and return the best
-/// refined solution (never worse than the best start). `None` when no
-/// heuristic finds a feasible start.
+/// The portfolio driver: race all six paper heuristics as starts (the
+/// default pipeline), keep the feasible ones, refine the cheapest `top_k`
+/// under `opts`, and return the best refined solution (never worse than
+/// the best start). `None` when no heuristic finds a feasible start.
 pub fn refine_portfolio(
     inst: &Instance,
     seed: u64,
-    opts: &PipelineOptions,
+    opts: &RefineOptions,
     top_k: usize,
 ) -> Option<RefineOutcome> {
-    let constructive = PipelineOptions {
-        refine: None,
-        ..*opts
-    };
-    let refine_opts = opts.refine.unwrap_or_default();
+    let pipeline = PipelineOptions::default();
     let mut starts: Vec<Solution> = all_heuristics()
         .iter()
-        .filter_map(|h| solve_seeded(h.as_ref(), inst, seed, &constructive).ok())
+        .filter_map(|h| solve_seeded(h.as_ref(), inst, seed, &pipeline).ok())
         .collect();
     starts.sort_by_key(|a| a.cost);
     if starts.is_empty() {
@@ -259,7 +245,7 @@ pub fn refine_portfolio(
     let best_start = starts[0].clone();
     let mut best: Option<RefineOutcome> = None;
     for start in starts.into_iter().take(top_k.max(1)) {
-        let out = refine(inst, &start, opts.placement, &refine_opts);
+        let out = refine(inst, &start, pipeline.placement, opts);
         let replace = best
             .as_ref()
             .is_none_or(|b| out.solution.cost < b.solution.cost);
@@ -293,13 +279,10 @@ mod tests {
     use snsp_core::refine::RefineDriver;
     use snsp_gen::{generate, ScenarioParams, TreeShape};
 
-    fn opts_with(driver: RefineDriver, max_evals: u64) -> PipelineOptions {
-        PipelineOptions {
-            refine: Some(RefineOptions {
-                driver,
-                max_evals,
-                ..Default::default()
-            }),
+    fn opts_with(driver: RefineDriver, max_evals: u64) -> RefineOptions {
+        RefineOptions {
+            driver,
+            max_evals,
             ..Default::default()
         }
     }
@@ -309,7 +292,7 @@ mod tests {
         let drivers = [
             RefineDriver::FirstImprovement,
             RefineDriver::Steepest,
-            RefineDriver::Anneal(AnnealSchedule::default()),
+            RefineDriver::Anneal,
         ];
         for seed in 0..4u64 {
             let inst = generate(&ScenarioParams::paper(30, 0.9), TreeShape::Random, seed);
@@ -344,13 +327,7 @@ mod tests {
     fn refinement_is_deterministic_per_seed() {
         let inst = generate(&ScenarioParams::paper(40, 0.9), TreeShape::Random, 3);
         let run = |seed: u64| {
-            refine_portfolio(
-                &inst,
-                3,
-                &opts_with(RefineDriver::Anneal(AnnealSchedule::default()), 800),
-                2,
-            )
-            .map(|o| {
+            refine_portfolio(&inst, 3, &opts_with(RefineDriver::Anneal, 800), 2).map(|o| {
                 (
                     o.solution.cost,
                     o.solution.mapping.assignment.clone(),
@@ -366,13 +343,26 @@ mod tests {
 
     #[test]
     fn solve_refined_with_none_matches_solve_seeded() {
+        // No evaluation budget: every driver hands back the constructive
+        // solution unchanged.
         let inst = generate(&ScenarioParams::paper(20, 0.9), TreeShape::Random, 5);
         let h = heuristic_by_name("subtree-bottom-up").unwrap();
         let plain = solve_seeded(h.as_ref(), &inst, 5, &PipelineOptions::default()).unwrap();
-        let wrapped =
-            solve_refined_seeded(h.as_ref(), &inst, 5, &PipelineOptions::default()).unwrap();
-        assert_eq!(plain.cost, wrapped.cost);
-        assert_eq!(plain.mapping.assignment, wrapped.mapping.assignment);
+        for driver in [
+            RefineDriver::FirstImprovement,
+            RefineDriver::Steepest,
+            RefineDriver::Anneal,
+        ] {
+            let out = refine(
+                &inst,
+                &plain,
+                PlacementOptions::default(),
+                &opts_with(driver, 0),
+            );
+            assert_eq!(plain.cost, out.solution.cost);
+            assert_eq!(plain.mapping.assignment, out.solution.mapping.assignment);
+            assert_eq!(out.stats.evals, 0);
+        }
     }
 
     #[test]

@@ -22,8 +22,6 @@
 //!   steepest greedy descent, and seeded simulated annealing.
 //! * [`refine_portfolio`] — race all six paper heuristics as starts and
 //!   refine the cheapest `k`.
-//! * [`solve_refined_seeded`] — the solve-path integration honoring
-//!   [`PipelineOptions::refine`](snsp_core::heuristics::PipelineOptions).
 //! * [`RefineCampaign`] / [`run_refine_campaign`] — whole grids on
 //!   `snsp-sweep`'s pool, with schema-v4 `BENCH_refine.json` that is
 //!   byte-identical at any worker count
@@ -60,6 +58,6 @@ pub use campaign::{
     refine_grid, run_refine_campaign, ExactColumn, RefineCampaign, RefineCampaignReport,
     RefinePoint, RefinePointReport, REFINE_GRID_IDS,
 };
-pub use drivers::{refine, refine_portfolio, solve_refined_seeded, Budget, RefineOutcome};
+pub use drivers::{refine, refine_portfolio, Budget, RefineOutcome};
 pub use moves::{Move, Target};
 pub use state::{RefineStats, Screened, SearchState};

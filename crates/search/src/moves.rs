@@ -218,7 +218,7 @@ mod tests {
             &PipelineOptions::default(),
         )
         .unwrap();
-        let state = SearchState::new(&inst, &sol, PlacementOptions::default(), 0, 2);
+        let state = SearchState::new(&inst, &sol, PlacementOptions::default(), 0);
         let a = enumerate(&state);
         let b = enumerate(&state);
         assert_eq!(a, b, "enumeration is a pure function of the state");
@@ -250,7 +250,7 @@ mod tests {
             &PipelineOptions::default(),
         )
         .unwrap();
-        let state = SearchState::new(&inst, &sol, PlacementOptions::default(), 0, 2);
+        let state = SearchState::new(&inst, &sol, PlacementOptions::default(), 0);
         let run = |seed: u64| {
             let mut rng = StdRng::seed_from_u64(seed);
             (0..50)

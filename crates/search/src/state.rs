@@ -91,6 +91,10 @@ static TM_REROUTE: MoveTelemetry = MoveTelemetry::new(
     "search.rejected.reroute",
 );
 
+/// Seeded random download routings tried when the deterministic
+/// three-pass server selection cannot source a candidate state's streams.
+const REROUTE_ATTEMPTS: u64 = 2;
+
 /// Exact rollbacks performed by [`SearchState::apply`] after a failed
 /// verification (one per rejected structural move).
 static SEARCH_ROLLBACKS: Counter = Counter::new("search.rollbacks", Class::Det);
@@ -174,9 +178,6 @@ pub struct SearchState<'a> {
     /// Peak relative server-NIC load of the current verified state (the
     /// `Reroute` objective).
     peak_load: f64,
-    /// Seeded random routings to try when the three-pass selection fails
-    /// a candidate state.
-    reroute_attempts: u32,
     /// Base seed for fallback routings.
     route_seed_base: u64,
 }
@@ -188,7 +189,6 @@ impl<'a> SearchState<'a> {
         start: &Solution,
         placement: PlacementOptions,
         route_seed_base: u64,
-        reroute_attempts: u32,
     ) -> Self {
         let mut builder = GroupBuilder::new(inst, placement);
         let mut order = Vec::new();
@@ -210,7 +210,6 @@ impl<'a> SearchState<'a> {
             route_scratch: Vec::new(),
             cost: start.cost,
             peak_load,
-            reroute_attempts,
             route_seed_base,
         };
         state.rebuild_pos();
@@ -552,9 +551,9 @@ impl<'a> SearchState<'a> {
         if self.route_seed.is_some() {
             policies.push(None);
         }
-        for k in 0..self.reroute_attempts {
+        for k in 0..REROUTE_ATTEMPTS {
             policies.push(Some(
-                self.route_seed_base ^ salt.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ k as u64,
+                self.route_seed_base ^ salt.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ k,
             ));
         }
         for policy in policies {
@@ -704,7 +703,7 @@ mod tests {
     #[test]
     fn state_round_trips_the_start_solution() {
         let (inst, sol) = start(24, 5);
-        let state = SearchState::new(&inst, &sol, PlacementOptions::default(), 0, 2);
+        let state = SearchState::new(&inst, &sol, PlacementOptions::default(), 0);
         assert_eq!(state.cost(), sol.cost);
         let back = state.solution(sol.heuristic);
         assert_eq!(back.cost, sol.cost);
@@ -719,7 +718,7 @@ mod tests {
     #[test]
     fn rejected_apply_rolls_back_exactly() {
         let (inst, sol) = start(24, 7);
-        let mut state = SearchState::new(&inst, &sol, PlacementOptions::default(), 0, 2);
+        let mut state = SearchState::new(&inst, &sol, PlacementOptions::default(), 0);
         let cost = state.cost();
         let groups_before: Vec<Vec<OpId>> = (0..state.group_count())
             .map(|g| state.group_ops(g).to_vec())
@@ -748,7 +747,7 @@ mod tests {
     #[test]
     fn merge_screening_matches_oracle_pricing() {
         let (inst, sol) = start(30, 11);
-        let mut state = SearchState::new(&inst, &sol, PlacementOptions::default(), 0, 2);
+        let mut state = SearchState::new(&inst, &sol, PlacementOptions::default(), 0);
         if state.group_count() < 2 {
             return;
         }

@@ -12,7 +12,7 @@ use proptest::prelude::*;
 
 use snsp_core::constraints::is_feasible;
 use snsp_core::heuristics::{all_heuristics, solve_seeded, PipelineOptions, PlacementOptions};
-use snsp_core::refine::{AnnealSchedule, RefineDriver, RefineOptions};
+use snsp_core::refine::{RefineDriver, RefineOptions};
 use snsp_gen::{generate, ScenarioParams, TreeShape};
 use snsp_search::{refine, refine_grid, refine_portfolio, run_refine_campaign};
 
@@ -20,7 +20,7 @@ fn driver_of(idx: u8) -> RefineDriver {
     match idx % 3 {
         0 => RefineDriver::FirstImprovement,
         1 => RefineDriver::Steepest,
-        _ => RefineDriver::Anneal(AnnealSchedule::default()),
+        _ => RefineDriver::Anneal,
     }
 }
 
@@ -54,7 +54,6 @@ proptest! {
                 driver: driver_of(d_idx),
                 max_evals,
                 seed,
-                ..Default::default()
             },
         );
         prop_assert!(
@@ -80,14 +79,10 @@ proptest! {
         d_idx in 0u8..3,
     ) {
         let inst = generate(&ScenarioParams::paper(n, 1.1), TreeShape::Random, seed);
-        let opts = PipelineOptions {
-            refine: Some(RefineOptions {
-                driver: driver_of(d_idx),
-                max_evals: 300,
-                seed,
-                ..Default::default()
-            }),
-            ..Default::default()
+        let opts = RefineOptions {
+            driver: driver_of(d_idx),
+            max_evals: 300,
+            seed,
         };
         let a = refine_portfolio(&inst, seed, &opts, 2);
         let b = refine_portfolio(&inst, seed, &opts, 2);

@@ -673,7 +673,7 @@ pub(crate) fn inject_and_recover_msgs(
 mod tests {
     use super::*;
     use crate::shard::ShardOptions;
-    use crate::sim::{replay_trace_chaos, run_trace_chaos, ServeConfig};
+    use crate::sim::{replay_trace_chaos, ServeConfig};
     use snsp_gen::{generate_trace, Trace, TraceParams};
 
     fn trace(seed: u64) -> Trace {
@@ -756,10 +756,10 @@ mod tests {
             shards: 3,
             workers: 2,
         };
-        let faulty = run_trace_chaos(&trace, &ServeConfig::default(), &opts, &plan);
+        let faulty = replay_trace_chaos(&trace, &ServeConfig::default(), &opts, &plan).0;
         let clean_plan =
             FaultPlan::instantiate(&FaultSpec::seeded(13).with_ticks(3.0), trace.params.horizon);
-        let clean = run_trace_chaos(&trace, &ServeConfig::default(), &opts, &clean_plan);
+        let clean = replay_trace_chaos(&trace, &ServeConfig::default(), &opts, &clean_plan).0;
         assert!(faulty.stats.msgs_dropped > 0, "faults actually injected");
         assert_eq!(
             faulty.stats.msgs_retransmitted, faulty.stats.msgs_dropped,
@@ -796,7 +796,7 @@ mod tests {
             shards: 2,
             workers: 2,
         };
-        let report = run_trace_chaos(&trace, &ServeConfig::default(), &opts, &plan);
+        let report = replay_trace_chaos(&trace, &ServeConfig::default(), &opts, &plan).0;
         assert_eq!(report.stats.revocations, 1);
         assert!(
             report.stats.retry_enqueued > 0,
@@ -835,7 +835,7 @@ mod tests {
             shards: 2,
             workers: 1,
         };
-        let report = run_trace_chaos(&trace, &ServeConfig::default(), &opts, &plan);
+        let report = replay_trace_chaos(&trace, &ServeConfig::default(), &opts, &plan).0;
         assert!(report.stats.shed > 0, "pressure must trigger shedding");
         assert!(report.base.log.iter().any(|l| l.contains(" shed ")));
         assert_eq!(
@@ -882,7 +882,7 @@ mod tests {
         let mut crash_counts = Vec::new();
         for shards in [1usize, 2, 4] {
             let opts = ShardOptions { shards, workers: 2 };
-            let report = run_trace_chaos(&trace, &ServeConfig::default(), &opts, &plan);
+            let report = replay_trace_chaos(&trace, &ServeConfig::default(), &opts, &plan).0;
             assert_eq!(
                 report.stats.crashes,
                 plan.crash_count(),

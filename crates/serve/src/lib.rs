@@ -76,7 +76,4 @@ pub use report::{percentile, TraceReport};
 pub use shard::{
     shard_of, FailCause, ServeEvent, ShardLoad, ShardMsg, ShardOptions, ShardedPlatform,
 };
-pub use sim::{
-    replay_trace_chaos, replay_trace_sharded, run_trace, run_trace_chaos, run_trace_sharded,
-    ServeConfig,
-};
+pub use sim::{replay_trace_chaos, replay_trace_sharded, run_trace, ServeConfig};

@@ -42,12 +42,12 @@
 //!
 //! ```
 //! use snsp_gen::{generate_trace, TraceParams};
-//! use snsp_serve::{run_trace_sharded, ServeConfig, ShardOptions};
+//! use snsp_serve::{replay_trace_sharded, ServeConfig, ShardOptions};
 //!
 //! let trace = generate_trace(&TraceParams::poisson(0.4, 4.0, 15.0), 7);
 //! let opts = ShardOptions { shards: 2, workers: 2 };
-//! let a = run_trace_sharded(&trace, &ServeConfig::default(), &opts);
-//! let b = run_trace_sharded(&trace, &ServeConfig::default(), &opts);
+//! let (a, _) = replay_trace_sharded(&trace, &ServeConfig::default(), &opts);
+//! let (b, _) = replay_trace_sharded(&trace, &ServeConfig::default(), &opts);
 //! assert_eq!(a.log, b.log); // deterministic replay, sharded or not
 //! assert_eq!(a.admitted + a.rejected, a.arrivals);
 //! ```
@@ -55,6 +55,7 @@
 use std::path::PathBuf;
 use std::time::Instant;
 
+use snsp_core::heuristics::SubtreeBottomUp;
 use snsp_core::ids::{ProcId, TenantId};
 use snsp_core::multi::{MultiInstance, MultiSolution};
 use snsp_core::object::ObjectCatalog;
@@ -586,7 +587,7 @@ pub(crate) fn replay_batch(
                 let inst = tenant_instance(live.objects(), live.platform(), &spec);
                 let seed = run ^ (tenant.0 as u64 + 1).wrapping_mul(PIPELINE_SEED_STRIDE);
                 let started = Instant::now();
-                match live.admit(tenant, inst, config.heuristic.as_ref(), seed, &config.opts) {
+                match live.admit(tenant, inst, &SubtreeBottomUp, seed, &config.opts) {
                     Ok(out) => {
                         latencies.push(started.elapsed().as_secs_f64() * 1e6);
                         *admitted += 1;
@@ -620,8 +621,7 @@ pub(crate) fn replay_batch(
                 }
             }
             TraceEvent::Depart { tenant } => {
-                let mut budget = snsp_search::Budget::new(config.refine_evals);
-                if live.depart_budgeted(tenant, &mut budget) {
+                if live.depart(tenant) {
                     send(live, t, ServeEvent::Departed { tenant });
                 }
             }
@@ -637,9 +637,8 @@ pub(crate) fn replay_batch(
 mod tests {
     use super::*;
     use crate::fault::audit_platform;
-    use crate::sim::run_trace_sharded;
+    use crate::sim::replay_trace_sharded;
     use proptest::prelude::*;
-    use snsp_core::heuristics::SubtreeBottomUp;
     use snsp_core::multi::verify_joint;
     use snsp_gen::{generate_trace, trace_environment, TraceParams, TreeShape};
 
@@ -768,17 +767,19 @@ mod tests {
         let params = TraceParams::poisson(0.6, 4.0, 25.0).with_failures(0.1);
         let trace = generate_trace(&params, 11);
         for shards in [1usize, 2, 4] {
-            let base = run_trace_sharded(
+            let base = replay_trace_sharded(
                 &trace,
                 &ServeConfig::default(),
                 &ShardOptions { shards, workers: 1 },
-            );
+            )
+            .0;
             for workers in [2usize, 4] {
-                let other = run_trace_sharded(
+                let other = replay_trace_sharded(
                     &trace,
                     &ServeConfig::default(),
                     &ShardOptions { shards, workers },
-                );
+                )
+                .0;
                 assert_eq!(base.log, other.log, "{shards} shards, {workers} workers");
                 assert_eq!(base.log_hash(), other.log_hash());
                 assert_eq!(base.final_cost, other.final_cost);

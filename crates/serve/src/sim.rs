@@ -32,7 +32,7 @@
 use std::collections::BTreeMap;
 use std::sync::Mutex;
 
-use snsp_core::heuristics::{Heuristic, PipelineOptions, SubtreeBottomUp};
+use snsp_core::heuristics::{PipelineOptions, SubtreeBottomUp};
 use snsp_core::ids::TenantId;
 use snsp_core::pool::run_jobs_checked;
 use snsp_engine::{meets_slo, SimConfig};
@@ -87,10 +87,13 @@ static AUDIT_FAILURES: Counter = Counter::new("fault.audit.failures", Class::Det
 /// Events re-replayed from checkpoint per crash recovery.
 static RECOVERY_REPLAYED: Histogram = Histogram::new("fault.recovery.replayed_events", Class::Det);
 
-/// Serving-loop policy knobs.
+/// Serving-loop policy knobs. Arriving tenants are placed by
+/// Subtree-Bottom-Up, the paper's overall winner, and every departure
+/// runs the consolidation refinement with [`DEFAULT_DEPART_EVALS`]
+/// evacuation attempts (see `LivePlatform::depart`).
+///
+/// [`DEFAULT_DEPART_EVALS`]: crate::DEFAULT_DEPART_EVALS
 pub struct ServeConfig {
-    /// Placement heuristic for arriving tenants.
-    pub heuristic: Box<dyn Heuristic>,
     /// Pipeline options handed to the heuristic.
     pub opts: PipelineOptions,
     /// SLO bar as a fraction of each tenant's ρ (engine-validated).
@@ -101,21 +104,16 @@ pub struct ServeConfig {
     pub final_validation: bool,
     /// Engine configuration for the spot runs.
     pub sim: SimConfig,
-    /// Evacuation-attempt budget for the post-departure consolidation
-    /// refinement (see `LivePlatform::depart_budgeted`).
-    pub refine_evals: u64,
 }
 
 impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
-            heuristic: Box::new(SubtreeBottomUp),
             opts: PipelineOptions::default(),
             slo_frac: 0.95,
             spot_admissions: 0,
             final_validation: true,
             sim: SimConfig::default(),
-            refine_evals: crate::platform::DEFAULT_DEPART_EVALS,
         }
     }
 }
@@ -148,12 +146,7 @@ pub(crate) fn validate_residents(live: &LivePlatform, config: &ServeConfig) -> S
 /// Replays one trace on one shard — the unsharded platform — and
 /// reports the service metrics.
 pub fn run_trace(trace: &Trace, config: &ServeConfig) -> TraceReport {
-    run_trace_sharded(trace, config, &ShardOptions::default())
-}
-
-/// [`replay_trace_sharded`] without the final state.
-pub fn run_trace_sharded(trace: &Trace, config: &ServeConfig, opts: &ShardOptions) -> TraceReport {
-    replay_trace_sharded(trace, config, opts).0
+    replay_trace_sharded(trace, config, &ShardOptions::default()).0
 }
 
 /// Replays one trace over a [`ShardedPlatform`] with no faults (the
@@ -167,16 +160,6 @@ pub fn replay_trace_sharded(
 ) -> (TraceReport, ShardedPlatform) {
     let (report, _, state) = replay(trace, config, opts, &FaultPlan::none());
     (report, state)
-}
-
-/// [`replay_trace_chaos`] without the final state.
-pub fn run_trace_chaos(
-    trace: &Trace,
-    config: &ServeConfig,
-    opts: &ShardOptions,
-    plan: &FaultPlan,
-) -> ChaosReport {
-    replay_trace_chaos(trace, config, opts, plan).0
 }
 
 /// Replays one trace under a fault plan: every fault is injected at its
@@ -650,11 +633,10 @@ impl Engine<'_> {
                 continue; // already resident again (defensive; never expected)
             }
             let seed = self.trace.seed ^ (tenant.0 as u64 + 1).wrapping_mul(PIPELINE_SEED_STRIDE);
-            let (heuristic, opts) = (self.config.heuristic.as_ref(), &self.config.opts);
             let attempt = e.attempts + 1;
             if self
                 .sharded
-                .admit_spec(tenant, &e.spec, heuristic, seed, opts)
+                .admit_spec(tenant, &e.spec, &SubtreeBottomUp, seed, &self.config.opts)
                 .is_ok()
             {
                 self.emit(t, s, e.attempts, ServeEvent::Readmitted { tenant, attempt });

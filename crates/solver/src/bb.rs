@@ -28,23 +28,39 @@
 //! [`solve_exact_reference`]: equivalence tests pin the incremental
 //! search to it, and the perf harness measures the speedup between them.
 //!
-//! ## Parallel search
+//! ## Optimality caveat
 //!
-//! With [`BranchBoundConfig::workers`] `> 1` the same tree is explored by
-//! subtree-splitting work stealing on the shared [`snsp_core::pool`]
-//! executor: a task is a restricted-growth *prefix* (the group choice for
-//! `order[0..depth]`), workers pop open prefixes from a
-//! [`TaskDeque`](snsp_core::pool::TaskDeque),
-//! replay the prefix pushes to rebuild the incremental state, and explore
-//! the subtree depth-first — donating untried sibling branches back to
-//! the deque whenever it runs dry. The incumbent is shared: the best cost
-//! lives in an `AtomicU64` (read lock-free at every prune check), the
-//! mapping behind a `Mutex`, updated together under the lock with a
-//! re-check. Node visit *order* and per-run node *counts* depend on the
-//! schedule, but the returned optimum cannot: a subtree is pruned only
-//! when its admissible bound is ≥ the incumbent at that moment, which is
-//! itself ≥ the final optimum — so no pruned subtree can contain a
-//! strictly better leaf, at any worker count.
+//! Server selection at a leaf is the paper's three-pass heuristic, not an
+//! exact routing. A grouping whose downloads three-pass selection cannot
+//! source counts as infeasible, even when some other routing would serve
+//! it. [`ExactResult::certified_bound`] is therefore the optimum of the
+//! paper's pipeline — groupings, cheapest kinds, three-pass selection —
+//! not a bound over every possible download routing.
+//!
+//! ## One depth-first search at any worker count
+//!
+//! There is one DFS. A *task* is a restricted-growth *prefix* (the group
+//! choice for `order[0..depth]`); a worker replays the prefix pushes to
+//! rebuild the incremental state, then explores the subtree depth-first.
+//! The incumbent cost lives in an `AtomicU64` (read lock-free at every
+//! prune check) and the mapping behind a `Mutex`, updated together under
+//! the lock with a re-check; the node budget is one global counter.
+//!
+//! * With [`BranchBoundConfig::workers`] `<= 1` the root task (the empty
+//!   prefix) runs on the calling thread with donation off. Node count,
+//!   visit order, incumbents and the witness mapping are deterministic,
+//!   [`ExactResult::pool`] is all-zero, and a panic unwinds to the
+//!   caller.
+//! * With more workers the same code runs on that many threads over a
+//!   [`TaskDeque`] on the shared [`snsp_core::pool`] executor: once one
+//!   branch of a node is being explored inline, its untried siblings are
+//!   donated back to the deque whenever it runs dry.
+//!
+//! Node visit *order* and per-run node *counts* of a multi-worker solve
+//! depend on the schedule, but the returned optimum cannot: a subtree is
+//! pruned only when its admissible bound is ≥ the incumbent at that
+//! moment, which is itself ≥ the final optimum — so no pruned subtree can
+//! contain a strictly better leaf, at any worker count.
 //!
 //! ```
 //! use snsp_gen::paper_instance;
@@ -64,6 +80,9 @@
 //! assert_eq!(serial.certified_bound(), parallel.certified_bound());
 //! ```
 
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Mutex;
+
 use snsp_core::constraints;
 use snsp_core::heuristics::{
     select_servers, PlacedGroup, PlacedOps, ServerSelector, ServerStrategy,
@@ -71,7 +90,7 @@ use snsp_core::heuristics::{
 use snsp_core::ids::{OpId, TypeId};
 use snsp_core::instance::Instance;
 use snsp_core::mapping::{Download, Mapping};
-use snsp_core::pool::PoolStats;
+use snsp_core::pool::{run_workers, PoolStats, TaskDeque};
 use snsp_telemetry::{Class, Counter, Histogram};
 
 use crate::bounds::lower_bound;
@@ -92,11 +111,18 @@ static BB_INCUMBENTS: Counter = Counter::new("bb.incumbent.updates", Class::Over
 static BB_INCUMBENT_COST: Histogram = Histogram::new("bb.incumbent.cost", Class::Overlay);
 static BB_SUBTREE_NODES: Histogram = Histogram::new("bb.task.subtree_nodes", Class::Overlay);
 
+/// Donated subtrees must have at least this many undecided operators
+/// left: shipping near-leaf subtrees costs more in replay than the
+/// stolen work is worth, and tiny instances (`N < SPLIT_MARGIN`)
+/// degenerate to one worker owning the whole tree — which must still
+/// terminate cleanly (pinned by the starvation test).
+const SPLIT_MARGIN: usize = 4;
+
 /// Records an overlay-class search trace event (subtree splits,
 /// incumbent publications). Logical time carries no tick — the search
 /// has no barrier clock — so the lane is the node count at emission,
-/// which orders events within one serial worker and merely groups them
-/// for parallel runs (overlay events never enter the Det stream).
+/// which orders events within one worker and merely groups them for
+/// multi-worker runs (overlay events never enter the Det stream).
 fn record_search_event(kind: snsp_telemetry::trace::TraceEventKind) {
     snsp_telemetry::trace::record(
         Class::Overlay,
@@ -115,15 +141,16 @@ fn record_search_event(kind: snsp_telemetry::trace::TraceEventKind) {
 pub struct BranchBoundConfig {
     /// Maximum number of search nodes to expand before giving up on
     /// optimality (the best solution found so far is still returned).
-    /// In the parallel search the budget is global across workers.
+    /// The budget is global across workers.
     pub node_budget: u64,
     /// Optional initial upper bound (e.g. a heuristic cost) to seed
     /// pruning.
     pub upper_bound: Option<u64>,
-    /// Search threads. `<= 1` runs the serial search on the calling
-    /// thread (deterministic node counts); more run the subtree-splitting
-    /// parallel search — same optimum and certified bound at any value
-    /// (see the module docs), node counts schedule-dependent.
+    /// Search threads. `<= 1` runs the search on the calling thread
+    /// (deterministic node counts); more run the same search on that
+    /// many threads with subtree donation — same optimum and certified
+    /// bound at any value (see the module docs), node counts
+    /// schedule-dependent.
     pub workers: usize,
 }
 
@@ -146,8 +173,8 @@ pub struct ExactResult {
     pub cost: u64,
     /// Whether the search space was exhausted (the answer is optimal).
     pub optimal: bool,
-    /// Search nodes expanded. Deterministic for the serial search;
-    /// schedule-dependent (but budget-bounded) for the parallel one.
+    /// Search nodes expanded. Deterministic for a one-worker solve;
+    /// schedule-dependent (but budget-bounded) with more workers.
     pub nodes: u64,
     /// Best certified lower bound on the optimal cost: equals `cost`
     /// when optimality was proven with a feasible mapping, otherwise
@@ -156,10 +183,10 @@ pub struct ExactResult {
     /// (`nodes`) and what it can still certify (`bound`).
     pub bound: u64,
     /// Executor diagnostics (steals, donations, peak frontier depth).
-    /// All zeros for the serial search; scheduling-dependent for the
-    /// parallel one — but a multi-worker run always registers at least
-    /// one steal (the seed prefix is enqueued by the coordinating
-    /// thread and claimed by a spawned worker).
+    /// All zeros for a one-worker solve; scheduling-dependent with more
+    /// workers — but a multi-worker run always registers at least one
+    /// steal (the seed prefix is enqueued by the coordinating thread and
+    /// claimed by a spawned worker).
     pub pool: PoolStats,
 }
 
@@ -167,7 +194,8 @@ impl ExactResult {
     /// The certified optimum, if this run proved one: `Some(cost)` iff
     /// the search exhausted the space (`optimal`) *and* found a feasible
     /// mapping. This is the value the refine reports' gap column divides
-    /// by; it is worker-count-independent by construction.
+    /// by; it is worker-count-independent by construction. It is optimal
+    /// for the paper's pipeline (see the module docs' caveat).
     pub fn certified_bound(&self) -> Option<u64> {
         if self.optimal && self.mapping.is_some() {
             Some(self.cost)
@@ -210,8 +238,49 @@ struct PushSave {
     n_foreign: u8,
 }
 
-struct Search<'a> {
+/// What every worker of one solve shares. The incumbent is split in
+/// two: the cost in an atomic (read at every prune check, lock-free) and
+/// the mapping behind a mutex (touched only on improvement, rare). Both
+/// are updated together under the lock, with the cost re-checked, so
+/// `best_cost` decreases monotonically and always matches `best`. The
+/// atomics publish no other data (the mapping is read only after every
+/// worker has joined), so they are `Relaxed`.
+struct Shared {
+    best_cost: AtomicU64,
+    best: Mutex<Option<Mapping>>,
+    /// Nodes expanded across all workers; prefix replays do not count,
+    /// so every expanded node is counted exactly once.
+    nodes: AtomicU64,
+    budget: u64,
+    truncated: AtomicBool,
+    /// Open task prefixes; `None` on a one-worker solve (donation off).
+    deque: Option<TaskDeque<Vec<u32>>>,
+    workers: usize,
+}
+
+impl Shared {
+    /// Installs a feasible leaf as the incumbent unless another worker
+    /// published one at least as cheap since the lock-free screen.
+    /// Returns whether it did.
+    fn publish(&self, cost: u64, mapping: Mapping) -> bool {
+        let mut best = self
+            .best
+            .lock()
+            .expect("nothing panics while the incumbent lock is held");
+        if cost >= self.best_cost.load(Ordering::Relaxed) {
+            return false;
+        }
+        self.best_cost.store(cost, Ordering::Relaxed);
+        *best = Some(mapping);
+        true
+    }
+}
+
+/// One worker: the incremental search state over its own group arena,
+/// plus the restricted-growth path to the node it is exploring.
+struct Search<'a, 'b> {
     inst: &'a Instance,
+    shared: &'b Shared,
     order: Vec<OpId>,
     /// Operator → group index (`usize::MAX` = unassigned).
     assign: Vec<usize>,
@@ -221,33 +290,33 @@ struct Search<'a> {
     n_groups: usize,
     /// Running `Σ lb_cost` over live groups.
     lb_sum: u64,
-    best_cost: u64,
-    best: Option<Mapping>,
-    nodes: u64,
-    budget: u64,
-    truncated: bool,
     selector: ServerSelector,
     kinds_buf: Vec<usize>,
     downloads_buf: Vec<Download>,
+    /// Group choices from the root to the current node: the prefix a
+    /// donated sibling extends.
+    path: Vec<u32>,
+    /// Nodes this worker expanded inside the current task, feeding the
+    /// `bb.task.subtree_nodes` histogram (a task's subtree size is the
+    /// natural unit of load balance).
+    task_nodes: u64,
 }
 
-impl<'a> Search<'a> {
-    fn new(inst: &'a Instance, config: &BranchBoundConfig) -> Self {
+impl<'a, 'b> Search<'a, 'b> {
+    fn new(inst: &'a Instance, shared: &'b Shared) -> Self {
         Search {
             inst,
+            shared,
             order: inst.tree.postorder(),
             assign: vec![usize::MAX; inst.tree.len()],
             groups: Vec::new(),
             n_groups: 0,
             lb_sum: 0,
-            best_cost: config.upper_bound.unwrap_or(u64::MAX),
-            best: None,
-            nodes: 0,
-            budget: config.node_budget,
-            truncated: false,
             selector: ServerSelector::new(),
             kinds_buf: Vec::new(),
             downloads_buf: Vec::new(),
+            path: Vec::new(),
+            task_nodes: 0,
         }
     }
 
@@ -360,35 +429,8 @@ impl<'a> Search<'a> {
         grp.lb_kind = save.lb_kind;
     }
 
-    fn dfs(&mut self, depth: usize) {
-        if self.truncated {
-            return;
-        }
-        self.nodes += 1;
-        BB_NODES.incr();
-        if self.nodes > self.budget {
-            self.truncated = true;
-            return;
-        }
-        if depth == self.order.len() {
-            self.evaluate_leaf();
-            return;
-        }
-        let op = self.order[depth];
-
-        // Try joining each existing group.
-        for g in 0..self.n_groups {
-            if let Some(save) = self.push_op(g, op) {
-                if self.lb_sum < self.best_cost {
-                    self.dfs(depth + 1);
-                } else {
-                    BB_PRUNE_BOUND.incr();
-                }
-                self.pop_op(g, &save);
-            }
-        }
-
-        // Open a fresh group (restricted growth: always the next index).
+    /// Opens the next restricted-growth group in the arena.
+    fn open_group(&mut self) {
         if self.n_groups == self.groups.len() {
             self.groups.push(GroupSlot {
                 ops: Vec::new(),
@@ -401,26 +443,135 @@ impl<'a> Search<'a> {
             });
         }
         self.n_groups += 1;
-        let g = self.n_groups - 1;
-        if let Some(save) = self.push_op(g, op) {
-            if self.lb_sum < self.best_cost {
-                self.dfs(depth + 1);
-            } else {
-                BB_PRUNE_BOUND.incr();
-            }
-            self.pop_op(g, &save);
+    }
+
+    /// Replays a task's prefix — rebuilding the incremental demand state
+    /// push by push — then explores its subtree. A replay push can fail
+    /// or the rebuilt bound can already exceed the incumbent (it may have
+    /// improved since donation): the task is then abandoned, which is
+    /// exactly the search pruning that branch. Every applied push is
+    /// unwound before returning, so the arena is clean for the next
+    /// task. The root task (the empty prefix) replays nothing.
+    fn run_task(&mut self, prefix: &[u32]) {
+        if self.shared.truncated.load(Ordering::Relaxed) {
+            return;
         }
-        self.n_groups -= 1;
+        let mut saves: Vec<(usize, PushSave, bool)> = Vec::with_capacity(prefix.len());
+        let mut alive = true;
+        for (depth, &gv) in prefix.iter().enumerate() {
+            let op = self.order[depth];
+            let g = gv as usize;
+            let fresh = g == self.n_groups;
+            if fresh {
+                self.open_group();
+            }
+            match self.push_op(g, op) {
+                Some(save) => {
+                    saves.push((g, save, fresh));
+                    if self.lb_sum >= self.shared.best_cost.load(Ordering::Relaxed) {
+                        alive = false;
+                        break;
+                    }
+                }
+                None => {
+                    if fresh {
+                        self.n_groups -= 1;
+                    }
+                    alive = false;
+                    break;
+                }
+            }
+        }
+        if alive {
+            self.path.clear();
+            self.path.extend_from_slice(prefix);
+            self.task_nodes = 0;
+            self.dfs(prefix.len());
+            BB_SUBTREE_NODES.record(self.task_nodes as f64);
+        }
+        for (g, save, fresh) in saves.iter().rev() {
+            self.pop_op(*g, save);
+            if *fresh {
+                self.n_groups -= 1;
+            }
+        }
+    }
+
+    /// The depth-first search below the current node: join each existing
+    /// group, then open a fresh one, pruning on the admissible bound
+    /// against the shared incumbent. With donation on, untried siblings
+    /// are pushed to the deque while it is starving.
+    fn dfs(&mut self, depth: usize) {
+        if self.shared.truncated.load(Ordering::Relaxed) {
+            return;
+        }
+        self.task_nodes += 1;
+        BB_NODES.incr();
+        if self.shared.nodes.fetch_add(1, Ordering::Relaxed) + 1 > self.shared.budget {
+            self.shared.truncated.store(true, Ordering::Relaxed);
+            return;
+        }
+        if depth == self.order.len() {
+            self.evaluate_leaf();
+            return;
+        }
+        let op = self.order[depth];
+        let n_existing = self.n_groups;
+        let mut explored_inline = false;
+        for g in 0..=n_existing {
+            if explored_inline && self.donate(depth, g) {
+                continue;
+            }
+            // Restricted growth: the fresh group is always the next index.
+            let fresh = g == n_existing;
+            if fresh {
+                self.open_group();
+            }
+            if let Some(save) = self.push_op(g, op) {
+                if self.lb_sum < self.shared.best_cost.load(Ordering::Relaxed) {
+                    explored_inline = true;
+                    self.path.push(g as u32);
+                    self.dfs(depth + 1);
+                    self.path.pop();
+                } else {
+                    BB_PRUNE_BOUND.incr();
+                }
+                self.pop_op(g, &save);
+            }
+            if fresh {
+                self.n_groups -= 1;
+            }
+        }
+    }
+
+    /// Donates the untried branch `g` at `depth` to the deque when
+    /// donation is on, the deque is starving and the subtree is deep
+    /// enough to be worth shipping. Returns whether it did.
+    fn donate(&mut self, depth: usize, g: usize) -> bool {
+        let Some(deque) = &self.shared.deque else {
+            return false;
+        };
+        if deque.queued() >= self.shared.workers || depth + SPLIT_MARGIN >= self.order.len() {
+            return false;
+        }
+        let mut donated = self.path.clone();
+        donated.push(g as u32);
+        record_search_event(snsp_telemetry::trace::TraceEventKind::Split {
+            depth: depth as u64,
+        });
+        deque.push(donated);
+        true
     }
 
     /// Costs a complete partition from the maintained demands. At a leaf
     /// every edge is decided, so each group's maintained bound *is* its
     /// exact cheapest cost: the partition costs `lb_sum` and the kinds
     /// are the cached `lb_kind`s — O(groups), no catalog scan, no tree
-    /// walk. Only server selection and the constraint check remain.
+    /// walk. Only server selection and the constraint check remain; a
+    /// feasible partition is published as the new incumbent.
     fn evaluate_leaf(&mut self) {
         let cost = self.lb_sum;
-        if cost >= self.best_cost {
+        if cost >= self.shared.best_cost.load(Ordering::Relaxed) {
             BB_PRUNE_LEAF_COST.incr();
             return;
         }
@@ -437,8 +588,8 @@ impl<'a> Search<'a> {
                 .collect(),
             self.inst.tree.len(),
         );
-        // Server selection is itself heuristic (three-pass); see DESIGN.md
-        // for the optimality caveat this implies.
+        // Three-pass selection is a heuristic: a grouping it cannot
+        // source is treated as infeasible (the module docs' caveat).
         let mut rng = NullRng;
         if self
             .selector
@@ -455,16 +606,16 @@ impl<'a> Search<'a> {
             return;
         }
         let mapping = placed.into_mapping(self.downloads_buf.clone());
-        if constraints::is_feasible(self.inst, &mapping) {
-            self.best_cost = cost;
-            self.best = Some(mapping);
+        if !constraints::is_feasible(self.inst, &mapping) {
+            BB_PRUNE_CONSTRAINTS.incr();
+            return;
+        }
+        if self.shared.publish(cost, mapping) {
             BB_INCUMBENTS.incr();
             BB_INCUMBENT_COST.record(cost as f64);
             record_search_event(snsp_telemetry::trace::TraceEventKind::Incumbent {
                 cost_bits: (cost as f64).to_bits(),
             });
-        } else {
-            BB_PRUNE_CONSTRAINTS.incr();
         }
     }
 }
@@ -501,36 +652,53 @@ fn resolve_bound(inst: &Instance, optimal: bool, found: bool, cost: u64) -> u64 
     }
 }
 
-/// Runs the exact search (incremental demand maintenance). With
-/// `config.workers > 1` the subtree-splitting parallel search runs
-/// instead; optimum and certified bound are identical either way.
+/// Runs the exact search (incremental demand maintenance) on
+/// `config.workers` threads; optimum and certified bound are identical
+/// at any worker count (see the module docs).
 pub fn solve_exact(inst: &Instance, config: &BranchBoundConfig) -> ExactResult {
-    if config.workers > 1 {
-        return parallel::solve(inst, config);
-    }
-    let mut search = Search::new(inst, config);
-    search.dfs(0);
-    let optimal = !search.truncated;
+    let workers = config.workers.max(1);
+    let shared = Shared {
+        best_cost: AtomicU64::new(config.upper_bound.unwrap_or(u64::MAX)),
+        best: Mutex::new(None),
+        nodes: AtomicU64::new(0),
+        budget: config.node_budget,
+        truncated: AtomicBool::new(false),
+        deque: (workers > 1).then(|| TaskDeque::new(vec![Vec::new()])),
+        workers,
+    };
+    let pool = match &shared.deque {
+        None => {
+            Search::new(inst, &shared).run_task(&[]);
+            PoolStats::default()
+        }
+        Some(deque) => {
+            run_workers(workers, |_| {
+                let mut search = Search::new(inst, &shared);
+                // `drain` contains task panics: a poisoned subtree is
+                // counted (and poisons the certificate below) instead of
+                // wedging the pending counter and deadlocking the
+                // sibling workers.
+                deque.drain(|prefix| search.run_task(&prefix));
+            });
+            deque.stats()
+        }
+    };
+    // Subtrees lost to a panic mid-search leave the incumbent
+    // uncertified.
+    let optimal = !shared.truncated.into_inner() && pool.panics == 0;
+    let cost = shared.best_cost.into_inner();
+    let mapping = shared
+        .best
+        .into_inner()
+        .expect("nothing panics while the incumbent lock is held");
     ExactResult {
-        cost: search.best_cost,
+        cost,
         optimal,
-        nodes: search.nodes,
-        bound: resolve_bound(inst, optimal, search.best.is_some(), search.best_cost),
-        pool: PoolStats::default(),
-        mapping: search.best,
+        nodes: shared.nodes.into_inner(),
+        bound: resolve_bound(inst, optimal, mapping.is_some(), cost),
+        pool,
+        mapping,
     }
-}
-
-/// Exhaustive variant for tiny instances: effectively unlimited budget.
-pub fn solve_exhaustive(inst: &Instance) -> ExactResult {
-    solve_exact(
-        inst,
-        &BranchBoundConfig {
-            node_budget: u64::MAX,
-            upper_bound: None,
-            workers: 1,
-        },
-    )
 }
 
 /// The original recompute-per-node search, kept as the slow reference
@@ -549,249 +717,6 @@ pub fn solve_exact_reference(inst: &Instance, config: &BranchBoundConfig) -> Exa
         bound: resolve_bound(inst, optimal, search.best.is_some(), search.best_cost),
         pool: PoolStats::default(),
         mapping: search.best,
-    }
-}
-
-/// Subtree-splitting parallel search over the shared `snsp_core::pool`
-/// executor. See the module docs for the protocol and the determinism
-/// argument.
-mod parallel {
-    use super::*;
-    use snsp_core::pool::{run_workers, TaskDeque};
-    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-    use std::sync::Mutex;
-
-    /// Donated subtrees must have at least this many undecided operators
-    /// left: shipping near-leaf subtrees costs more in replay than the
-    /// stolen work is worth, and tiny instances (`N < SPLIT_MARGIN`)
-    /// degenerate to one worker owning the whole tree — which must still
-    /// terminate cleanly (pinned by the starvation test).
-    const SPLIT_MARGIN: usize = 4;
-
-    /// State every worker shares. The incumbent is split in two: the
-    /// cost in an atomic (read at every prune check, lock-free) and the
-    /// mapping behind a mutex (touched only on improvement, rare). Both
-    /// are updated together under the lock, with the cost re-checked, so
-    /// `best_cost` decreases monotonically and always matches `best`.
-    struct Shared<'a> {
-        deque: TaskDeque<Vec<u32>>,
-        best_cost: AtomicU64,
-        best: Mutex<Option<Mapping>>,
-        nodes: AtomicU64,
-        budget: u64,
-        truncated: AtomicBool,
-        workers: usize,
-        inst: &'a Instance,
-    }
-
-    /// One worker: a private serial [`Search`] (its `best_cost`/`best`
-    /// fields are scratch for `evaluate_leaf`; the shared incumbent is
-    /// authoritative) plus the restricted-growth path to the subtree
-    /// root currently being explored.
-    struct Worker<'a, 'b> {
-        search: Search<'a>,
-        path: Vec<u32>,
-        shared: &'b Shared<'a>,
-        /// Nodes this worker expanded inside the current task, feeding
-        /// the `bb.task.subtree_nodes` histogram (a stolen prefix's
-        /// subtree size is the natural unit of load balance).
-        task_nodes: u64,
-    }
-
-    impl<'a, 'b> Worker<'a, 'b> {
-        /// Replays a donated prefix — rebuilding the incremental demand
-        /// state push by push — then explores its subtree. A replay push
-        /// can fail or the rebuilt bound can already exceed the
-        /// incumbent (it may have improved since donation): the task is
-        /// then abandoned, which is exactly the serial search pruning
-        /// that branch. Every applied push is unwound before returning,
-        /// so the worker's arena is clean for the next task.
-        fn run_task(&mut self, prefix: &[u32]) {
-            if self.shared.truncated.load(Ordering::Relaxed) {
-                return;
-            }
-            let mut saves: Vec<(usize, PushSave, bool)> = Vec::with_capacity(prefix.len());
-            let mut alive = true;
-            for (depth, &gv) in prefix.iter().enumerate() {
-                let op = self.search.order[depth];
-                let g = gv as usize;
-                let fresh = g == self.search.n_groups;
-                if fresh {
-                    self.open_group();
-                }
-                match self.search.push_op(g, op) {
-                    Some(save) => {
-                        saves.push((g, save, fresh));
-                        if self.search.lb_sum >= self.shared.best_cost.load(Ordering::Relaxed) {
-                            alive = false;
-                            break;
-                        }
-                    }
-                    None => {
-                        if fresh {
-                            self.search.n_groups -= 1;
-                        }
-                        alive = false;
-                        break;
-                    }
-                }
-            }
-            if alive {
-                self.path.clear();
-                self.path.extend_from_slice(prefix);
-                self.task_nodes = 0;
-                self.dfs(prefix.len());
-                BB_SUBTREE_NODES.record(self.task_nodes as f64);
-            }
-            for (g, save, fresh) in saves.iter().rev() {
-                self.search.pop_op(*g, save);
-                if *fresh {
-                    self.search.n_groups -= 1;
-                }
-            }
-        }
-
-        /// The parallel analogue of [`Search::dfs`]: same branching
-        /// order and bound checks, but the incumbent is the shared
-        /// atomic, the node budget is global, and untried sibling
-        /// branches are donated to the deque while other workers are
-        /// starving. Replays don't count nodes, so every expanded node
-        /// is counted exactly once across the fleet.
-        fn dfs(&mut self, depth: usize) {
-            if self.shared.truncated.load(Ordering::Relaxed) {
-                return;
-            }
-            self.task_nodes += 1;
-            BB_NODES.incr();
-            if self.shared.nodes.fetch_add(1, Ordering::Relaxed) + 1 > self.shared.budget {
-                self.shared.truncated.store(true, Ordering::Relaxed);
-                return;
-            }
-            if depth == self.search.order.len() {
-                self.evaluate_and_publish();
-                return;
-            }
-            let op = self.search.order[depth];
-            let n_existing = self.search.n_groups;
-            let mut explored_inline = false;
-            for g in 0..=n_existing {
-                let fresh = g == n_existing;
-                // Donate untried siblings once one branch is being
-                // explored inline, but only while the deque is starving
-                // and the subtree is deep enough to be worth shipping.
-                if explored_inline
-                    && self.shared.deque.queued() < self.shared.workers
-                    && depth + SPLIT_MARGIN < self.search.order.len()
-                {
-                    let mut donated = self.path.clone();
-                    donated.push(g as u32);
-                    record_search_event(snsp_telemetry::trace::TraceEventKind::Split {
-                        depth: depth as u64,
-                    });
-                    self.shared.deque.push(donated);
-                    continue;
-                }
-                if fresh {
-                    self.open_group();
-                }
-                if let Some(save) = self.search.push_op(g, op) {
-                    if self.search.lb_sum < self.shared.best_cost.load(Ordering::Relaxed) {
-                        explored_inline = true;
-                        self.path.push(g as u32);
-                        self.dfs(depth + 1);
-                        self.path.pop();
-                    } else {
-                        BB_PRUNE_BOUND.incr();
-                    }
-                    self.search.pop_op(g, &save);
-                }
-                if fresh {
-                    self.search.n_groups -= 1;
-                }
-            }
-        }
-
-        /// Opens the next restricted-growth group in the worker's arena
-        /// (mirrors the fresh-group arm of [`Search::dfs`]).
-        fn open_group(&mut self) {
-            if self.search.n_groups == self.search.groups.len() {
-                self.search.groups.push(GroupSlot {
-                    ops: Vec::new(),
-                    work: 0.0,
-                    dl_rate: 0.0,
-                    cut_bw: 0.0,
-                    lb_cost: 0,
-                    lb_kind: 0,
-                    type_count: vec![0; self.shared.inst.objects.len()],
-                });
-            }
-            self.search.n_groups += 1;
-        }
-
-        /// Costs the complete partition through the private search's
-        /// `evaluate_leaf` (selector + full constraint check), then
-        /// publishes an improvement to the shared incumbent under the
-        /// lock with a cost re-check — another worker may have published
-        /// a better one since the lock-free screen.
-        fn evaluate_and_publish(&mut self) {
-            self.search.best_cost = self.shared.best_cost.load(Ordering::Relaxed);
-            self.search.best = None;
-            self.search.evaluate_leaf();
-            if let Some(mapping) = self.search.best.take() {
-                let cost = self.search.best_cost;
-                let mut best = self.shared.best.lock().unwrap();
-                if cost < self.shared.best_cost.load(Ordering::Relaxed) {
-                    self.shared.best_cost.store(cost, Ordering::Relaxed);
-                    *best = Some(mapping);
-                }
-            }
-        }
-    }
-
-    pub(super) fn solve(inst: &Instance, config: &BranchBoundConfig) -> ExactResult {
-        let shared = Shared {
-            deque: TaskDeque::new(vec![Vec::new()]),
-            best_cost: AtomicU64::new(config.upper_bound.unwrap_or(u64::MAX)),
-            best: Mutex::new(None),
-            nodes: AtomicU64::new(0),
-            budget: config.node_budget,
-            truncated: AtomicBool::new(false),
-            workers: config.workers,
-            inst,
-        };
-        let serial = BranchBoundConfig {
-            workers: 1,
-            ..*config
-        };
-        run_workers(config.workers, |_| {
-            let mut worker = Worker {
-                search: Search::new(inst, &serial),
-                path: Vec::new(),
-                shared: &shared,
-                task_nodes: 0,
-            };
-            // `drain` contains task panics: a poisoned subtree is counted
-            // (and poisons the certificate below) instead of wedging the
-            // pending counter and deadlocking the sibling workers.
-            shared.deque.drain(|prefix| worker.run_task(&prefix));
-        });
-        let pool = shared.deque.stats();
-        if pool.panics > 0 {
-            // Subtrees were lost mid-search, so the incumbent can no
-            // longer be certified optimal.
-            shared.truncated.store(true, Ordering::Relaxed);
-        }
-        let cost = shared.best_cost.load(Ordering::Relaxed);
-        let optimal = !shared.truncated.load(Ordering::Relaxed);
-        let mapping = shared.best.into_inner().unwrap();
-        ExactResult {
-            cost,
-            optimal,
-            nodes: shared.nodes.load(Ordering::Relaxed),
-            bound: resolve_bound(inst, optimal, mapping.is_some(), cost),
-            pool,
-            mapping,
-        }
     }
 }
 
@@ -984,8 +909,8 @@ mod reference {
                     .collect(),
                 self.inst.tree.len(),
             );
-            // Server selection is itself heuristic (three-pass); see
-            // DESIGN.md for the optimality caveat this implies.
+            // Three-pass selection is a heuristic: a grouping it cannot
+            // source is treated as infeasible (the module docs' caveat).
             let mut rng = NullRng;
             let Ok(downloads) =
                 select_servers(self.inst, &placed, ServerStrategy::ThreeLoop, &mut rng)
@@ -1096,7 +1021,13 @@ mod tests {
     fn homogeneous_catalog_minimizes_processor_count() {
         let mut inst = paper_instance(8, 1.2, 5);
         inst.platform.catalog = snsp_core::platform::Catalog::homogeneous(4, 4);
-        let res = solve_exhaustive(&inst);
+        let res = solve_exact(
+            &inst,
+            &BranchBoundConfig {
+                node_budget: u64::MAX,
+                ..Default::default()
+            },
+        );
         if let Some(m) = &res.mapping {
             // With one kind, cost = count × kind cost.
             let kind_cost = inst.platform.catalog.kind(0).cost;
@@ -1104,12 +1035,28 @@ mod tests {
         }
     }
 
+    /// Instances whose optimum needs two machines, so the search
+    /// branches: incumbent updates, bound pruning and, with more than one
+    /// worker, live donations all happen. `(N, α, seed, optimum,
+    /// one-worker nodes)`.
+    const BRANCHING: [(usize, f64, u64, u64, u64); 3] = [
+        (14, 2.1, 2, 21_193, 7_315),
+        (14, 2.2, 7, 21_193, 5_873),
+        (16, 2.1, 5, 19_843, 21_502),
+    ];
+
     #[test]
     fn parallel_optimum_is_worker_count_independent() {
         // The pinned contract: same optimum, same certified bound at
         // 1/2/4 workers, on both consolidation-light and search-heavy
         // points. Node counts are schedule-dependent and only reported.
-        for &(n, alpha, seed) in &[(10usize, 0.9, 3u64), (8, 1.3, 0), (12, 1.6, 2)] {
+        let light = [
+            (10usize, 0.9, 3u64, false),
+            (8, 1.3, 0, false),
+            (12, 1.6, 2, false),
+        ];
+        let branching = BRANCHING.map(|(n, alpha, seed, ..)| (n, alpha, seed, true));
+        for &(n, alpha, seed, branches) in light.iter().chain(&branching) {
             let inst = paper_instance(n, alpha, seed);
             let serial = solve_exact(&inst, &BranchBoundConfig::default());
             assert!(serial.optimal);
@@ -1134,6 +1081,9 @@ mod tests {
                      so a {workers}-worker run must register a steal"
                 );
                 assert_eq!(serial.pool, PoolStats::default(), "serial runs never steal");
+                if branches {
+                    assert!(par.pool.donations > 0, "a branching search donates");
+                }
             }
         }
     }
@@ -1220,6 +1170,26 @@ mod tests {
                     slow.nodes
                 );
             }
+        }
+        for (n, alpha, seed, optimum, nodes) in BRANCHING {
+            let inst = paper_instance(n, alpha, seed);
+            let fast = solve_exact(&inst, &BranchBoundConfig::default());
+            let slow = solve_exact_reference(&inst, &BranchBoundConfig::default());
+            let ctx = format!("N={n} α={alpha} seed={seed}");
+            assert!(fast.optimal && slow.optimal, "{ctx}");
+            assert_eq!((fast.cost, slow.cost), (optimum, optimum), "{ctx}");
+            assert_eq!(
+                fast.mapping.as_ref().map(Mapping::proc_count),
+                Some(2),
+                "{ctx}"
+            );
+            assert_eq!(fast.nodes, nodes, "{ctx}: one-worker node count moved");
+            assert!(
+                fast.nodes < slow.nodes,
+                "{ctx}: {} >= {}",
+                fast.nodes,
+                slow.nodes
+            );
         }
     }
 }

@@ -29,9 +29,7 @@ pub mod bounds;
 pub mod ilp;
 pub mod inverse;
 
-pub use bb::{
-    solve_exact, solve_exact_reference, solve_exhaustive, BranchBoundConfig, ExactResult,
-};
+pub use bb::{solve_exact, solve_exact_reference, BranchBoundConfig, ExactResult};
 pub use bounds::{lower_bound, min_processors, LowerBound};
 pub use ilp::{formulate, Ilp, IlpOptions};
 pub use inverse::{max_throughput_under_budget, BudgetResult};

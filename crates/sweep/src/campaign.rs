@@ -5,9 +5,9 @@
 //! order and times the phases. The sweep, refinement and serve campaigns
 //! all run on it.
 //!
-//! A [`Campaign`] is the sweep's grid: scenario points × heuristics ×
-//! seeds, plus an optional exact reference column. Every job is a pure
-//! function of its grid coordinates: the instance comes from
+//! A [`Campaign`] is the sweep's grid: scenario points × the six paper
+//! heuristics × seeds, plus an optional exact reference column. Every
+//! job is a pure function of its grid coordinates: the instance comes from
 //! `snsp_gen::generate(params, shape, seed)` and the pipeline RNG from
 //! [`solve_seeded`] with a seed derived from the scenario seed alone,
 //! exactly as the seed repository's serial loop did. Aggregation happens
@@ -16,7 +16,7 @@
 
 use std::time::Instant;
 
-use snsp_core::heuristics::{all_heuristics, solve_seeded, Heuristic, PipelineOptions};
+use snsp_core::heuristics::{all_heuristics, solve_seeded, PipelineOptions};
 use snsp_core::platform::Catalog;
 use snsp_core::pool::run_jobs;
 use snsp_gen::{generate, ScenarioParams, TreeShape};
@@ -96,14 +96,14 @@ impl ReferenceConfig {
     }
 }
 
-/// A full campaign: the job grid plus execution knobs.
+/// A full campaign: the job grid plus execution knobs. Every point
+/// evaluates all six paper heuristics ([`all_heuristics`], the grid
+/// columns).
 pub struct Campaign {
     /// Campaign identifier (becomes `"campaign"` in the JSON report).
     pub id: String,
     /// Scenario points (grid rows).
     pub points: Vec<PointSpec>,
-    /// Heuristics to evaluate at every point (grid columns).
-    pub heuristics: Vec<Box<dyn Heuristic>>,
     /// Seeds `0..seeds` evaluated at every (point, heuristic) cell.
     pub seeds: u64,
     /// Pipeline options shared by every job.
@@ -123,19 +123,12 @@ impl Campaign {
         Campaign {
             id: id.into(),
             points,
-            heuristics: all_heuristics(),
             seeds,
             opts: PipelineOptions::default(),
             catalog_override: None,
             reference: None,
             workers: None,
         }
-    }
-
-    /// Overrides the heuristic set.
-    pub fn with_heuristics(mut self, heuristics: Vec<Box<dyn Heuristic>>) -> Self {
-        self.heuristics = heuristics;
-        self
     }
 
     /// Overrides the pipeline options.
@@ -243,8 +236,9 @@ struct Outcome {
 /// jobs, all drained by one [`run_grid`] so reference work steals idle
 /// workers too.
 pub fn run_campaign(campaign: &Campaign) -> CampaignReport {
+    let heuristics = all_heuristics();
     let n_seeds = campaign.seeds as usize;
-    let heur_cells = campaign.heuristics.len() * n_seeds;
+    let heur_cells = heuristics.len() * n_seeds;
     let reference = |point: &PointSpec| campaign.reference.filter(|r| r.covers(point.params.n_ops));
     let (points, timing) = run_grid(
         &campaign.points,
@@ -254,7 +248,7 @@ pub fn run_campaign(campaign: &Campaign) -> CampaignReport {
             let seed = (cell % n_seeds) as u64;
             let inst = instantiate(campaign, point, seed);
             if cell < heur_cells {
-                let heur = &campaign.heuristics[cell / n_seeds];
+                let heur = &heuristics[cell / n_seeds];
                 let solution = solve_seeded(
                     heur.as_ref(),
                     &inst,
@@ -276,8 +270,7 @@ pub fn run_campaign(campaign: &Campaign) -> CampaignReport {
         },
         |point, outcomes| {
             let (heur, refs) = outcomes.split_at(heur_cells);
-            let heuristics = campaign.heuristics.iter().enumerate();
-            let heuristics = heuristics.map(|(h, heuristic)| {
+            let stats = heuristics.iter().enumerate().map(|(h, heuristic)| {
                 let runs = &heur[h * n_seeds..(h + 1) * n_seeds];
                 let feasible: Vec<(u64, usize)> = runs.iter().filter_map(|o| o.found).collect();
                 HeurStats::from_outcomes(heuristic.name(), n_seeds, &feasible)
@@ -296,7 +289,7 @@ pub fn run_campaign(campaign: &Campaign) -> CampaignReport {
                 label: point.label.clone(),
                 n_ops: point.params.n_ops,
                 alpha: point.params.alpha,
-                heuristics: heuristics.collect(),
+                heuristics: stats.collect(),
                 reference,
             }
         },
@@ -304,7 +297,7 @@ pub fn run_campaign(campaign: &Campaign) -> CampaignReport {
     CampaignReport {
         campaign: campaign.id.clone(),
         seeds: campaign.seeds,
-        heuristic_names: campaign.heuristics.iter().map(|h| h.name()).collect(),
+        heuristic_names: heuristics.iter().map(|h| h.name()).collect(),
         reference: campaign.reference,
         config_points: campaign.points.clone(),
         points,

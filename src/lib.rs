@@ -93,7 +93,7 @@ pub mod prelude {
     };
     pub use snsp_core::object::{ObjectCatalog, ObjectType};
     pub use snsp_core::platform::{Catalog, Platform, ProcessorKind, Server};
-    pub use snsp_core::refine::{AnnealSchedule, RefineDriver, RefineOptions};
+    pub use snsp_core::refine::{RefineDriver, RefineOptions};
     pub use snsp_core::rewrite::{rewrite, RewriteStrategy};
     pub use snsp_core::tree::OperatorTree;
     pub use snsp_core::work::WorkModel;
@@ -103,14 +103,13 @@ pub mod prelude {
         Trace, TraceEvent, TraceParams, TreeShape,
     };
     pub use snsp_search::{
-        refine, refine_portfolio, run_refine_campaign, solve_refined_seeded, Budget,
-        RefineCampaign, RefineOutcome, RefinePoint, SearchState,
+        refine, refine_portfolio, run_refine_campaign, Budget, RefineCampaign, RefineOutcome,
+        RefinePoint, SearchState,
     };
     pub use snsp_serve::{
         audit_platform, replay_trace_chaos, replay_trace_sharded, run_serve_campaign, run_trace,
-        run_trace_chaos, run_trace_sharded, shard_of, ChaosReport, DegradePolicy, FaultPlan,
-        FaultSpec, LivePlatform, RetryPolicy, ServeCampaign, ServeConfig, ServePoint, ShardOptions,
-        ShardedPlatform, TraceReport,
+        shard_of, ChaosReport, DegradePolicy, FaultPlan, FaultSpec, LivePlatform, RetryPolicy,
+        ServeCampaign, ServeConfig, ServePoint, ShardOptions, ShardedPlatform, TraceReport,
     };
     pub use snsp_solver::{
         lower_bound, max_throughput_under_budget, solve_exact, BranchBoundConfig,

@@ -3,7 +3,6 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use snsp::prelude::*;
-use snsp_solver::solve_exhaustive;
 
 #[test]
 fn exact_cost_is_sandwiched_between_bound_and_heuristics() {
@@ -62,7 +61,13 @@ fn heuristic_upper_bound_never_changes_the_optimum() {
 fn exhaustive_and_budgeted_search_agree_on_tiny_instances() {
     for seed in 0..3u64 {
         let inst = paper_instance(7, 1.4, seed);
-        let a = solve_exhaustive(&inst);
+        let a = solve_exact(
+            &inst,
+            &BranchBoundConfig {
+                node_budget: u64::MAX,
+                ..Default::default()
+            },
+        );
         let b = solve_exact(&inst, &BranchBoundConfig::default());
         assert!(a.optimal && b.optimal);
         assert_eq!(a.cost, b.cost);

@@ -17,7 +17,6 @@ fn pipelines() -> (PipelineOptions, PipelineOptions) {
     let oracle = PipelineOptions {
         placement: PlacementOptions {
             demand_oracle: true,
-            ..Default::default()
         },
         ..Default::default()
     };

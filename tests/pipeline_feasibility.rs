@@ -5,7 +5,6 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use snsp::prelude::*;
-use snsp_core::heuristics::ServerStrategy;
 
 fn scenarios() -> Vec<(ScenarioParams, TreeShape)> {
     vec![
@@ -60,18 +59,6 @@ fn max_throughput_of_ok_solutions_covers_rho() {
             assert!(cap >= inst.rho * (1.0 - 1e-9), "{}: {cap}", h.name());
         }
     }
-}
-
-#[test]
-fn forcing_three_loop_servers_on_random_still_validates() {
-    let inst = paper_instance(20, 0.9, 4);
-    let opts = PipelineOptions {
-        server_strategy: Some(ServerStrategy::ThreeLoop),
-        ..Default::default()
-    };
-    let mut rng = StdRng::seed_from_u64(4);
-    let sol = solve(&Random, &inst, &mut rng, &opts).unwrap();
-    assert!(is_feasible(&inst, &sol.mapping));
 }
 
 #[test]

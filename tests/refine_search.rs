@@ -1,8 +1,7 @@
 //! End-to-end integration of the refinement subsystem through the
 //! facade: the anytime contract across every constructive heuristic, the
-//! solve-path post-pass, the serve layer's budgeted departure
-//! refinement (joint verification on live snapshots), and the schema-v4
-//! campaign artifact.
+//! serve layer's budgeted departure refinement (joint verification on
+//! live snapshots), and the schema-v4 campaign artifact.
 
 use snsp::prelude::*;
 use snsp_core::multi::verify_joint;
@@ -37,25 +36,6 @@ fn refinement_never_regresses_any_heuristic_on_the_paper_grid() {
                 assert!(is_feasible(&inst, &out.solution.mapping));
             }
         }
-    }
-}
-
-#[test]
-fn solve_refined_honors_the_pipeline_refine_field() {
-    let inst = snsp::gen::paper_instance(100, 1.5, 3);
-    let opts = PipelineOptions {
-        refine: Some(RefineOptions {
-            driver: RefineDriver::Anneal(AnnealSchedule::default()),
-            max_evals: 2_000,
-            ..Default::default()
-        }),
-        ..Default::default()
-    };
-    let plain = solve_seeded(&SubtreeBottomUp, &inst, 3, &PipelineOptions::default());
-    let refined = snsp::search::solve_refined_seeded(&SubtreeBottomUp, &inst, 3, &opts);
-    if let (Ok(plain), Ok(refined)) = (plain, refined) {
-        assert!(refined.cost <= plain.cost);
-        assert!(is_feasible(&inst, &refined.mapping));
     }
 }
 

@@ -145,7 +145,7 @@ fn fault_schedule_does_not_depend_on_the_shard_count() {
     let mut schedules = Vec::new();
     for shards in [1usize, 2, 4] {
         let opts = ShardOptions { shards, workers: 2 };
-        let report = run_trace_chaos(&trace, &ServeConfig::default(), &opts, &plan);
+        let report = replay_trace_chaos(&trace, &ServeConfig::default(), &opts, &plan).0;
         schedules.push((
             report.stats.crashes,
             report.stats.rack_failures,

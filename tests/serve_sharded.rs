@@ -62,14 +62,15 @@ fn sharded_replay_is_identical_at_every_worker_count() {
 fn one_shard_reproduces_the_unsharded_replay() {
     let trace = generate_trace(&churny_params(), 33);
     let unsharded = run_trace(&trace, &ServeConfig::default());
-    let sharded = run_trace_sharded(
+    let sharded = replay_trace_sharded(
         &trace,
         &ServeConfig::default(),
         &ShardOptions {
             shards: 1,
             workers: 4,
         },
-    );
+    )
+    .0;
     assert_eq!(sharded.admitted, unsharded.admitted);
     assert_eq!(sharded.rejected, unsharded.rejected);
     assert_eq!(sharded.departed, unsharded.departed);
@@ -117,10 +118,9 @@ fn serial_replay(trace: &Trace, shards: usize) -> Serial {
         match ev.event {
             TraceEvent::Arrive { tenant, spec, .. } => {
                 let seed = trace.seed ^ (tenant.0 as u64 + 1).wrapping_mul(PIPELINE_SEED_STRIDE);
-                let heuristic = config.heuristic.as_ref();
                 match s
                     .platform
-                    .admit_spec(tenant, &spec, heuristic, seed, &config.opts)
+                    .admit_spec(tenant, &spec, &SubtreeBottomUp, seed, &config.opts)
                 {
                     Ok(_) => s.admitted += 1,
                     Err(_) => s.rejected += 1,
@@ -210,11 +210,12 @@ fn admission_latency_sample_counts_are_deterministic() {
     let unsharded = run_trace(&trace, &ServeConfig::default());
     assert_eq!(unsharded.admit_latencies_us.len(), unsharded.admitted);
     for shards in [1usize, 2] {
-        let report = run_trace_sharded(
+        let report = replay_trace_sharded(
             &trace,
             &ServeConfig::default(),
             &ShardOptions { shards, workers: 2 },
-        );
+        )
+        .0;
         assert_eq!(report.admit_latencies_us.len(), report.admitted);
         assert!(report.admit_latencies_us.iter().all(|&us| us > 0.0));
     }
