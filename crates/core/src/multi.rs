@@ -439,15 +439,18 @@ pub fn solve_joint(
         cost,
     };
 
-    // 6. Full verification: each application's own constraints must hold
-    //    on its projection; shared-resource constraints (server NICs,
-    //    links, processor NICs) are checked on the aggregate below.
+    // 6. Verification: `verify_joint` sums CPU (1), processor NIC (2)
+    //    and server NIC (3) loads over every application. Links, server→
+    //    processor (4) and processor-pair (5), are not checked yet; see
+    //    the joint-link item in ROADMAP.md.
     verify_joint(multi, &solution)?;
     Ok(solution)
 }
 
-/// Checks the joint solution: per-app mappings feasible except that
-/// shared-resource headroom is charged with *all* applications' loads.
+/// Checks the joint solution's shared capacities, each load summed over
+/// *all* applications: CPU (constraint 1) and NIC (2) per processor, NIC
+/// per server (3). It checks neither server→processor links (4) nor
+/// processor-pair links (5); see the joint-link item in ROADMAP.md.
 pub fn verify_joint(multi: &MultiInstance, sol: &MultiSolution) -> Result<(), HeuristicError> {
     let n_procs = sol.proc_kinds.len();
     let catalog = &multi.apps[0].platform.catalog;

@@ -43,7 +43,8 @@
 //! * [`audit_platform`] runs after every injected fault, and after every
 //!   trace failure of a replay whose plan injects anything: per-shard
 //!   structural invariants ([`LivePlatform::audit`] — live-slot
-//!   assignments, ledger conservation, `verify_joint`) plus the
+//!   assignments, resident aggregates, ledger conservation,
+//!   `verify_joint`) plus the
 //!   cross-shard ones (home routing, no double residency). Violations
 //!   are counted, surfaced in the report, and asserted zero by the
 //!   integration tests.
@@ -502,7 +503,8 @@ impl ChaosReport {
 
 /// Checks every platform invariant across the sharded tier: each
 /// shard's [`LivePlatform::audit`] (live-slot assignments, no leaked
-/// machines, download-ledger conservation,
+/// machines, resident aggregates equal to a tenant scan,
+/// download-ledger conservation,
 /// [`verify_joint`](snsp_core::multi::verify_joint)) plus the
 /// cross-shard invariants — every resident lives on its *home* shard
 /// (the routing hash) and no tenant is resident on two shards. The
