@@ -574,7 +574,8 @@ impl LivePlatform {
             slots[u] = Some(kind);
             if new {
                 bought.push(u);
-            } else {
+            } else if u < self.slots.len() {
+                // Live before this admission, not bought earlier in it.
                 reused.insert(u);
             }
             for &op in &group.ops {
@@ -1192,6 +1193,12 @@ mod tests {
         let (multi, sol) = live.snapshot().unwrap();
         verify_joint(&multi, &sol).expect("joint constraints hold after admissions");
         assert_eq!(sol.assignments.len(), 5);
+        // A later group packed onto the machine bought for an earlier
+        // group of the same admission reuses nothing.
+        let mut fresh = environment(1);
+        let out = admit(&mut fresh, 0, spec(12, 8.0, 301)).expect("one tenant fits");
+        assert_eq!((out.new_procs, out.reused_procs), (1, 0));
+        assert_eq!(fresh.proc_count(), 1);
     }
 
     #[test]
