@@ -147,10 +147,19 @@ impl Block {
     /// Tenant `t`'s block on slot `u` under its current assignment
     /// (no ops when it keeps nothing there).
     fn of(t: &Tenant, u: usize) -> Block {
-        let inst = &t.inst;
         let on = |op: OpId| t.assignment[op.index()].index() == u;
+        Block::new(&t.inst, t.inst.tree.ops().filter(|&op| on(op)), on)
+    }
+
+    /// The terms of `inst`'s operators `ops` on one slot; `on(op)` says
+    /// whether `op` sits on that slot too.
+    fn new(
+        inst: &Instance,
+        ops: impl IntoIterator<Item = OpId>,
+        on: impl Fn(OpId) -> bool,
+    ) -> Block {
         let mut b = Block::default();
-        for op in inst.tree.ops().filter(|&op| on(op)) {
+        for op in ops {
             b.ops.push(op);
             b.work.push(inst.rho * inst.tree.work(op));
             b.types.extend(inst.tree.leaf_types(op));
@@ -166,6 +175,18 @@ impl Block {
         b.types.sort_unstable();
         b.types.dedup();
         b
+    }
+
+    /// Continues `d`'s work and communication sums with this block's
+    /// terms, in order.
+    fn fold_into(&self, d: &mut SharedDemand) {
+        for &w in &self.work {
+            d.work += w;
+        }
+        for &rate in &self.cut {
+            d.comm += rate;
+            d.max_edge = d.max_edge.max(rate);
+        }
     }
 }
 
@@ -330,13 +351,7 @@ impl LivePlatform {
         }
         let mut d = SharedDemand::default();
         for b in r.blocks.values() {
-            for &w in &b.work {
-                d.work += w;
-            }
-            for &rate in &b.cut {
-                d.comm += rate;
-                d.max_edge = d.max_edge.max(rate);
-            }
+            b.fold_into(&mut d);
         }
         if !r.blocks.is_empty() {
             d.download = r.types.keys().map(|&ty| self.objects.rate(ty)).sum();
@@ -375,29 +390,13 @@ impl LivePlatform {
         ops: &[OpId],
         on_slot: impl Fn(OpId) -> bool,
     ) -> SharedDemand {
+        let block = Block::new(inst, ops.iter().copied(), on_slot);
         let mut d = SharedDemand {
             download: 0.0,
             ..base.demand
         };
-        let mut types: Vec<TypeId> = Vec::new();
-        for &op in ops {
-            d.work += inst.rho * inst.tree.work(op);
-            types.extend(inst.tree.leaf_types(op));
-            for &c in inst.tree.children(op) {
-                if !on_slot(c) {
-                    let rate = inst.edge_rate(c);
-                    d.comm += rate;
-                    d.max_edge = d.max_edge.max(rate);
-                }
-            }
-            if let Some(p) = inst.tree.parent(op) {
-                if !on_slot(p) {
-                    let rate = inst.edge_rate(op);
-                    d.comm += rate;
-                    d.max_edge = d.max_edge.max(rate);
-                }
-            }
-        }
+        block.fold_into(&mut d);
+        let mut types = block.types;
         types.extend(base.types.keys());
         types.sort_unstable();
         types.dedup();
