@@ -132,7 +132,7 @@ pub const DEFAULT_DEPART_EVALS: u64 = 256;
 /// adds for them.
 #[derive(Debug, Clone, Default)]
 struct Block {
-    /// The operators, ascending.
+    /// The operators; ascending in a resident block.
     ops: Vec<OpId>,
     /// `ρ·w` per operator, in `ops` order.
     work: Vec<f64>,
@@ -1419,62 +1419,54 @@ mod tests {
         assert!(broken.audit().is_err(), "a dropped block must be caught");
     }
 
-    /// `steps` random admit / depart / fail steps over tenants of
-    /// `ops.0..ops.1` operators at ρ 0.5–40, auditing after every step.
-    /// Returns how many steps moved a tenant's block onto a slot that
-    /// already held some of its ops (a merge).
-    fn heavy_storm(env_seed: u64, steps: u32, ops: (usize, usize)) -> usize {
-        use rand::Rng;
-        let mut live = environment(env_seed);
-        let mut rng = StdRng::seed_from_u64(env_seed);
-        let mut merges = 0;
-        for id in 0..steps {
-            let before: BTreeMap<u32, Vec<ProcId>> = live
-                .tenants
-                .iter()
-                .map(|(&t, x)| (t, x.assignment.clone()))
-                .collect();
-            match rng.gen_range(0..4u32) {
-                0 | 1 => {
-                    let s = spec(
-                        rng.gen_range(ops.0..ops.1),
-                        rng.gen_range(0.5..40.0),
-                        id as u64,
-                    );
-                    let _ = admit(&mut live, id, s);
-                }
-                2 => {
-                    let ids = live.tenant_ids();
-                    if !ids.is_empty() {
-                        live.depart(ids[rng.gen_range(0..ids.len())]);
-                    }
-                }
-                _ => {
-                    if live.proc_count() > 0 {
-                        fail_drawn(&mut live, rng.gen_range(0..1000u64));
-                    }
-                }
-            }
-            for (tid, old) in &before {
-                let Some(t) = live.tenants.get(tid) else {
-                    continue;
-                };
-                let moved = old.iter().zip(&t.assignment).filter(|(a, b)| a != b);
-                if moved.clone().any(|(_, b)| old.contains(b)) {
-                    merges += 1;
-                }
-            }
-            live.audit().unwrap_or_else(|e| panic!("step {id}: {e}"));
-        }
-        merges
-    }
-
     #[test]
     fn heavy_tenants_commit_evacuations_and_merge_blocks_under_audit() {
         // Small tenants sit on one machine each, so no other test reaches
         // these aggregate writers: a committed evacuation, and a block
         // move that merges with the same tenant's ops on its destination.
-        let (merges, snap) = snsp_telemetry::capture(|| heavy_storm(5, 80, (10, 40)));
+        // 80 random admit / depart / fail steps over 10–40-op tenants at
+        // ρ 0.5–40, auditing after every step.
+        use rand::Rng;
+        let (merges, snap) = snsp_telemetry::capture(|| {
+            let mut live = environment(5);
+            let mut rng = StdRng::seed_from_u64(5);
+            let mut merges = 0;
+            for id in 0..80u32 {
+                let before: BTreeMap<u32, Vec<ProcId>> = live
+                    .tenants
+                    .iter()
+                    .map(|(&t, x)| (t, x.assignment.clone()))
+                    .collect();
+                match rng.gen_range(0..4u32) {
+                    0 | 1 => {
+                        let s = spec(rng.gen_range(10..40), rng.gen_range(0.5..40.0), id as u64);
+                        let _ = admit(&mut live, id, s);
+                    }
+                    2 => {
+                        let ids = live.tenant_ids();
+                        if !ids.is_empty() {
+                            live.depart(ids[rng.gen_range(0..ids.len())]);
+                        }
+                    }
+                    _ => {
+                        if live.proc_count() > 0 {
+                            fail_drawn(&mut live, rng.gen_range(0..1000u64));
+                        }
+                    }
+                }
+                for (tid, old) in &before {
+                    let Some(t) = live.tenants.get(tid) else {
+                        continue;
+                    };
+                    let mut moved = old.iter().zip(&t.assignment).filter(|(a, b)| a != b);
+                    if moved.any(|(_, b)| old.contains(b)) {
+                        merges += 1;
+                    }
+                }
+                live.audit().unwrap_or_else(|e| panic!("step {id}: {e}"));
+            }
+            merges
+        });
         let committed = snap.counter("serve.consolidation.evac_committed");
         assert!(
             committed >= Some(1),
