@@ -1001,7 +1001,7 @@ impl LivePlatform {
     /// 5. the compacted snapshot passes [`verify_joint`]: joint CPU,
     ///    processor NIC and server NIC capacity. It checks neither
     ///    server→processor links (constraint 4) nor processor-pair
-    ///    links (constraint 5); ROADMAP item 1 tracks that gap.
+    ///    links (constraint 5); see the joint-link item in ROADMAP.md.
     ///
     /// The chaos harness runs this after every injected fault
     /// (`audit_platform` extends it with cross-shard checks).
