@@ -664,14 +664,6 @@ impl LivePlatform {
                 .into_iter()
                 .map(|u| ((self.residents[u].demand.work * 1e6) as u64, u))
                 .collect();
-            if order.len() == 1 {
-                // A lone machine has nowhere to go: charge and count the
-                // attempt the sweep would make and fail, then stop.
-                if budget.charge(1) || first {
-                    SERVE_EVAC_PRUNED.incr();
-                }
-                return;
-            }
             order.sort_unstable();
             for (_, u) in order {
                 if !budget.charge(1) && !first {
@@ -833,17 +825,17 @@ impl LivePlatform {
     /// drops (the consolidation step the budgeted departure refinement
     /// charges per attempt).
     fn try_evacuate(&mut self, u: usize) -> bool {
-        let blocks = self.blocks_on(u);
+        // Read in place: a failed attempt copies no block.
+        let blocks = &self.residents[u].blocks;
         if blocks.is_empty() {
             return false;
         }
-        let cost_before = self.cost();
         let mut slots = self.slots.clone();
         slots[u] = None;
         // Destination chosen per block; earlier decisions are visible to
         // later fit tests through the overlay.
         let mut overlay: BTreeMap<u32, usize> = BTreeMap::new();
-        for (tid, ops) in &blocks {
+        for (tid, Block { ops, .. }) in blocks {
             let in_block: BTreeSet<usize> = ops.iter().map(|op| op.index()).collect();
             let mut dest = None;
             for (v, slot) in slots.iter().enumerate() {
@@ -867,7 +859,7 @@ impl LivePlatform {
         for d in ledger.downloads_of(ProcId::from(u)) {
             ledger.release(self.objects.rate(d.ty), d.proc, d.ty);
         }
-        for (tid, ops) in &blocks {
+        for (tid, Block { ops, .. }) in blocks {
             let v = overlay[tid];
             let t = &self.tenants[tid];
             if Self::ensure_downloads(&mut ledger, &self.platform, &self.objects, &t.inst, ops, v)
@@ -881,14 +873,14 @@ impl LivePlatform {
             .flatten()
             .map(|&k| self.platform.catalog.kind(k).cost)
             .sum();
-        if cost_after >= cost_before {
+        if cost_after >= self.cost() {
             return false; // consolidation must pay for itself
         }
         // Commit.
         self.slots = slots;
         self.ledger = ledger;
-        for (tid, ops) in &blocks {
-            self.move_block(*tid, ops, u, overlay[tid]);
+        for (tid, ops) in self.blocks_on(u) {
+            self.move_block(tid, &ops, u, overlay[&tid]);
         }
         true
     }
