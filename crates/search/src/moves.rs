@@ -146,7 +146,7 @@ pub fn enumerate(state: &SearchState<'_>) -> Vec<Move> {
             if inst
                 .tree
                 .parent(pivot)
-                .is_some_and(|p| state.group_of(p) == g && ops.contains(&p))
+                .is_some_and(|p| state.group_of(p) == g)
             {
                 moves.push(Move::Split { g, pivot });
             }

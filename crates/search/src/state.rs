@@ -1,15 +1,31 @@
 //! The mutable refinement state: a grouping under local search, screened
-//! through `GroupBuilder` probe sessions and committed only after a full
+//! from cached per-group totals and committed only after a full
 //! constraint check.
 //!
 //! ## Screen, then verify
 //!
-//! Every candidate move is **screened** allocation-light through the
-//! incremental demand engine: the affected groups' post-move operator
-//! sets are replayed into probe sessions ([`GroupBuilder::probe_load_group`]
-//! / [`probe_add`](GroupBuilder::probe_add)) and priced with
-//! [`probe_cheapest_kind`](GroupBuilder::probe_cheapest_kind), giving the
-//! exact per-processor CPU/NIC delta in O(affected-group size + degree).
+//! Each post-move group of a structural move is a set `(g − X) ∪ Y`: a
+//! live group `g` (or none) minus the operators leaving it plus those
+//! joining it. A screen prices it from `g`'s cached totals (Σw, per-type
+//! member counts, cut-edge rate sum, over-threshold cut edges, traffic
+//! toward each neighbouring group) by redoing only the edges incident to
+//! `X ∪ Y`: O(moved ops × degree), not O(|g|). Totals are built on first
+//! use, and every `apply` drops them all.
+//!
+//! The totals add in another order than the sequential probe
+//! ([`GroupBuilder::probe_add`]), so a float may differ in its last bits.
+//! A rounding certificate bounds each difference by 4·k·ε·M (k additions
+//! on the longer path, M the quantity's magnitude sum). It accepts a kind
+//! only when `cheapest_fitting`, monotone in both needs, returns it at
+//! both corners of that box and every traffic value clears the pair-link
+//! threshold by more than its bound; integer counts decide exactly.
+//! Anything else is priced by the probe on the move's operator list
+//! (`search.screen.fallbacks`), so a screen returns exactly the probe's
+//! kinds. None of the 322,474 pricings of the three refine grids falls
+//! back, and the offline-large job set screens its 21,036 moves in
+//! 15–23 ms where re-probing whole groups took 1.8–2.3 s (2-vCPU
+//! container).
+//!
 //! The placement-time pair-link view is conservative across a move's two
 //! sides (an excluded member still keys its edges to its old group), so a
 //! screened delta is a *candidate*, not a verdict: an accepted move is
@@ -19,6 +35,8 @@
 //! exactly. The state is therefore **always a verified feasible
 //! solution**, which is what makes the refinement anytime: stopping at
 //! any budget returns the best feasible mapping seen.
+
+use std::collections::HashMap;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -99,6 +117,13 @@ const REROUTE_ATTEMPTS: u64 = 2;
 /// verification (one per rejected structural move).
 static SEARCH_ROLLBACKS: Counter = Counter::new("search.rollbacks", Class::Det);
 
+/// Post-move sets whose rounding certificate failed, priced by the
+/// sequential probe instead. Registers on first use.
+static SCREEN_FALLBACKS: Counter = Counter::new("search.screen.fallbacks", Class::Det);
+
+/// A pricing the rounding certificate could not prove.
+struct Uncertain;
+
 /// Verified cost after each committed move — the cost-over-evals curve
 /// as a sample distribution (the snapshot sorts samples, so the curve's
 /// multiset is deterministic even when jobs interleave).
@@ -141,17 +166,78 @@ impl RefineStats {
     }
 }
 
-/// A screened (not yet applied) structural move: the replacement groups
-/// for the affected positions, and the exact platform-cost delta.
+/// A screened (not yet applied) structural move: the move, the positions
+/// it replaces, the kind of each post-move group and the exact
+/// platform-cost delta. [`SearchState::apply`] rebuilds the post-move
+/// operator lists from the move, which is sound because nothing changes
+/// the groups between a screen and its apply.
 #[derive(Debug, Clone)]
 pub struct Screened {
+    /// The screened move.
+    pub mv: Move,
     /// Positions in the state's group order that this move replaces.
     pub affected: Vec<usize>,
-    /// Replacement groups (operator set + catalog kind), each priced at
-    /// its cheapest fitting kind during screening.
-    pub new_groups: Vec<(Vec<OpId>, usize)>,
+    /// Catalog kind of each replacement group (in `apply`'s order), each
+    /// the cheapest fitting kind.
+    pub kinds: Vec<usize>,
     /// Σ new kind costs − Σ old kind costs, in dollars.
     pub delta: i64,
+}
+
+/// Operators a post-move set gains or loses; membership is O(1).
+#[derive(Debug, Clone, Copy)]
+enum Part {
+    Empty,
+    Op(OpId),
+    /// Every member of the group at this position.
+    Group(usize),
+    /// The members of group `g` in `pivot`'s subtree.
+    Under {
+        g: usize,
+        pivot: OpId,
+    },
+}
+
+/// One post-move set `(base − x) ∪ y`: `x` lies inside `base`, `y`
+/// outside it.
+#[derive(Debug, Clone, Copy)]
+struct Set {
+    base: Option<usize>,
+    x: Part,
+    y: Part,
+}
+
+/// The scalars a probe session accumulates over an operator set, plus
+/// the magnitude sums (Σ|term|) and the addition count the rounding
+/// certificate needs.
+#[derive(Debug, Clone, Copy, Default)]
+struct Sums {
+    work: f64,
+    download: f64,
+    /// Σ cut-edge rates.
+    comm: f64,
+    /// Distinct needed types that are undownloadable.
+    undown: i64,
+    /// Cut edges above the pair-link threshold.
+    cut_over: i64,
+    work_mag: f64,
+    down_mag: f64,
+    /// Σ of every member's incident edge rates.
+    edge_mag: f64,
+    adds: usize,
+}
+
+/// One live group's sums, per-type member counts and traffic toward
+/// each neighbouring group (ascending by position).
+#[derive(Debug)]
+struct Totals {
+    sums: Sums,
+    type_count: Vec<u32>,
+    traffic: Vec<(usize, f64)>,
+    /// Neighbouring groups receiving more than the threshold.
+    traffic_over: i64,
+    /// min |traffic − threshold| over `traffic` (∞ when empty).
+    margin: f64,
 }
 
 /// The local-search state over one instance.
@@ -162,8 +248,15 @@ pub struct SearchState<'a> {
     /// `g` here becomes `ProcId(g)` in every verified mapping, so the
     /// whole trajectory is deterministic.
     order: Vec<usize>,
-    /// Builder group id → position in `order` (`usize::MAX` = dead).
-    pos_of: Vec<usize>,
+    /// Operator → position of its group in `order`.
+    op_pos: Vec<usize>,
+    /// Lazily built totals per position; every `apply` drops them all.
+    totals: Vec<Option<Totals>>,
+    /// Traffic per group position while pricing; empty in between.
+    traffic: HashMap<usize, f64>,
+    numbering: Numbering,
+    /// `proc_link + 1e-9`, the probe's pair-link threshold.
+    bp_thresh: f64,
     selector: ServerSelector,
     /// Download routing policy: `None` = the deterministic three-pass
     /// selection, `Some(seed)` = seeded random selection (a committed
@@ -203,7 +296,11 @@ impl<'a> SearchState<'a> {
             inst,
             builder,
             order,
-            pos_of: Vec::new(),
+            op_pos: vec![0; inst.tree.len()],
+            totals: Vec::new(),
+            traffic: HashMap::new(),
+            numbering: Numbering::new(inst),
+            bp_thresh: inst.platform.proc_link + 1e-9,
             selector: ServerSelector::new(),
             route_seed: None,
             downloads,
@@ -217,13 +314,10 @@ impl<'a> SearchState<'a> {
     }
 
     fn rebuild_pos(&mut self) {
-        self.pos_of.clear();
-        self.pos_of.resize(
-            self.order.iter().copied().max().unwrap_or(0) + 1,
-            usize::MAX,
-        );
         for (g, &bid) in self.order.iter().enumerate() {
-            self.pos_of[bid] = g;
+            for &op in self.builder.group_ops(bid) {
+                self.op_pos[op.index()] = g;
+            }
         }
     }
 
@@ -248,9 +342,9 @@ impl<'a> SearchState<'a> {
     }
 
     /// Position of the group holding `op`.
+    #[inline]
     pub fn group_of(&self, op: OpId) -> usize {
-        let bid = self.builder.group_of(op).expect("every op is grouped");
-        self.pos_of[bid]
+        self.op_pos[op.index()]
     }
 
     /// Tree neighbours of `op` (with edge rates), via the instance index.
@@ -274,19 +368,9 @@ impl<'a> SearchState<'a> {
 
     /// Prices an operator set through a fresh probe session: its cheapest
     /// fitting kind, or `None` when not even the top kind fits.
-    fn price_set(
-        &mut self,
-        ops: &[OpId],
-        skip: Option<OpId>,
-        extra: Option<OpId>,
-    ) -> Option<usize> {
+    fn price_set(&mut self, ops: &[OpId]) -> Option<usize> {
         self.builder.probe_reset();
         for &op in ops {
-            if Some(op) != skip {
-                self.builder.probe_add(op);
-            }
-        }
-        if let Some(op) = extra {
             self.builder.probe_add(op);
         }
         self.builder.probe_cheapest_kind()
@@ -297,158 +381,297 @@ impl<'a> SearchState<'a> {
     /// fits no catalog kind or the move is a no-op.
     pub fn screen(&mut self, mv: &Move) -> Option<Screened> {
         telemetry_for(mv).screened.incr();
-        match *mv {
-            Move::Retarget { g } => {
-                let bid = self.order[g];
-                self.builder.probe_load_group(bid);
-                let kind = self.builder.probe_cheapest_kind()?;
-                let old = self.builder.group_kind(bid);
-                if kind == old {
-                    return None;
+        let (affected, sets) = self.post_move_sets(mv)?;
+        let mut kinds = Vec::with_capacity(sets.len());
+        for set in &sets {
+            let kind = match self.price(set) {
+                Ok(kind) => kind,
+                Err(Uncertain) => {
+                    SCREEN_FALLBACKS.incr();
+                    let ops = self.ops_of(set);
+                    self.price_set(&ops)
                 }
-                Some(Screened {
-                    affected: vec![g],
-                    new_groups: vec![(self.builder.group_ops(bid).to_vec(), kind)],
-                    delta: self.kind_cost(kind) - self.kind_cost(old),
-                })
+            };
+            kinds.push(kind?);
+        }
+        if let Move::Retarget { g } = *mv {
+            if kinds[0] == self.group_kind(g) {
+                return None;
             }
-            Move::Merge { a, b } => {
-                if a == b {
-                    return None;
-                }
-                let (ba, bb) = (self.order[a], self.order[b]);
-                self.builder.probe_load_group(ba);
-                self.builder.probe_add_group(bb);
-                let kind = self.builder.probe_cheapest_kind()?;
-                let mut ops = self.builder.group_ops(ba).to_vec();
-                ops.extend_from_slice(self.builder.group_ops(bb));
-                let delta = self.kind_cost(kind)
-                    - self.kind_cost(self.builder.group_kind(ba))
-                    - self.kind_cost(self.builder.group_kind(bb));
-                Some(Screened {
-                    affected: vec![a, b],
-                    new_groups: vec![(ops, kind)],
-                    delta,
-                })
+        }
+        let new: i64 = kinds.iter().map(|&k| self.kind_cost(k)).sum();
+        let old: i64 = affected
+            .iter()
+            .map(|&g| self.kind_cost(self.group_kind(g)))
+            .sum();
+        Some(Screened {
+            mv: *mv,
+            affected,
+            kinds,
+            delta: new - old,
+        })
+    }
+
+    /// The positions `mv` replaces and its post-move sets, in `apply`'s
+    /// order; `None` for a no-op.
+    fn post_move_sets(&self, mv: &Move) -> Option<(Vec<usize>, Vec<Set>)> {
+        let size = |g: usize| self.group_ops(g).len();
+        let set = |base, x, y| Set { base, x, y };
+        Some(match *mv {
+            Move::Retarget { g } => (vec![g], vec![set(Some(g), Part::Empty, Part::Empty)]),
+            Move::Merge { a, b } if a != b => {
+                (vec![a, b], vec![set(Some(a), Part::Empty, Part::Group(b))])
             }
             Move::Reassign { op, to } => {
                 let a = self.group_of(op);
-                let ba = self.order[a];
-                let a_ops = self.builder.group_ops(ba).to_vec();
-                let old_a = self.builder.group_kind(ba);
+                let source = set(Some(a), Part::Op(op), Part::Empty);
                 match to {
-                    Target::Group(b) => {
-                        if b == a {
-                            return None;
-                        }
-                        let bb = self.order[b];
-                        let old_b = self.builder.group_kind(bb);
-                        // Destination side: the existing session grows by
-                        // one (the dominant O(degree) pattern).
-                        self.builder.probe_load_group(bb);
-                        self.builder.probe_add(op);
-                        let kind_b = self.builder.probe_cheapest_kind()?;
-                        let b_ops: Vec<OpId> = {
-                            let mut v = self.builder.group_ops(bb).to_vec();
-                            v.push(op);
-                            v
-                        };
-                        if a_ops.len() == 1 {
-                            // The source group dissolves: a merge in
-                            // reassign clothing.
-                            return Some(Screened {
-                                affected: vec![a, b],
-                                new_groups: vec![(b_ops, kind_b)],
-                                delta: self.kind_cost(kind_b)
-                                    - self.kind_cost(old_b)
-                                    - self.kind_cost(old_a),
-                            });
-                        }
-                        let kind_a = self.price_set(&a_ops, Some(op), None)?;
-                        Some(Screened {
-                            affected: vec![a, b],
-                            new_groups: vec![
-                                (a_ops.iter().copied().filter(|&o| o != op).collect(), kind_a),
-                                (b_ops, kind_b),
-                            ],
-                            delta: self.kind_cost(kind_a) + self.kind_cost(kind_b)
-                                - self.kind_cost(old_a)
-                                - self.kind_cost(old_b),
-                        })
+                    Target::Group(b) if b == a => return None,
+                    // A one-op source dissolves: a merge in reassign
+                    // clothing.
+                    Target::Group(b) if size(a) == 1 => {
+                        (vec![a, b], vec![set(Some(b), Part::Empty, Part::Op(op))])
                     }
-                    Target::Fresh => {
-                        if a_ops.len() == 1 {
-                            return None; // already alone
-                        }
-                        let kind_n = self.price_set(&[op], None, None)?;
-                        let kind_a = self.price_set(&a_ops, Some(op), None)?;
-                        Some(Screened {
-                            affected: vec![a],
-                            new_groups: vec![
-                                (a_ops.iter().copied().filter(|&o| o != op).collect(), kind_a),
-                                (vec![op], kind_n),
-                            ],
-                            delta: self.kind_cost(kind_a) + self.kind_cost(kind_n)
-                                - self.kind_cost(old_a),
-                        })
-                    }
+                    Target::Group(b) => (
+                        vec![a, b],
+                        vec![source, set(Some(b), Part::Empty, Part::Op(op))],
+                    ),
+                    Target::Fresh if size(a) == 1 => return None, // already alone
+                    Target::Fresh => (vec![a], vec![source, set(None, Part::Empty, Part::Op(op))]),
                 }
             }
-            Move::Swap { a: op_a, b: op_b } => {
-                let (a, b) = (self.group_of(op_a), self.group_of(op_b));
-                if a == b {
+            Move::Swap { a: x, b: y } => {
+                let (a, b) = (self.group_of(x), self.group_of(y));
+                // Swapping singletons relabels the partition.
+                if a == b || (size(a) == 1 && size(b) == 1) {
                     return None;
                 }
-                let (ba, bb) = (self.order[a], self.order[b]);
-                let a_ops = self.builder.group_ops(ba).to_vec();
-                let b_ops = self.builder.group_ops(bb).to_vec();
-                if a_ops.len() == 1 && b_ops.len() == 1 {
-                    return None; // swapping singletons relabels the partition
-                }
-                let kind_a = self.price_set(&a_ops, Some(op_a), Some(op_b))?;
-                let kind_b = self.price_set(&b_ops, Some(op_b), Some(op_a))?;
-                let new_a: Vec<OpId> = a_ops
-                    .iter()
-                    .copied()
-                    .filter(|&o| o != op_a)
-                    .chain(std::iter::once(op_b))
-                    .collect();
-                let new_b: Vec<OpId> = b_ops
-                    .iter()
-                    .copied()
-                    .filter(|&o| o != op_b)
-                    .chain(std::iter::once(op_a))
-                    .collect();
-                let delta = self.kind_cost(kind_a) + self.kind_cost(kind_b)
-                    - self.kind_cost(self.builder.group_kind(ba))
-                    - self.kind_cost(self.builder.group_kind(bb));
-                Some(Screened {
-                    affected: vec![a, b],
-                    new_groups: vec![(new_a, kind_a), (new_b, kind_b)],
-                    delta,
-                })
+                (
+                    vec![a, b],
+                    vec![
+                        set(Some(a), Part::Op(x), Part::Op(y)),
+                        set(Some(b), Part::Op(y), Part::Op(x)),
+                    ],
+                )
             }
             Move::Split { g, pivot } => {
-                let bid = self.order[g];
-                let ops = self.builder.group_ops(bid).to_vec();
-                if ops.len() < 2 {
+                let sub = Part::Under { g, pivot };
+                let mut n_sub = 0;
+                self.for_each_member(sub, |_| n_sub += 1);
+                if n_sub == 0 || n_sub == size(g) {
                     return None;
                 }
-                let (sub, rest) = split_at_pivot(self.inst, &ops, pivot);
-                if sub.is_empty() || rest.is_empty() {
-                    return None;
-                }
-                let kind_sub = self.price_set(&sub, None, None)?;
-                let kind_rest = self.price_set(&rest, None, None)?;
-                let delta = self.kind_cost(kind_sub) + self.kind_cost(kind_rest)
-                    - self.kind_cost(self.builder.group_kind(bid));
-                Some(Screened {
-                    affected: vec![g],
-                    new_groups: vec![(rest, kind_rest), (sub, kind_sub)],
-                    delta,
-                })
+                (
+                    vec![g],
+                    vec![set(Some(g), sub, Part::Empty), set(None, Part::Empty, sub)],
+                )
             }
-            Move::Reroute { .. } => None, // routed through `try_reroute`
+            // A self-merge is a no-op; `Reroute` goes through `try_reroute`.
+            Move::Merge { .. } | Move::Reroute { .. } => return None,
+        })
+    }
+
+    /// The operators of `set` in the order the builder and the sequential
+    /// probe see them: the base's members in place, then the joiners.
+    fn ops_of(&self, set: &Set) -> Vec<OpId> {
+        let base = set.base.map_or(&[][..], |g| self.group_ops(g));
+        let mut ops: Vec<OpId> = base
+            .iter()
+            .copied()
+            .filter(|&o| !self.contains(set.x, o))
+            .collect();
+        match set.y {
+            Part::Empty => {}
+            Part::Op(o) => ops.push(o),
+            Part::Group(h) => ops.extend_from_slice(self.group_ops(h)),
+            Part::Under { g, .. } => ops.extend(
+                self.group_ops(g)
+                    .iter()
+                    .filter(|&&o| self.contains(set.y, o)),
+            ),
+        }
+        ops
+    }
+
+    fn contains(&self, part: Part, op: OpId) -> bool {
+        match part {
+            Part::Empty => false,
+            Part::Op(o) => o == op,
+            Part::Group(h) => self.group_of(op) == h,
+            Part::Under { g, pivot } => self.numbering.under(pivot, op) && self.group_of(op) == g,
+        }
+    }
+
+    fn for_each_member(&self, part: Part, mut f: impl FnMut(OpId)) {
+        match part {
+            Part::Empty => {}
+            Part::Op(o) => f(o),
+            Part::Group(h) => self.group_ops(h).iter().for_each(|&o| f(o)),
+            Part::Under { g, pivot } => {
+                for &o in self.numbering.subtree(pivot) {
+                    if self.group_of(o) == g {
+                        f(o);
+                    }
+                }
+            }
+        }
+    }
+
+    /// The kind the sequential probe would give `set`, from its base's
+    /// totals (built on first use), or `Uncertain`.
+    fn price(&mut self, set: &Set) -> Result<Option<usize>, Uncertain> {
+        let mut set = *set;
+        // A union prices from the larger side's totals.
+        if let (Some(a), Part::Empty, Part::Group(b)) = (set.base, set.x, set.y) {
+            if self.group_ops(b).len() > self.group_ops(a).len() {
+                (set.base, set.y) = (Some(b), Part::Group(a));
+            }
+        }
+        let mut traffic = std::mem::take(&mut self.traffic);
+        if let Some(g) = set.base {
+            if self.totals.len() < self.order.len() {
+                self.totals.resize_with(self.order.len(), || None);
+            }
+            if self.totals[g].is_none() {
+                let mut sums = Sums::default();
+                let mut type_count = vec![0; self.builder.index().n_types()];
+                let members = Set {
+                    base: None,
+                    x: Part::Empty,
+                    y: Part::Group(g),
+                };
+                self.adjust(&mut sums, &mut type_count, &members, &mut traffic);
+                let mut traffic: Vec<(usize, f64)> = traffic.drain().collect();
+                traffic.sort_unstable_by_key(|e| e.0);
+                let thr = self.bp_thresh;
+                self.totals[g] = Some(Totals {
+                    sums,
+                    type_count,
+                    traffic_over: traffic.iter().filter(|e| e.1 > thr).count() as i64,
+                    margin: traffic
+                        .iter()
+                        .map(|e| (e.1 - thr).abs())
+                        .fold(f64::INFINITY, f64::min),
+                    traffic,
+                });
+            }
+        }
+        let priced = self.price_from_totals(&set, &mut traffic);
+        traffic.clear();
+        self.traffic = traffic;
+        priced
+    }
+
+    /// Moves `s` and `types` from `set.base`'s members to `set`'s, walking
+    /// the operators of `set.x` and `set.y` and their incident edges. Each
+    /// new cut edge's traffic is keyed to the current group of its
+    /// outside end (an op in `x` still belongs to the base), as the probe
+    /// keys it.
+    fn adjust(
+        &self,
+        s: &mut Sums,
+        types: &mut [u32],
+        set: &Set,
+        traffic: &mut HashMap<usize, f64>,
+    ) {
+        let idx = self.builder.index();
+        let Set { base, x, y } = *set;
+        let in_base = |o: OpId| base == Some(self.group_of(o));
+        let in_set = |o: OpId| (in_base(o) && !self.contains(x, o)) || self.contains(y, o);
+        for (part, sign) in [(x, -1.0), (y, 1.0)] {
+            self.for_each_member(part, |u| {
+                s.work += sign * idx.work(u);
+                s.work_mag += idx.work(u);
+                s.adds += 1 + idx.neighbors(u).len() + idx.op_types(u).len();
+                for &ty in idx.op_types(u) {
+                    let n = &mut types[ty.index()];
+                    *n -= u32::from(sign < 0.0);
+                    if *n == 0 {
+                        // The type leaves or joins the download set.
+                        s.download += sign * idx.type_rate(ty);
+                        s.down_mag += idx.type_rate(ty);
+                        s.undown += sign as i64 * i64::from(idx.type_undownloadable(ty));
+                    }
+                    *n += u32::from(sign > 0.0);
+                }
+                for &(v, rate) in idx.neighbors(u) {
+                    s.edge_mag += rate;
+                    if v < u && (self.contains(x, v) || self.contains(y, v)) {
+                        continue; // adjusted from `v`'s side
+                    }
+                    let (bu, su) = (in_base(u), in_set(u));
+                    let (bv, sv) = (in_base(v), in_set(v));
+                    let before = (bu != bv, if bu { v } else { u }, -1.0);
+                    let after = (su != sv, if su { v } else { u }, 1.0);
+                    for (cut, outside, sign) in [before, after] {
+                        if cut {
+                            s.comm += sign * rate;
+                            s.cut_over += sign as i64 * i64::from(rate > self.bp_thresh);
+                            *traffic.entry(self.group_of(outside)).or_default() += sign * rate;
+                        }
+                    }
+                }
+            });
+        }
+    }
+
+    fn price_from_totals(
+        &self,
+        set: &Set,
+        traffic: &mut HashMap<usize, f64>,
+    ) -> Result<Option<usize>, Uncertain> {
+        let t = set
+            .base
+            .map(|g| self.totals[g].as_ref().expect("built by `price`"));
+        let mut s = t.map_or(Sums::default(), |t| t.sums);
+        let mut types = t.map_or_else(
+            || vec![0; self.builder.index().n_types()],
+            |t| t.type_count.clone(),
+        );
+        self.adjust(&mut s, &mut types, set, traffic);
+        if s.undown > 0 || s.cut_over > 0 {
+            return Ok(None);
+        }
+        // Either path adds at most k terms whose magnitudes sum to at most
+        // M, so the two differ by at most about k·ε·M; 4·k·ε·M leaves room
+        // for the products, the final sums and the corners' own rounding.
+        let k = 2 * s.adds + 2;
+        let eps = 4.0 * k as f64 * f64::EPSILON;
+        let traffic_bound = eps * s.edge_mag;
+        let thr = self.bp_thresh;
+        let (mut over, margin) = t.map_or((0, f64::INFINITY), |t| (t.traffic_over, t.margin));
+        if margin <= traffic_bound {
+            return Err(Uncertain);
+        }
+        // Order-free: any uncertain key falls back, and `over` is a count.
+        for (&h, &d) in traffic.iter() {
+            let old = t
+                .and_then(|t| {
+                    let i = t.traffic.binary_search_by_key(&h, |e| e.0).ok()?;
+                    Some(t.traffic[i].1)
+                })
+                .unwrap_or(0.0);
+            let new = old + d;
+            if (new - thr).abs() <= traffic_bound {
+                return Err(Uncertain);
+            }
+            over += i64::from(new > thr) - i64::from(old > thr);
+        }
+        if over > 0 {
+            return Ok(None);
+        }
+        let rho = self.inst.rho;
+        let (speed, nic) = (rho * s.work, s.download + s.comm);
+        let (ds, dn) = (
+            eps * rho.abs() * s.work_mag,
+            eps * (s.down_mag + s.edge_mag),
+        );
+        let catalog = &self.inst.platform.catalog;
+        let lo = catalog.cheapest_fitting(speed - ds, nic - dn);
+        if lo == catalog.cheapest_fitting(speed + ds, nic + dn) {
+            Ok(lo)
+        } else {
+            Err(Uncertain)
         }
     }
 
@@ -457,6 +680,12 @@ impl<'a> SearchState<'a> {
     /// move rolls back exactly and `false` is returned. `salt` seeds the
     /// fallback routings deterministically (pass the eval counter).
     pub fn apply(&mut self, sc: &Screened, salt: u64) -> bool {
+        let (_, sets) = self
+            .post_move_sets(&sc.mv)
+            .expect("a screened move is not a no-op");
+        let lists: Vec<Vec<OpId>> = sets.iter().map(|set| self.ops_of(set)).collect();
+        // Commit or roll back, positions and neighbour keys change.
+        self.totals.clear();
         // Snapshot the originals for rollback.
         let orig: Vec<(usize, Vec<OpId>, usize)> = sc
             .affected
@@ -475,10 +704,10 @@ impl<'a> SearchState<'a> {
         for &pos in &sc.affected {
             self.builder.dissolve_group(self.order[pos]);
         }
-        let new_bids: Vec<usize> = sc
-            .new_groups
-            .iter()
-            .map(|(ops, kind)| self.builder.create_group(ops.clone(), *kind))
+        let new_bids: Vec<usize> = lists
+            .into_iter()
+            .zip(&sc.kinds)
+            .map(|(ops, &kind)| self.builder.create_group(ops, kind))
             .collect();
 
         // Rewrite the order: replacements take the affected positions in
@@ -656,27 +885,44 @@ fn peak_server_load(inst: &Instance, downloads: &[Download]) -> f64 {
         .fold(0.0, f64::max)
 }
 
-/// Partitions `ops` into (descendants-or-self of `pivot`, the rest).
-fn split_at_pivot(inst: &Instance, ops: &[OpId], pivot: OpId) -> (Vec<OpId>, Vec<OpId>) {
-    let mut sub = Vec::new();
-    let mut rest = Vec::new();
-    for &op in ops {
-        let mut cur = Some(op);
-        let mut under = false;
-        while let Some(c) = cur {
-            if c == pivot {
-                under = true;
-                break;
+/// Post-order numbering of the tree: `op`'s subtree is the contiguous
+/// index range ending at `op`'s own index.
+struct Numbering {
+    post: Vec<u32>,
+    size: Vec<u32>,
+    by_post: Vec<OpId>,
+}
+
+impl Numbering {
+    fn new(inst: &Instance) -> Self {
+        let by_post = inst.tree.postorder();
+        let mut post = vec![0; by_post.len()];
+        let mut size = vec![1; by_post.len()];
+        for (i, &op) in by_post.iter().enumerate() {
+            post[op.index()] = i as u32;
+            if let Some(p) = inst.tree.parent(op) {
+                size[p.index()] += size[op.index()];
             }
-            cur = inst.tree.parent(c);
         }
-        if under {
-            sub.push(op);
-        } else {
-            rest.push(op);
+        Numbering {
+            post,
+            size,
+            by_post,
         }
     }
-    (sub, rest)
+
+    /// Whether `op` is `pivot` or one of its descendants.
+    #[inline]
+    fn under(&self, pivot: OpId, op: OpId) -> bool {
+        let (p, o) = (self.post[pivot.index()], self.post[op.index()]);
+        o <= p && p - o < self.size[pivot.index()]
+    }
+
+    /// `pivot`'s subtree, in post-order.
+    fn subtree(&self, pivot: OpId) -> &[OpId] {
+        let end = self.post[pivot.index()] as usize + 1;
+        &self.by_post[end - self.size[pivot.index()] as usize..end]
+    }
 }
 
 #[cfg(test)]
@@ -726,10 +972,10 @@ mod tests {
         // A deliberately broken "move": retarget group 0 to the cheapest
         // catalog kind unconditionally — usually infeasible, so verify
         // must reject and roll back.
-        let g0_ops = state.group_ops(0).to_vec();
         let bogus = Screened {
+            mv: Move::Retarget { g: 0 },
             affected: vec![0],
-            new_groups: vec![(g0_ops, state.instance().platform.catalog.cheapest())],
+            kinds: vec![state.instance().platform.catalog.cheapest()],
             delta: -1,
         };
         let applied = state.apply(&bogus, 0);
@@ -754,23 +1000,54 @@ mod tests {
         let mv = Move::Merge { a: 0, b: 1 };
         if let Some(sc) = state.screen(&mv) {
             // The screened union kind must equal the oracle's.
-            let union = &sc.new_groups[0].0;
+            let union = &state.ops_of(&state.post_move_sets(&mv).unwrap().1[0]);
             let oracle = {
                 let b = GroupBuilder::new(&inst, PlacementOptions::default());
                 b.cheapest_kind_for(union)
             };
-            assert_eq!(Some(sc.new_groups[0].1), oracle);
+            assert_eq!(Some(sc.kinds[0]), oracle);
         }
     }
 
     #[test]
     fn split_partitions_are_exact() {
-        let (inst, _) = start(20, 3);
-        let ops: Vec<OpId> = inst.tree.ops().collect();
-        for &pivot in &ops {
-            let (sub, rest) = split_at_pivot(&inst, &ops, pivot);
-            assert_eq!(sub.len() + rest.len(), ops.len());
-            assert!(sub.contains(&pivot));
+        for (n, seed) in [(20, 3), (45, 8), (90, 1)] {
+            let (inst, sol) = start(n, seed);
+            let numbering = Numbering::new(&inst);
+            let ops: Vec<OpId> = inst.tree.ops().collect();
+            for &pivot in &ops {
+                let mut size = 0;
+                for &op in &ops {
+                    let mut cur = Some(op);
+                    while cur.is_some_and(|c| c != pivot) {
+                        cur = inst.tree.parent(cur.unwrap());
+                    }
+                    assert_eq!(
+                        numbering.under(pivot, op),
+                        cur.is_some(),
+                        "{op} under {pivot}"
+                    );
+                    size += usize::from(cur.is_some());
+                }
+                let sub = numbering.subtree(pivot);
+                assert_eq!(sub.len(), size);
+                assert!(sub.iter().all(|&op| numbering.under(pivot, op)));
+            }
+            // A split's two lists partition its group, the pivot's side
+            // holding exactly the members under the pivot.
+            let state = SearchState::new(&inst, &sol, PlacementOptions::default(), 0);
+            for g in 0..state.group_count() {
+                for &pivot in state.group_ops(g) {
+                    let Some((_, sets)) = state.post_move_sets(&Move::Split { g, pivot }) else {
+                        continue;
+                    };
+                    let (rest, sub) = (state.ops_of(&sets[0]), state.ops_of(&sets[1]));
+                    assert_eq!(rest.len() + sub.len(), state.group_ops(g).len());
+                    assert!(sub.contains(&pivot));
+                    assert!(sub.iter().all(|&op| numbering.under(pivot, op)));
+                    assert!(rest.iter().all(|&op| !numbering.under(pivot, op)));
+                }
+            }
         }
     }
 }
