@@ -42,7 +42,10 @@ pub struct RefineOptions {
     /// budget is exhausted, returning the best verified solution so far
     /// (the *anytime* contract).
     pub max_evals: u64,
-    /// Seed for the annealing RNG and the download re-route attempts.
+    /// Seed for the annealing RNG (which also seeds the routings its
+    /// `Reroute` proposals try) and for the fallback routings a commit
+    /// tries when the deterministic server selection fails. The greedy
+    /// drivers' routing polish is seeded from the start cost instead.
     pub seed: u64,
 }
 
