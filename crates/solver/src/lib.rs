@@ -2,15 +2,15 @@
 //! problem
 //!
 //! The paper assesses its heuristics against CPLEX on small homogeneous
-//! instances (§5, last experiment set). This crate substitutes:
+//! instances (§5, last experiment set), solving an ILP it leaves to a
+//! research report. This crate substitutes:
 //!
-//! * [`ilp`] — the explicit ILP formulation, with CPLEX LP-format export
-//!   and size accounting (reproducing the paper's observation that the
-//!   model explodes beyond ~20 operators);
 //! * [`bb`] — an exact branch-and-bound over operator groupings with
 //!   per-group cost lower bounds, giving true optima for the instance
 //!   sizes the paper could solve;
-//! * [`bounds`] — analytic cost lower bounds valid for every instance.
+//! * [`bounds`] — analytic cost lower bounds valid for every instance;
+//! * [`inverse`] — the budgeted-throughput inverse problem (§6 future
+//!   work): the highest ρ a heuristic can provision within a budget.
 //!
 //! ```
 //! use snsp_gen::paper_instance;
@@ -26,10 +26,8 @@
 
 pub mod bb;
 pub mod bounds;
-pub mod ilp;
 pub mod inverse;
 
 pub use bb::{solve_exact, solve_exact_reference, BranchBoundConfig, ExactResult};
 pub use bounds::{lower_bound, min_processors, LowerBound};
-pub use ilp::{formulate, Ilp, IlpOptions};
 pub use inverse::{max_throughput_under_budget, BudgetResult};

@@ -14,8 +14,9 @@
 //!   placement heuristics, server selection and the downgrade pass;
 //! * [`gen`] — random workloads following the paper's §5
 //!   methodology;
-//! * [`solver`] — the ILP formulation, an exact
-//!   branch-and-bound, and analytic lower bounds;
+//! * [`solver`] — an exact branch-and-bound in place of the
+//!   paper's CPLEX comparison, analytic lower bounds, and the
+//!   budgeted-throughput inverse;
 //! * [`engine`] — a discrete-event steady-state engine that
 //!   executes mappings and measures their achieved throughput;
 //! * [`sweep`] — parallel scenario-grid campaigns with

@@ -106,24 +106,3 @@ fn subtree_bottom_up_matches_optimum_on_homogeneous_instances() {
         "Subtree-Bottom-Up should match the optimum in most cases ({hits}/{total})"
     );
 }
-
-#[test]
-fn ilp_formulation_agrees_with_instance_shape() {
-    use snsp_solver::{formulate, IlpOptions};
-    let inst = paper_instance(8, 0.9, 1);
-    let ilp = formulate(&inst, &IlpOptions::default());
-    let n = inst.tree.len();
-    let kinds = inst.platform.catalog.len();
-    // y variables: one per (slot, kind); x: one per (op, slot).
-    let y_count = ilp.binaries.iter().filter(|v| v.starts_with("y_")).count();
-    let x_count = ilp.binaries.iter().filter(|v| v.starts_with("x_")).count();
-    assert_eq!(y_count, n * kinds);
-    assert_eq!(x_count, n * n);
-    // One assignment constraint per operator.
-    let assigns = ilp
-        .constraints
-        .iter()
-        .filter(|c| c.name.starts_with("assign_"))
-        .count();
-    assert_eq!(assigns, n);
-}
