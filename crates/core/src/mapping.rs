@@ -1,8 +1,6 @@
 //! The mapping model (paper §2.3): purchased processors, the allocation
 //! function `a`, and the download sets `DL(u)`.
 
-use std::collections::BTreeMap;
-
 use crate::ids::{OpId, ProcId, ServerId, TypeId};
 use crate::instance::Instance;
 
@@ -112,16 +110,6 @@ impl Mapping {
         tys.dedup();
         tys
     }
-
-    /// Per-server load in MB/s implied by the downloads (constraint (3)'s
-    /// left-hand side).
-    pub fn server_loads(&self, instance: &Instance) -> BTreeMap<ServerId, f64> {
-        let mut loads = BTreeMap::new();
-        for d in &self.downloads {
-            *loads.entry(d.server).or_insert(0.0) += instance.object_rate(d.ty);
-        }
-        loads
-    }
 }
 
 #[cfg(test)]
@@ -202,16 +190,6 @@ mod tests {
             m.required_types(&inst, ProcId(0)),
             vec![TypeId(0), TypeId(1)]
         );
-    }
-
-    #[test]
-    fn server_loads_accumulate_rates() {
-        let inst = two_op_instance();
-        let m = split_mapping();
-        let loads = m.server_loads(&inst);
-        // Server 0 serves type 0 twice: 2 × (10 MB × 0.5 Hz) = 10 MB/s.
-        assert!((loads[&ServerId(0)] - 10.0).abs() < 1e-12);
-        assert!((loads[&ServerId(1)] - 10.0).abs() < 1e-12);
     }
 
     #[test]

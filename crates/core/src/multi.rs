@@ -357,10 +357,7 @@ pub fn solve_joint(
                     let p = pool_of[k][op.index()];
                     p == a || p == b
                 });
-                let fits = d.work <= top_kind.speed + 1e-9
-                    && d.download + d.comm <= top_kind.bandwidth + 1e-9
-                    && d.max_edge <= bp + 1e-9;
-                if fits {
+                if d.fits(&top_kind, bp) {
                     let moved = std::mem::take(&mut pools[b]);
                     for &(k, g) in &moved {
                         for &op in &placed[k].groups[g].ops {

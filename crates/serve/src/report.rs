@@ -76,13 +76,9 @@ impl TraceReport {
 /// copy, so callers can pass raw latency vectors. Returns 0 for an
 /// empty set.
 pub fn percentile(samples: &[f64], p: f64) -> f64 {
-    if samples.is_empty() {
-        return 0.0;
-    }
     let mut sorted = samples.to_vec();
     sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    let rank = ((p / 100.0) * sorted.len() as f64).ceil() as usize;
-    sorted[rank.clamp(1, sorted.len()) - 1]
+    snsp_telemetry::percentile_sorted(&sorted, p)
 }
 
 #[cfg(test)]
