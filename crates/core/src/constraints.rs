@@ -589,6 +589,89 @@ mod tests {
             .any(|v| matches!(v, Violation::ServerOverload { .. })));
     }
 
+    /// `tree` over `objects` on `Platform::paper`, every object held by
+    /// server 0, with κ small enough that no CPU binds.
+    fn on_server_0(mut tree: OperatorTree, objects: ObjectCatalog) -> Instance {
+        tree.apply_work_model(&objects, &WorkModel::new(1.0, 1e-3));
+        let mut platform = Platform::paper(objects.len());
+        for ty in 0..objects.len() {
+            platform.placement.add_holder(TypeId::from(ty), ServerId(0));
+        }
+        Instance::new(tree, objects, platform, 1.0).unwrap()
+    }
+
+    fn from_server_0(proc: ProcId, ty: TypeId) -> Download {
+        Download {
+            proc,
+            ty,
+            server: ServerId(0),
+        }
+    }
+
+    #[test]
+    fn server_link_overload_is_reported() {
+        // One top-kind processor streams two 550 MB/s objects from server
+        // 0: 1,100 MB/s fits the server's 1,250 MB/s NIC but not its
+        // 1,000 MB/s link.
+        let mut objects = ObjectCatalog::new();
+        let t0 = objects.add(ObjectType::new(1100.0, 0.5));
+        let t1 = objects.add(ObjectType::new(1100.0, 0.5));
+        let mut b = OperatorTree::builder();
+        let root = b.add_root();
+        b.add_leaf(root, t0).unwrap();
+        b.add_leaf(root, t1).unwrap();
+        let inst = on_server_0(b.finish().unwrap(), objects);
+        let m = Mapping::new(
+            vec![inst.platform.catalog.most_expensive()],
+            vec![ProcId(0)],
+            vec![from_server_0(ProcId(0), t0), from_server_0(ProcId(0), t1)],
+        );
+        assert_eq!(
+            check(&inst, &m),
+            vec![Violation::ServerLinkOverload {
+                server: ServerId(0),
+                proc: ProcId(0),
+                used: 1100.0,
+                capacity: 1000.0,
+            }]
+        );
+    }
+
+    #[test]
+    fn pair_link_sums_both_directions() {
+        // Chain c ← b ← a with a and c on P0 and b on P1: edge a→b
+        // (500 MB/s) runs P0→P1 and edge b→c (600 MB/s) runs P1→P0. Each
+        // fits the 1,000 MB/s pair link alone; their sum does not.
+        let mut objects = ObjectCatalog::new();
+        let t0 = objects.add(ObjectType::new(500.0, 0.01));
+        let t1 = objects.add(ObjectType::new(100.0, 0.01));
+        let mut t = OperatorTree::builder();
+        let c = t.add_root();
+        let b = t.add_child(c).unwrap();
+        let a = t.add_child(b).unwrap();
+        t.add_leaf(a, t0).unwrap();
+        t.add_leaf(b, t1).unwrap();
+        let inst = on_server_0(t.finish().unwrap(), objects);
+        assert_eq!((inst.edge_rate(a), inst.edge_rate(b)), (500.0, 600.0));
+        let mut assignment = vec![ProcId(0); 3];
+        assignment[b.index()] = ProcId(1);
+        let top = inst.platform.catalog.most_expensive();
+        let m = Mapping::new(
+            vec![top, top],
+            assignment,
+            vec![from_server_0(ProcId(0), t0), from_server_0(ProcId(1), t1)],
+        );
+        assert_eq!(
+            check(&inst, &m),
+            vec![Violation::ProcLinkOverload {
+                a: ProcId(0),
+                b: ProcId(1),
+                used: 1100.0,
+                capacity: 1000.0,
+            }]
+        );
+    }
+
     #[test]
     fn max_throughput_matches_manual_bound() {
         let inst = instance(1.0, WorkModel::PAPER_KAPPA);

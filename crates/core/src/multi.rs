@@ -668,7 +668,7 @@ mod tests {
 
     #[test]
     fn verify_joint_catches_overload() {
-        let multi = multi(2, 8, 0.9);
+        let mut multi = multi(2, 8, 0.9);
         let mut rng = StdRng::seed_from_u64(3);
         let mut joint = solve_joint(
             &multi,
@@ -677,18 +677,24 @@ mod tests {
             &PipelineOptions::default(),
         )
         .unwrap();
-        // Downgrade every processor to the cheapest kind and cram the
-        // whole workload onto processor 0: almost surely overloads a NIC.
-        for k in &mut joint.proc_kinds {
-            *k = 0;
-        }
+        verify_joint(&multi, &joint).expect("the solved joint verifies");
+        // Cram both workloads onto processor 0 at 10⁴ times their ρ: its
+        // CPU load lands near 100.
         for assign in &mut joint.assignments {
-            for p in assign.iter_mut() {
-                *p = ProcId(0);
-            }
+            assign.fill(ProcId(0));
         }
-        // (Verification may pass for tiny workloads; just exercise both
-        // paths without panicking.)
-        let _ = verify_joint(&multi, &joint);
+        for app in &mut multi.apps {
+            app.rho *= 1e4;
+        }
+        let Err(HeuristicError::FinalCheck(v)) = verify_joint(&multi, &joint) else {
+            panic!("verify_joint accepted the crammed processor");
+        };
+        assert!(
+            v.iter().any(|x| matches!(
+                x,
+                constraints::Violation::CpuOverload { proc: ProcId(0), load } if *load > 1.0
+            )),
+            "no CPU overload on processor 0 in {v:?}"
+        );
     }
 }
