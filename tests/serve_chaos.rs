@@ -4,8 +4,9 @@
 //! crash fingerprint-identically to an uninterrupted run at any worker
 //! count, (c) re-admit at least 90% of the tenants displaced by a
 //! capacity revocation once it thaws, (d) draw its fault schedule
-//! independently of the shard count, and (e) keep the platform
-//! invariant audit clean after every fault.
+//! independently of the shard count, (e) keep the platform invariant
+//! audit clean after every fault, and (f) keep the decisions of
+//! multi-slot tenants pinned.
 
 use snsp::prelude::*;
 
@@ -127,6 +128,48 @@ fn revocation_displaces_then_retry_readmits_ninety_percent() {
         report.stats.audit_first
     );
     audit_platform(&state).expect("final platform passes the invariant audit");
+}
+
+/// Multi-slot tenants (10–40 operators at ρ up to 40) make every serve
+/// mechanism that prices a block onto a live slot decide something:
+/// first-fit pack misses, committed consolidation evacuations, failure
+/// re-maps and evictions, re-admissions after a revocation thaws. The
+/// hashes pin every such decision of one plain and one chaos replay.
+#[test]
+fn multi_slot_decisions_are_pinned() {
+    let params = TraceParams::poisson(1.0, 20.0, 40.0)
+        .with_tenant_ops(10, 40)
+        .with_tenant_rho(0.5, 40.0)
+        .with_failures(0.3);
+    let trace = generate_trace(&params, 1);
+    let spec = FaultSpec::seeded(8)
+        .with_crashes(0.1)
+        .with_racks(0.1, 2)
+        .with_revocation(12.0, 24.0, 0.5)
+        .with_retry(RetryPolicy::standard())
+        .with_degradation(3, 1)
+        .with_ticks(1.0);
+    let plan = FaultPlan::instantiate(&spec, params.horizon);
+    let opts = ShardOptions::default();
+    let ((plain, chaos), snap) = capture(|| {
+        let plain = run_trace(&trace, &ServeConfig::default());
+        let chaos = replay_trace_chaos(&trace, &ServeConfig::default(), &opts, &plan).0;
+        (plain, chaos)
+    });
+    for name in [
+        "serve.admit.pack_pruned",
+        "serve.consolidation.evac_committed",
+        "fault.retry.readmitted",
+        "serve.evicted",
+    ] {
+        assert!(snap.counter(name) > Some(0), "{name} never counted");
+    }
+    assert_eq!(format!("{:016x}", plain.log_hash()), "fd792c6a53cabc3f");
+    assert_eq!(
+        format!("{:016x}", chaos.base.log_hash()),
+        "72e43af23ab94ab9"
+    );
+    assert_eq!(format!("{:016x}", chaos.fingerprint), "d7639d72e1ff78f8");
 }
 
 /// The fault lottery is drawn globally and only then routed: the
