@@ -7,7 +7,9 @@
 //! tree is first packed onto already-purchased machines, reusing the
 //! [`shared_demand`] calculus and the [`DownloadLedger`] from
 //! `snsp_core::multi`), reclaimed when tenants depart, and re-mapped
-//! around failures. Every mutation is transactional — it either commits
+//! around failures. Admission, failure re-maps and consolidation share
+//! one fit test, which prices a slot as exactly the aggregate the commit
+//! installs. Every mutation is transactional — it either commits
 //! a state in which every tenant's constraints hold jointly, or leaves
 //! the platform untouched — and fully deterministic: all iteration runs
 //! in ascending slot/tenant order and the only randomness is the seeded
@@ -144,22 +146,12 @@ struct Block {
 }
 
 impl Block {
-    /// Tenant `t`'s block on slot `u` under its current assignment
-    /// (no ops when it keeps nothing there).
-    fn of(t: &Tenant, u: usize) -> Block {
-        let on = |op: OpId| t.assignment[op.index()].index() == u;
-        Block::new(&t.inst, t.inst.tree.ops().filter(|&op| on(op)), on)
-    }
-
-    /// The terms of `inst`'s operators `ops` on one slot; `on(op)` says
-    /// whether `op` sits on that slot too.
-    fn new(
-        inst: &Instance,
-        ops: impl IntoIterator<Item = OpId>,
-        on: impl Fn(OpId) -> bool,
-    ) -> Block {
+    /// The operators of `inst` for which `on` holds, ascending — a
+    /// tenant's whole block on one slot — with their terms: an edge to an
+    /// operator off that slot is cut.
+    fn new(inst: &Instance, on: impl Fn(OpId) -> bool) -> Block {
         let mut b = Block::default();
-        for op in ops {
+        for op in inst.tree.ops().filter(|&op| on(op)) {
             b.ops.push(op);
             b.work.push(inst.rho * inst.tree.work(op));
             b.types.extend(inst.tree.leaf_types(op));
@@ -334,7 +326,10 @@ impl LivePlatform {
     /// keep their terms: an edge to an op that moved between two other
     /// slots stays cut.
     fn reindex(&mut self, tid: u32, u: usize) {
-        let block = self.tenants.get(&tid).map(|t| Block::of(t, u));
+        let block = self
+            .tenants
+            .get(&tid)
+            .map(|t| Block::new(&t.inst, |op| t.assignment[op.index()].index() == u));
         let r = &mut self.residents[u];
         for ty in r.blocks.remove(&tid).map(|b| b.types).unwrap_or_default() {
             let n = r.types.get_mut(&ty).expect("an indexed type has a count");
@@ -374,30 +369,45 @@ impl LivePlatform {
         self.reindex(tid, to);
     }
 
-    /// Extends a slot's resident aggregate `base` by one candidate block
-    /// without re-walking the residents: work and communication continue
-    /// the aggregate's running sums, and downloads re-sum the ascending
-    /// union of its types and the block's. The result is bit-identical to
-    /// [`shared_demand`] over the residents plus the block only when the
-    /// candidate's tenant id is the largest on the slot; retries re-admit
-    /// lower ids, whose terms the refold adds in the middle instead.
-    /// [`downgrade_all`](Self::downgrade_all) re-fits every slot from
-    /// its refolded aggregate after the commit.
-    fn extend_demand(
-        &self,
-        base: &Resident,
-        inst: &Instance,
-        ops: &[OpId],
-        on_slot: impl Fn(OpId) -> bool,
-    ) -> SharedDemand {
-        let block = Block::new(inst, ops.iter().copied(), on_slot);
-        let mut d = SharedDemand {
-            download: 0.0,
-            ..base.demand
-        };
-        block.fold_into(&mut d);
-        let mut types = block.types;
-        types.extend(base.types.keys());
+    /// The demand slot `v` carries once each `landing` tenant's block is
+    /// on it: `landing` is ascending by tenant and holds each tenant's
+    /// whole block on `v` after the move, so it has every type of the
+    /// resident block it replaces. `v` is `None` for a machine yet to be
+    /// bought; a slot bought earlier in the same admission has no
+    /// residents either. The result is the refold
+    /// [`reindex`](Self::reindex) installs when the move commits: the
+    /// residents' terms in ascending tenant order, a landing block in
+    /// place of its tenant's resident one. When every landing tenant is
+    /// above the residents (new arrivals), that refold continues the
+    /// cached aggregate.
+    fn landing_demand(&self, v: Option<usize>, landing: &[(u32, &Block)]) -> SharedDemand {
+        let mut d = SharedDemand::default();
+        let mut types: Vec<TypeId> = landing
+            .iter()
+            .flat_map(|(_, b)| &b.types)
+            .copied()
+            .collect();
+        let mut landing = landing.iter().peekable();
+        if let Some(r) = v.and_then(|v| self.residents.get(v)) {
+            types.extend(r.types.keys());
+            let top = r.blocks.last_key_value().map(|(&tid, _)| tid);
+            if landing.peek().is_some_and(|&&(tid, _)| Some(tid) <= top) {
+                for (&tid, b) in &r.blocks {
+                    while let Some((_, lb)) = landing.next_if(|&&(t, _)| t < tid) {
+                        lb.fold_into(&mut d);
+                    }
+                    match landing.next_if(|&&(t, _)| t == tid) {
+                        Some((_, lb)) => lb.fold_into(&mut d),
+                        None => b.fold_into(&mut d),
+                    }
+                }
+            } else {
+                d = r.demand;
+            }
+        }
+        for (_, b) in landing {
+            b.fold_into(&mut d);
+        }
         types.sort_unstable();
         types.dedup();
         d.download = types.iter().map(|&ty| self.objects.rate(ty)).sum();
@@ -462,6 +472,16 @@ impl LivePlatform {
         self.platform.catalog.cheapest_fitting(d.work, d.nic_need())
     }
 
+    /// The kind a slot of kind `current` (`None`: a machine to buy) takes
+    /// to host `d`: the cheapest that fits, or `None` when none does or
+    /// when purchases are frozen and it would add capacity — a purchase,
+    /// or a dearer kind than `current`.
+    fn refit(&self, current: Option<usize>, d: &SharedDemand) -> Option<usize> {
+        let kind = self.kind_fitting(d)?;
+        let cost = |k| self.platform.catalog.kind(k).cost;
+        (!self.frozen || current.is_some_and(|c| cost(kind) <= cost(c))).then_some(kind)
+    }
+
     /// Ensures download streams on slot `u` for every object type the
     /// given operators of `inst` need (idempotent per `(slot, type)`, so
     /// types another tenant already streams are free — the shared-download
@@ -489,7 +509,7 @@ impl LivePlatform {
     /// Admits tenant `id` with application `inst`: places the tree with
     /// `heuristic` (RNG derived from `seed`), then packs each group onto
     /// the first existing processor whose joint demand still fits —
-    /// upgrading or downgrading that processor's kind as needed — buying
+    /// upgrading that processor's kind as needed — buying
     /// new processors only for groups no live machine can absorb.
     /// Transactional: on any error the platform is unchanged.
     pub fn admit(
@@ -516,41 +536,23 @@ impl LivePlatform {
         let mut assignment = vec![ProcId(u32::MAX); inst.tree.len()];
         let mut reused: BTreeSet<usize> = BTreeSet::new();
         let mut bought: Vec<usize> = Vec::new();
-        // The base of a slot bought earlier in this admission: it hosts
-        // only this tenant's ops, all inside the candidate block.
-        let empty_base = Resident::default();
 
         for group in &placed.groups {
             let in_group: BTreeSet<usize> = group.ops.iter().map(|op| op.index()).collect();
+            // This group plus the tenant's earlier groups already on `u`.
+            let block_on = |u: usize| {
+                Block::new(&inst, |op| {
+                    in_group.contains(&op.index()) || assignment[op.index()].index() == u
+                })
+            };
             let mut chosen = None;
             // First-fit over already-purchased processors, ascending.
             for (u, slot) in slots.iter().enumerate() {
                 if slot.is_none() {
                     continue;
                 }
-                let on_slot = |op: OpId| {
-                    in_group.contains(&op.index()) || assignment[op.index()].index() == u
-                };
-                // The candidate block: this group plus any of the same
-                // tenant's earlier groups already packed onto `u`.
-                let mut block: Vec<OpId> = group.ops.clone();
-                block.extend(
-                    inst.tree
-                        .ops()
-                        .filter(|&op| assignment[op.index()].index() == u),
-                );
-                let base = self.residents.get(u).unwrap_or(&empty_base);
-                let d = self.extend_demand(base, &inst, &block, on_slot);
-                if let Some(kind) = self.kind_fitting(&d) {
-                    // Frozen platforms may not grow capacity, so a fit
-                    // that needs a kind *upgrade* is refused like a buy.
-                    if self.frozen
-                        && self.platform.catalog.kind(kind).cost
-                            > self.platform.catalog.kind(slot.unwrap()).cost
-                    {
-                        SERVE_PACK_PRUNED.incr();
-                        continue;
-                    }
+                let d = self.landing_demand(Some(u), &[(id.0, &block_on(u))]);
+                if let Some(kind) = self.refit(*slot, &d) {
                     chosen = Some((u, kind, false));
                     break;
                 }
@@ -558,13 +560,15 @@ impl LivePlatform {
             }
             // Otherwise buy the cheapest machine hosting the group alone.
             if chosen.is_none() {
-                if self.frozen {
-                    return Err(AdmitError::CapacityRevoked { op: group.ops[0] });
-                }
-                let on_slot = |op: OpId| in_group.contains(&op.index());
-                let d = shared_demand(&[(&inst, group.ops.as_slice())], |_, op| on_slot(op));
-                let Some(kind) = self.kind_fitting(&d) else {
-                    return Err(AdmitError::NoCapacity { op: group.ops[0] });
+                let alone = Block::new(&inst, |op| in_group.contains(&op.index()));
+                let d = self.landing_demand(None, &[(id.0, &alone)]);
+                let Some(kind) = self.refit(None, &d) else {
+                    let op = group.ops[0];
+                    return Err(if self.frozen {
+                        AdmitError::CapacityRevoked { op }
+                    } else {
+                        AdmitError::NoCapacity { op }
+                    });
                 };
                 slots.push(None); // reserve the new slot index
                 chosen = Some((slots.len() - 1, kind, true));
@@ -612,7 +616,6 @@ impl LivePlatform {
         for &u in &touched {
             self.reindex(id.0, u);
         }
-        self.downgrade_all();
         Ok(AdmitOutcome {
             new_procs: bought.len(),
             reused_procs: reused.len(),
@@ -721,27 +724,22 @@ impl LivePlatform {
 
     /// Re-places one tenant's displaced block (currently assigned to the
     /// dead slot `dead`): first-fit over live slots, then a fresh
-    /// purchase. Commits assignment + downloads on success.
+    /// purchase (refused while purchases are frozen, which evicts the
+    /// tenant to the retry queue). Commits assignment + downloads on
+    /// success.
     fn replace_block(&mut self, tid: u32, ops: &[OpId], dead: usize) -> bool {
-        let in_block: BTreeSet<usize> = ops.iter().map(|op| op.index()).collect();
-        let candidates: Vec<usize> = self.live_slots();
-        let no_overlay = BTreeMap::new();
-        for u in candidates {
-            // Same member/co-location accounting as an evacuation with an
-            // empty overlay: the block lands on `u` by hypothesis, so its
-            // edges to the tenant's ops already resident on `u` are free,
-            // and the tenant appears as one member, never two.
-            let d = self.evacuation_demand(u, dead, &no_overlay, &tid, ops, &in_block);
-            let Some(kind) = self.kind_fitting(&d) else {
+        let t = &self.tenants[&tid];
+        let fresh = self.slots.len();
+        for u in self.live_slots().into_iter().map(Some).chain([None]) {
+            let block = Block::new(&t.inst, |op| {
+                let a = t.assignment[op.index()].index();
+                a == dead || Some(a) == u
+            });
+            let d = self.landing_demand(u, &[(tid, &block)]);
+            let Some(kind) = self.refit(u.and_then(|u| self.slots[u]), &d) else {
                 continue;
             };
-            if self.frozen
-                && self.platform.catalog.kind(kind).cost
-                    > self.platform.catalog.kind(self.slots[u].unwrap()).cost
-            {
-                continue; // re-map may not grow frozen capacity either
-            }
-            let t = &self.tenants[&tid];
+            let u = u.unwrap_or(fresh);
             let mut ledger = self.ledger.clone();
             if Self::ensure_downloads(&mut ledger, &self.platform, &self.objects, &t.inst, ops, u)
                 .is_err()
@@ -749,33 +747,15 @@ impl LivePlatform {
                 continue;
             }
             self.ledger = ledger;
+            if u == fresh {
+                self.slots.push(None);
+                self.residents.push(Resident::default());
+            }
             self.slots[u] = Some(kind);
             self.move_block(tid, ops, dead, u);
             return true;
         }
-        // Buy a replacement machine (unless purchases are frozen by a
-        // capacity revocation — then the displaced tenant is evicted and
-        // left to the retry queue).
-        if self.frozen {
-            return false;
-        }
-        let t = &self.tenants[&tid];
-        let d = shared_demand(&[(&t.inst, ops)], |_, op| in_block.contains(&op.index()));
-        let Some(kind) = self.kind_fitting(&d) else {
-            return false;
-        };
-        let u = self.slots.len();
-        let mut ledger = self.ledger.clone();
-        if Self::ensure_downloads(&mut ledger, &self.platform, &self.objects, &t.inst, ops, u)
-            .is_err()
-        {
-            return false;
-        }
-        self.ledger = ledger;
-        self.slots.push(Some(kind));
-        self.residents.push(Resident::default());
-        self.move_block(tid, ops, dead, u);
-        true
+        false
     }
 
     /// Removes a tenant, its blocks, the download streams only it needed
@@ -832,35 +812,46 @@ impl LivePlatform {
         }
         let mut slots = self.slots.clone();
         slots[u] = None;
-        // Destination chosen per block; earlier decisions are visible to
-        // later fit tests through the overlay.
-        let mut overlay: BTreeMap<u32, usize> = BTreeMap::new();
-        for (tid, Block { ops, .. }) in blocks {
-            let in_block: BTreeSet<usize> = ops.iter().map(|op| op.index()).collect();
+        // Each relocated tenant's destination and whole block there;
+        // later fit tests price the earlier blocks on their destinations.
+        let mut landed: BTreeMap<u32, (usize, Block)> = BTreeMap::new();
+        for &tid in blocks.keys() {
+            let t = &self.tenants[&tid];
             let mut dest = None;
             for (v, slot) in slots.iter().enumerate() {
-                if v == u || slot.is_none() {
+                if slot.is_none() {
                     continue;
                 }
-                let d = self.evacuation_demand(v, u, &overlay, tid, ops, &in_block);
-                if let Some(kind) = self.kind_fitting(&d) {
-                    dest = Some((v, kind));
+                let block = Block::new(&t.inst, |op| {
+                    let a = t.assignment[op.index()].index();
+                    a == u || a == v
+                });
+                let mut landing: Vec<(u32, &Block)> = landed
+                    .iter()
+                    .filter(|(_, (w, _))| *w == v)
+                    .map(|(&t, (_, b))| (t, b))
+                    .collect();
+                landing.push((tid, &block));
+                if let Some(kind) = self.kind_fitting(&self.landing_demand(Some(v), &landing)) {
+                    dest = Some((v, kind, block));
                     break;
                 }
             }
-            let Some((v, kind)) = dest else {
+            let Some((v, kind, block)) = dest else {
                 return false; // cannot empty u; no commit
             };
             slots[v] = Some(kind);
-            overlay.insert(*tid, v);
+            landed.insert(tid, (v, block));
         }
-        // Move the streams: release everything on u, re-source per dest.
+        // Move the streams: release everything on u, re-source per dest
+        // in ascending tenant order (the ledger's server choice depends
+        // on it).
         let mut ledger = self.ledger.clone();
         for d in ledger.downloads_of(ProcId::from(u)) {
             ledger.release(self.objects.rate(d.ty), d.proc, d.ty);
         }
         for (tid, Block { ops, .. }) in blocks {
-            let v = overlay[tid];
+            let v = landed[tid].0;
             let t = &self.tenants[tid];
             if Self::ensure_downloads(&mut ledger, &self.platform, &self.objects, &t.inst, ops, v)
                 .is_err()
@@ -880,63 +871,9 @@ impl LivePlatform {
         self.slots = slots;
         self.ledger = ledger;
         for (tid, ops) in self.blocks_on(u) {
-            self.move_block(tid, &ops, u, overlay[&tid]);
+            self.move_block(tid, &ops, u, landed[&tid].0);
         }
         true
-    }
-
-    /// Demand on candidate slot `v` during the evacuation of `u`, with
-    /// `overlay` recording blocks already re-homed. Its members are `v`'s
-    /// residents, the tenants the overlay re-homes to `v` and the
-    /// candidate `tid`, in ascending tenant order.
-    fn evacuation_demand(
-        &self,
-        v: usize,
-        u: usize,
-        overlay: &BTreeMap<u32, usize>,
-        tid: &u32,
-        ops: &[OpId],
-        in_block: &BTreeSet<usize>,
-    ) -> SharedDemand {
-        // Effective slot of any (tenant, op) under the overlay.
-        let eff = |t: u32, op: OpId| -> usize {
-            let a = self.tenants[&t].assignment[op.index()].index();
-            if a == u {
-                overlay.get(&t).copied().unwrap_or(a)
-            } else {
-                a
-            }
-        };
-        let mut member_tids: BTreeSet<u32> = self.residents[v].blocks.keys().copied().collect();
-        member_tids.extend(overlay.iter().filter(|&(_, &w)| w == v).map(|(&t, _)| t));
-        member_tids.insert(*tid);
-        let member_tids: Vec<u32> = member_tids.into_iter().collect();
-        let mut members: Vec<(&Instance, Vec<OpId>)> = Vec::new();
-        for &t in &member_tids {
-            let tenant = &self.tenants[&t];
-            let mut on_v: Vec<OpId> = tenant
-                .inst
-                .tree
-                .ops()
-                .filter(|&op| eff(t, op) == v)
-                .collect();
-            if t == *tid {
-                on_v.retain(|op| !in_block.contains(&op.index()));
-                on_v.extend(ops.iter().copied());
-            }
-            members.push((&tenant.inst, on_v));
-        }
-        let views: Vec<(&Instance, &[OpId])> = members
-            .iter()
-            .map(|(inst, ops)| (*inst, ops.as_slice()))
-            .collect();
-        shared_demand(&views, |m, op| {
-            let t = member_tids[m];
-            if t == *tid && in_block.contains(&op.index()) {
-                return true; // the block lands on v by hypothesis
-            }
-            eff(t, op) == v
-        })
     }
 
     /// Re-fits every live slot to the cheapest kind hosting its current
@@ -987,10 +924,13 @@ impl LivePlatform {
     /// 3. every slot's resident aggregate equals a scan of the tenants:
     ///    the same `(tenant, ops)` blocks, the same type refcounts and,
     ///    bit for bit, the same [`shared_demand`];
-    /// 4. download-ledger conservation: the multiset of `(slot, type)`
+    /// 4. every live slot holds the kind [`kind_fitting`](Self::kind_fitting)
+    ///    picks for its aggregate: commits price a slot as exactly what
+    ///    they install, and removals re-fit;
+    /// 5. download-ledger conservation: the multiset of `(slot, type)`
     ///    streams equals — without duplicates — exactly the set the
     ///    residents need;
-    /// 5. the compacted snapshot passes [`verify_joint`]: joint CPU,
+    /// 6. the compacted snapshot passes [`verify_joint`]: joint CPU,
     ///    processor NIC and server NIC capacity. It checks neither
     ///    server→processor links (constraint 4) nor processor-pair
     ///    links (constraint 5); see the joint-link item in ROADMAP.md.
@@ -1039,6 +979,14 @@ impl LivePlatform {
                     "slot {u}: aggregate demand {:?} differs from the tenant scan's {scanned:?}",
                     r.demand
                 ));
+            }
+            if let Some(kind) = self.slots[u] {
+                if self.kind_fitting(&r.demand) != Some(kind) {
+                    return Err(format!(
+                        "slot {u}: kind {kind} is not the one its demand {:?} fits",
+                        r.demand
+                    ));
+                }
             }
             need.extend(types.keys().map(|&ty| (u, ty)));
         }
@@ -1411,42 +1359,50 @@ mod tests {
         assert!(broken.audit().is_err(), "a dropped block must be caught");
     }
 
+    /// 80 random admit / depart / fail steps over 10–40-op tenants at
+    /// ρ 0.5–40; after each, `step` sees the platform and every surviving
+    /// tenant's assignment from before the step.
+    fn heavy_storm(mut step: impl FnMut(u32, &LivePlatform, &BTreeMap<u32, Vec<ProcId>>)) {
+        use rand::Rng;
+        let mut live = environment(5);
+        let mut rng = StdRng::seed_from_u64(5);
+        for id in 0..80u32 {
+            let before: BTreeMap<u32, Vec<ProcId>> = live
+                .tenants
+                .iter()
+                .map(|(&t, x)| (t, x.assignment.clone()))
+                .collect();
+            match rng.gen_range(0..4u32) {
+                0 | 1 => {
+                    let s = spec(rng.gen_range(10..40), rng.gen_range(0.5..40.0), id as u64);
+                    let _ = admit(&mut live, id, s);
+                }
+                2 => {
+                    let ids = live.tenant_ids();
+                    if !ids.is_empty() {
+                        live.depart(ids[rng.gen_range(0..ids.len())]);
+                    }
+                }
+                _ => {
+                    if live.proc_count() > 0 {
+                        fail_drawn(&mut live, rng.gen_range(0..1000u64));
+                    }
+                }
+            }
+            step(id, &live, &before);
+        }
+    }
+
     #[test]
     fn heavy_tenants_commit_evacuations_and_merge_blocks_under_audit() {
         // Small tenants sit on one machine each, so no other test reaches
         // these aggregate writers: a committed evacuation, and a block
         // move that merges with the same tenant's ops on its destination.
-        // 80 random admit / depart / fail steps over 10–40-op tenants at
-        // ρ 0.5–40, auditing after every step.
-        use rand::Rng;
+        // The heavy storm audits after every step.
         let (merges, snap) = snsp_telemetry::capture(|| {
-            let mut live = environment(5);
-            let mut rng = StdRng::seed_from_u64(5);
             let mut merges = 0;
-            for id in 0..80u32 {
-                let before: BTreeMap<u32, Vec<ProcId>> = live
-                    .tenants
-                    .iter()
-                    .map(|(&t, x)| (t, x.assignment.clone()))
-                    .collect();
-                match rng.gen_range(0..4u32) {
-                    0 | 1 => {
-                        let s = spec(rng.gen_range(10..40), rng.gen_range(0.5..40.0), id as u64);
-                        let _ = admit(&mut live, id, s);
-                    }
-                    2 => {
-                        let ids = live.tenant_ids();
-                        if !ids.is_empty() {
-                            live.depart(ids[rng.gen_range(0..ids.len())]);
-                        }
-                    }
-                    _ => {
-                        if live.proc_count() > 0 {
-                            fail_drawn(&mut live, rng.gen_range(0..1000u64));
-                        }
-                    }
-                }
-                for (tid, old) in &before {
+            heavy_storm(|id, live, before| {
+                for (tid, old) in before {
                     let Some(t) = live.tenants.get(tid) else {
                         continue;
                     };
@@ -1456,7 +1412,7 @@ mod tests {
                     }
                 }
                 live.audit().unwrap_or_else(|e| panic!("step {id}: {e}"));
-            }
+            });
             merges
         });
         let committed = snap.counter("serve.consolidation.evac_committed");
@@ -1465,6 +1421,46 @@ mod tests {
             "no evacuation committed: {committed:?}"
         );
         assert!(merges >= 1, "no block move merged with its tenant's ops");
+    }
+
+    #[test]
+    fn landing_demand_is_the_refold_a_move_commits() {
+        // After every storm step, price each resident block onto every
+        // other live slot, then really move it on a copy: the price must
+        // be, bit for bit, the aggregate the move installs and the tenant
+        // scan's. A refold lands below the slot's top resident; a merge
+        // lands where its tenant already has ops.
+        let bits = |d: SharedDemand| [d.work, d.download, d.comm, d.max_edge].map(f64::to_bits);
+        let (mut priced, mut refolds, mut merges) = (0, 0, 0);
+        heavy_storm(|id, live, _| {
+            let slots = live.live_slots();
+            for &u in &slots {
+                for (&tid, block) in &live.residents[u].blocks {
+                    let t = &live.tenants[&tid];
+                    for &v in slots.iter().filter(|&&v| v != u) {
+                        let landing = Block::new(&t.inst, |op| {
+                            let a = t.assignment[op.index()].index();
+                            a == u || a == v
+                        });
+                        let price = live.landing_demand(Some(v), &[(tid, &landing)]);
+                        let mut moved = live.clone();
+                        moved.move_block(tid, &block.ops, u, v);
+                        let scan = moved.demand_scan(v, &moved.blocks_scan()[v]);
+                        let at = format!("step {id}: tenant {tid} from slot {u} to {v}");
+                        assert_eq!(bits(price), bits(moved.residents[v].demand), "{at}");
+                        assert_eq!(bits(price), bits(scan), "{at}");
+                        let residents = &live.residents[v].blocks;
+                        priced += 1;
+                        refolds += usize::from(residents.keys().any(|&r| r >= tid));
+                        merges += usize::from(residents.contains_key(&tid));
+                    }
+                }
+            }
+        });
+        assert!(
+            refolds > 0 && merges > 0,
+            "{priced} pricings reached {refolds} refolds and {merges} merges"
+        );
     }
 
     #[test]
