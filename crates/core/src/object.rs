@@ -55,11 +55,6 @@ impl ObjectCatalog {
         Self::default()
     }
 
-    /// Builds a catalog from a list of object types.
-    pub fn from_types(types: Vec<ObjectType>) -> Self {
-        ObjectCatalog { types }
-    }
-
     /// Registers a new object type and returns its id.
     pub fn add(&mut self, ty: ObjectType) -> TypeId {
         let id = TypeId::from(self.types.len());

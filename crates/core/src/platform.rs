@@ -168,11 +168,6 @@ impl Catalog {
         )
     }
 
-    /// Whether only one processor kind exists (CONSTR-HOM).
-    pub fn is_homogeneous(&self) -> bool {
-        self.kinds.len() == 1
-    }
-
     /// All kinds, sorted by increasing cost.
     pub fn kinds(&self) -> &[ProcessorKind] {
         &self.kinds
@@ -314,16 +309,6 @@ impl ObjectPlacement {
         self.holders[ty.index()].contains(&server)
     }
 
-    /// Object types hosted by `server`, sorted.
-    pub fn types_on(&self, server: ServerId) -> Vec<TypeId> {
-        self.holders
-            .iter()
-            .enumerate()
-            .filter(|(_, hs)| hs.contains(&server))
-            .map(|(i, _)| TypeId::from(i))
-            .collect()
-    }
-
     /// Number of object types tracked.
     pub fn n_types(&self) -> usize {
         self.holders.len()
@@ -462,7 +447,6 @@ mod tests {
     #[test]
     fn homogeneous_catalog_is_single_kind() {
         let cat = Catalog::homogeneous(0, 0);
-        assert!(cat.is_homogeneous());
         assert_eq!(cat.len(), 1);
         assert_eq!(cat.most_expensive(), 0);
         assert_eq!(cat.kind(0).cost, 7_548);
@@ -489,7 +473,6 @@ mod tests {
         assert_eq!(p.holders(TypeId(0)), &[ServerId(1), ServerId(2)]);
         assert_eq!(p.availability(TypeId(1)), 0);
         assert!(p.is_holder(TypeId(2), ServerId(0)));
-        assert_eq!(p.types_on(ServerId(2)), vec![TypeId(0)]);
     }
 
     #[test]

@@ -12,9 +12,6 @@ pub enum RefineDriver {
     /// Greedy descent applying the first strictly improving move of each
     /// deterministic neighborhood sweep.
     FirstImprovement,
-    /// Greedy descent evaluating the whole neighborhood per step and
-    /// applying the steepest (largest cost drop) move.
-    Steepest,
     /// Simulated annealing with a fixed geometric cooling schedule and a
     /// seeded RNG; the best verified solution along the trajectory is
     /// returned.
@@ -26,7 +23,6 @@ impl RefineDriver {
     pub fn name(&self) -> &'static str {
         match self {
             RefineDriver::FirstImprovement => "first-improvement",
-            RefineDriver::Steepest => "steepest",
             RefineDriver::Anneal => "anneal",
         }
     }
@@ -69,7 +65,6 @@ mod tests {
         assert_eq!(opts.driver, RefineDriver::FirstImprovement);
         assert!(opts.max_evals >= 1);
         assert_eq!(opts.driver.name(), "first-improvement");
-        assert_eq!(RefineDriver::Steepest.name(), "steepest");
         assert_eq!(RefineDriver::Anneal.name(), "anneal");
     }
 }

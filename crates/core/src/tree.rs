@@ -404,7 +404,10 @@ mod tests {
     use crate::object::ObjectType;
 
     fn catalog() -> ObjectCatalog {
-        ObjectCatalog::from_types(vec![ObjectType::new(10.0, 0.5), ObjectType::new(20.0, 0.5)])
+        let mut catalog = ObjectCatalog::new();
+        catalog.add(ObjectType::new(10.0, 0.5));
+        catalog.add(ObjectType::new(20.0, 0.5));
+        catalog
     }
 
     /// The paper's Fig. 1(a) "standard tree" shape: n4 is the root with

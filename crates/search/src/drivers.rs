@@ -11,7 +11,7 @@ use snsp_core::instance::Instance;
 use snsp_core::refine::{RefineDriver, RefineOptions};
 
 use crate::moves::{enumerate, propose, Move};
-use crate::state::{telemetry_for, RefineStats, Screened, SearchState};
+use crate::state::{telemetry_for, RefineStats, SearchState};
 
 /// Initial annealing temperature in dollars. A chassis costs $7,548, so
 /// early on uphill moves of about a quarter machine are still accepted.
@@ -91,11 +91,7 @@ pub fn refine(
     };
     let solution = match opts.driver {
         RefineDriver::FirstImprovement => {
-            greedy(&mut state, &mut budget, &mut stats, false);
-            state.solution(start.heuristic)
-        }
-        RefineDriver::Steepest => {
-            greedy(&mut state, &mut budget, &mut stats, true);
+            greedy(&mut state, &mut budget, &mut stats);
             state.solution(start.heuristic)
         }
         RefineDriver::Anneal => anneal(
@@ -112,21 +108,13 @@ pub fn refine(
     RefineOutcome { solution, stats }
 }
 
-/// Greedy descent: first-improvement restarts the sweep on every commit;
-/// steepest screens the whole sweep and commits the largest drop
-/// (falling through to the next-best candidate when verification rejects
-/// it). Terminates at a local optimum or on budget exhaustion, then
-/// polishes the download routing.
-fn greedy(
-    state: &mut SearchState<'_>,
-    budget: &mut Budget,
-    stats: &mut RefineStats,
-    steepest: bool,
-) {
+/// First-improvement greedy descent: commits the first strictly
+/// improving move of each sweep and restarts the sweep. Terminates at a
+/// local optimum or on budget exhaustion, then polishes the download
+/// routing.
+fn greedy(state: &mut SearchState<'_>, budget: &mut Budget, stats: &mut RefineStats) {
     'descent: loop {
-        let moves = enumerate(state);
-        let mut candidates: Vec<(i64, usize, Screened)> = Vec::new();
-        for (i, mv) in moves.iter().enumerate() {
+        for mv in &enumerate(state) {
             if !budget.charge(1) {
                 break 'descent;
             }
@@ -134,28 +122,13 @@ fn greedy(
             if sc.delta >= 0 {
                 continue;
             }
-            if steepest {
-                candidates.push((sc.delta, i, sc));
-            } else if state.apply(&sc, budget.used()) {
+            if state.apply(&sc, budget.used()) {
                 stats.accepted += 1;
                 telemetry_for(mv).accepted.incr();
                 continue 'descent;
-            } else {
-                stats.verify_rejected += 1;
-                telemetry_for(mv).rejected.incr();
             }
-        }
-        if steepest {
-            candidates.sort_by(|a, b| a.0.cmp(&b.0).then(a.1.cmp(&b.1)));
-            for (_, i, sc) in &candidates {
-                if state.apply(sc, budget.used()) {
-                    stats.accepted += 1;
-                    telemetry_for(&moves[*i]).accepted.incr();
-                    continue 'descent;
-                }
-                stats.verify_rejected += 1;
-                telemetry_for(&moves[*i]).rejected.incr();
-            }
+            stats.verify_rejected += 1;
+            telemetry_for(mv).rejected.incr();
         }
         break; // full sweep, no commit: a local optimum
     }
@@ -289,11 +262,7 @@ mod tests {
 
     #[test]
     fn every_driver_never_regresses_and_stays_feasible() {
-        let drivers = [
-            RefineDriver::FirstImprovement,
-            RefineDriver::Steepest,
-            RefineDriver::Anneal,
-        ];
+        let drivers = [RefineDriver::FirstImprovement, RefineDriver::Anneal];
         for seed in 0..4u64 {
             let inst = generate(&ScenarioParams::paper(30, 0.9), TreeShape::Random, seed);
             let h = heuristic_by_name("Comp-Greedy").unwrap();
@@ -348,11 +317,7 @@ mod tests {
         let inst = generate(&ScenarioParams::paper(20, 0.9), TreeShape::Random, 5);
         let h = heuristic_by_name("subtree-bottom-up").unwrap();
         let plain = solve_seeded(h.as_ref(), &inst, 5, &PipelineOptions::default()).unwrap();
-        for driver in [
-            RefineDriver::FirstImprovement,
-            RefineDriver::Steepest,
-            RefineDriver::Anneal,
-        ] {
+        for driver in [RefineDriver::FirstImprovement, RefineDriver::Anneal] {
             let out = refine(
                 &inst,
                 &plain,

@@ -19,8 +19,8 @@
 //!   download re-sourcing plus the paper's full constraint check — the
 //!   state is always a verified feasible solution, so stopping at any
 //!   budget is safe (the *anytime* contract).
-//! * [`refine`] — three deterministic drivers: first-improvement and
-//!   steepest greedy descent, and seeded simulated annealing.
+//! * [`refine`] — two deterministic drivers: first-improvement greedy
+//!   descent and seeded simulated annealing.
 //! * [`refine_portfolio`] — race all six paper heuristics as starts and
 //!   refine the cheapest `k`.
 //! * [`RefineCampaign`] / [`run_refine_campaign`] — whole grids on

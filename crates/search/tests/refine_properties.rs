@@ -17,9 +17,8 @@ use snsp_gen::{generate, ScenarioParams, TreeShape};
 use snsp_search::{refine, refine_grid, refine_portfolio, run_refine_campaign};
 
 fn driver_of(idx: u8) -> RefineDriver {
-    match idx % 3 {
+    match idx % 2 {
         0 => RefineDriver::FirstImprovement,
-        1 => RefineDriver::Steepest,
         _ => RefineDriver::Anneal,
     }
 }
@@ -35,7 +34,7 @@ proptest! {
         alpha_tenths in 9u32..16,
         seed in 0u64..1000,
         h_idx in 0usize..6,
-        d_idx in 0u8..3,
+        d_idx in 0u8..2,
         max_evals in 50u64..800,
     ) {
         let alpha = alpha_tenths as f64 / 10.0;
@@ -76,7 +75,7 @@ proptest! {
     fn identical_seeds_give_identical_solutions(
         n in 10usize..30,
         seed in 0u64..500,
-        d_idx in 0u8..3,
+        d_idx in 0u8..2,
     ) {
         let inst = generate(&ScenarioParams::paper(n, 1.1), TreeShape::Random, seed);
         let opts = RefineOptions {

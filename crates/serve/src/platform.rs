@@ -240,11 +240,6 @@ impl LivePlatform {
         self.frozen = frozen;
     }
 
-    /// Whether machine purchases are currently frozen.
-    pub fn purchase_frozen(&self) -> bool {
-        self.frozen
-    }
-
     /// The shared object catalog.
     pub fn objects(&self) -> &ObjectCatalog {
         &self.objects
@@ -1287,7 +1282,6 @@ mod tests {
         let mut live = environment(9);
         admit(&mut live, 0, spec(8, 1.0, 160)).expect("first tenant fits");
         live.set_purchase_freeze(true);
-        assert!(live.purchase_frozen());
         let cost = live.cost();
         // A tenant too big to pack onto the existing machines needs a
         // purchase, which the freeze must refuse — transactionally.
