@@ -534,19 +534,17 @@ impl LivePlatform {
 
         for group in &placed.groups {
             let in_group: BTreeSet<usize> = group.ops.iter().map(|op| op.index()).collect();
-            // This group plus the tenant's earlier groups already on `u`.
-            let block_on = |u: usize| {
-                Block::new(&inst, |op| {
-                    in_group.contains(&op.index()) || assignment[op.index()].index() == u
-                })
-            };
             let mut chosen = None;
             // First-fit over already-purchased processors, ascending.
             for (u, slot) in slots.iter().enumerate() {
                 if slot.is_none() {
                     continue;
                 }
-                let d = self.landing_demand(Some(u), &[(id.0, &block_on(u))]);
+                // This group plus the tenant's earlier groups already on `u`.
+                let block = Block::new(&inst, |op| {
+                    in_group.contains(&op.index()) || assignment[op.index()].index() == u
+                });
+                let d = self.landing_demand(Some(u), &[(id.0, &block)]);
                 if let Some(kind) = self.refit(*slot, &d) {
                     chosen = Some((u, kind, false));
                     break;
@@ -919,9 +917,9 @@ impl LivePlatform {
     /// 3. every slot's resident aggregate equals a scan of the tenants:
     ///    the same `(tenant, ops)` blocks, the same type refcounts and,
     ///    bit for bit, the same [`shared_demand`];
-    /// 4. every live slot holds the kind [`kind_fitting`](Self::kind_fitting)
-    ///    picks for its aggregate: commits price a slot as exactly what
-    ///    they install, and removals re-fit;
+    /// 4. every live slot holds the cheapest kind its aggregate fits:
+    ///    commits price a slot as exactly what they install, and
+    ///    removals re-fit;
     /// 5. download-ledger conservation: the multiset of `(slot, type)`
     ///    streams equals — without duplicates — exactly the set the
     ///    residents need;
