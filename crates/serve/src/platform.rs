@@ -1352,8 +1352,8 @@ mod tests {
     }
 
     /// 80 random admit / depart / fail steps over 10–40-op tenants at
-    /// ρ 0.5–40; after each, `step` sees the platform and every surviving
-    /// tenant's assignment from before the step.
+    /// ρ 0.5–40; after each, `step` sees the step number, the platform
+    /// and every tenant's assignment from before the step.
     fn heavy_storm(mut step: impl FnMut(u32, &LivePlatform, &BTreeMap<u32, Vec<ProcId>>)) {
         use rand::Rng;
         let mut live = environment(5);
