@@ -1,31 +1,29 @@
-//! Work-stealing executors over `std::thread::scope`.
+//! One work-stealing executor over `std::thread::scope`: a shared
+//! [`TaskDeque`] drained by [`run_workers`].
 //!
-//! Two primitives share this module, both scheduling-deterministic in
-//! the sense the workspace requires (results are pure functions of the
-//! inputs, never of thread interleaving):
+//! Every run is scheduling-deterministic in the sense the workspace
+//! requires (results are pure functions of the inputs, never of thread
+//! interleaving). The deque carries two kinds of task set:
 //!
-//! * [`run_jobs`] — a **static** pool: jobs are the integers
-//!   `0..n_jobs`, each worker owns a contiguous range of unclaimed
-//!   indices, pops from the front of its own range and, when empty,
-//!   steals the back half of the richest remaining range. Because every
-//!   job writes only its own result slot and jobs are pure functions of
-//!   their index, the collected output is identical for every worker
-//!   count and every interleaving. This is the campaign executor (under
-//!   `snsp_sweep::run_grid`) and the sharded replay's batch executor.
-//! * [`TaskDeque`] + [`run_workers`] — a **dynamic** frontier for
-//!   tree-shaped work whose extent is unknown up front (branch-and-bound
-//!   subtree splitting): workers pop open tasks from a shared LIFO
-//!   deque, may push newly split tasks while running, and [`TaskDeque::pop`]
-//!   returns `None` only when every task — queued *or* in flight — has
-//!   completed, so late splits can never be dropped.
+//! * a **fixed** grid — [`run_jobs`] seeds the deque with the job
+//!   indices `0..n_jobs` and every job writes only its own result slot,
+//!   so the collected output is identical for every worker count and
+//!   every interleaving. This is the campaign executor (under
+//!   `snsp_sweep::run_grid`) and the sharded replay's batch executor;
+//! * a **growing** set whose extent is unknown up front
+//!   (branch-and-bound subtree splitting) — workers pop open tasks from
+//!   the shared LIFO deque, may push newly split tasks while running,
+//!   and [`TaskDeque::pop`] returns `None` only when every task — queued
+//!   *or* in flight — has completed, so late splits can never be
+//!   dropped.
 //!
 //! The module lives in `snsp-core` (pure `std` + the dependency-free
 //! telemetry leaf crate) so that both the campaign layer above
 //! (`snsp-sweep`) and the exact solver below it (`snsp-solver`, a
 //! *dependency* of `snsp-sweep`) can share one executor implementation.
 //!
-//! Both executors surface a [`PoolStats`] snapshot (steals, donations,
-//! peak queue depth) independent of whether telemetry collection is on:
+//! Every run surfaces a [`PoolStats`] snapshot (steals, donations, peak
+//! queue depth) independent of whether telemetry collection is on:
 //! [`run_jobs_checked`] returns one alongside the results, and
 //! [`TaskDeque::stats`] reads one off the live deque. When telemetry
 //! *is* enabled the same events also feed the overlay-class
@@ -50,22 +48,22 @@ static POOL_IDLE: TraceSpan = TraceSpan::new("pool.worker.idle");
 
 /// Scheduling diagnostics from one executor run: how much work moved
 /// between workers. Available even when telemetry collection is off —
-/// the counts ride dedicated atomics, not the global registry. The
-/// values are scheduling-dependent (never part of any deterministic
-/// contract); only their *possibility* is asserted by tests (a
-/// multi-worker dynamic run always steals at least once, because the
-/// seed task is pushed by the coordinating thread and popped by a
-/// worker).
+/// the counts ride dedicated atomics, not the global registry. A fixed
+/// grid's values are fixed by its size: on more than one worker every
+/// job is a steal (the spawned workers claim each one from the seeding
+/// thread), and its peak queue is its job count. A growing set's values
+/// are scheduling-dependent (never part of any deterministic contract);
+/// tests assert only their *possibility* there (a multi-worker run
+/// always steals at least once, because the seed task is pushed by the
+/// coordinating thread and popped by a worker).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PoolStats {
-    /// Tasks (or job-index blocks) claimed by a thread other than the
-    /// one that enqueued them.
+    /// Tasks claimed by a thread other than the one that enqueued them.
     pub steals: u64,
-    /// Tasks pushed into the shared frontier while workers were already
-    /// running (static pools never donate; [`TaskDeque::push`] counts).
+    /// Tasks pushed into the deque while workers were already running
+    /// ([`TaskDeque::push`] counts; a fixed grid never donates).
     pub donations: u64,
-    /// Largest observed queue depth (static pools: the largest initial
-    /// span).
+    /// Largest observed queue depth (a fixed grid's is its job count).
     pub peak_queue: usize,
     /// Jobs or tasks whose body unwound. Panics are contained with
     /// `catch_unwind` so the executor always drains instead of
@@ -75,8 +73,6 @@ pub struct PoolStats {
     pub panics: u64,
 }
 
-/// Process-unique token of the calling thread (1-based; assigned on
-/// first use). `ThreadId` would do, but its integer form is unstable.
 /// Records a work-steal trace event (overlay class — which worker
 /// steals is scheduling-dependent). The worker token doubles as the
 /// logical shard lane so steals group per thread in timeline exports.
@@ -94,6 +90,8 @@ fn record_steal() {
     );
 }
 
+/// Process-unique token of the calling thread (1-based; assigned on
+/// first use). `ThreadId` would do, but its integer form is unstable.
 fn thread_token() -> usize {
     static NEXT: AtomicUsize = AtomicUsize::new(1);
     thread_local! {
@@ -109,19 +107,6 @@ fn thread_token() -> usize {
             v
         }
     })
-}
-
-/// A contiguous range `[lo, hi)` of unclaimed job indices.
-#[derive(Debug, Clone, Copy)]
-struct Span {
-    lo: usize,
-    hi: usize,
-}
-
-impl Span {
-    fn len(&self) -> usize {
-        self.hi - self.lo
-    }
 }
 
 /// Runs `job(i)` for every `i in 0..n_jobs` on `workers` threads and
@@ -147,137 +132,37 @@ where
         .collect()
 }
 
-/// Panic-containing form of [`run_jobs`] that also returns a
-/// [`PoolStats`] snapshot: steals = back-half range claims from a victim
-/// span, donations = 0 (the static pool never grows its frontier), peak
-/// queue depth = the largest initial span. Every job body runs under
-/// `catch_unwind`, a job that unwinds yields `None` in its result slot
-/// (and bumps [`PoolStats::panics`]), and every *other* job still runs
-/// to completion — a poisoned job can never deadlock or starve the pool.
-/// Results are positional, so `out[i]` is `Some` iff `job(i)` returned
-/// normally.
+/// Panic-containing form of [`run_jobs`] that also returns the deque's
+/// [`PoolStats`]. The job indices seed a [`TaskDeque`] (reversed, so the
+/// LIFO pop hands out index 0 first) that the workers
+/// [`drain`](TaskDeque::drain): a job that unwinds yields `None` in its
+/// result slot (and bumps [`PoolStats::panics`]), and every *other* job
+/// still runs to completion — a poisoned job can never deadlock or
+/// starve the pool. Results are positional, so `out[i]` is `Some` iff
+/// `job(i)` returned normally.
 pub fn run_jobs_checked<T, F>(n_jobs: usize, workers: usize, job: F) -> (Vec<Option<T>>, PoolStats)
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    if n_jobs == 0 {
-        return (Vec::new(), PoolStats::default());
-    }
-    let run_one = |i: usize, panics: &AtomicU64| {
-        let _busy = POOL_BUSY.start();
-        let out = catch_unwind(AssertUnwindSafe(|| job(i))).ok();
-        if out.is_none() {
-            panics.fetch_add(1, Ordering::Relaxed);
-            POOL_PANICS.incr();
-        }
-        out
-    };
-    let workers = workers.clamp(1, n_jobs);
-    if workers == 1 {
-        let panics = AtomicU64::new(0);
-        let out = (0..n_jobs).map(|i| run_one(i, &panics)).collect();
-        return (
-            out,
-            PoolStats {
-                steals: 0,
-                donations: 0,
-                peak_queue: n_jobs,
-                panics: panics.into_inner(),
-            },
-        );
-    }
-
-    // Initial even split of `0..n_jobs` into one span per worker.
-    let queues: Vec<Mutex<Span>> = (0..workers)
-        .map(|w| {
-            let lo = w * n_jobs / workers;
-            let hi = (w + 1) * n_jobs / workers;
-            Mutex::new(Span { lo, hi })
-        })
-        .collect();
+    let deque = TaskDeque::new((0..n_jobs).rev().collect());
     let slots: Vec<Mutex<Option<T>>> = (0..n_jobs).map(|_| Mutex::new(None)).collect();
-    let peak_queue = (0..workers)
-        .map(|w| (w + 1) * n_jobs / workers - w * n_jobs / workers)
-        .max()
-        .unwrap_or(0);
-    POOL_PEAK_QUEUE.record_max(peak_queue as u64);
-    let steals = AtomicU64::new(0);
-    let panics = AtomicU64::new(0);
-
-    std::thread::scope(|scope| {
-        for w in 0..workers {
-            let queues = &queues;
-            let slots = &slots;
-            let run_one = &run_one;
-            let steals = &steals;
-            let panics = &panics;
-            scope.spawn(move || loop {
-                // Pop from the front of our own span.
-                let mine = {
-                    let mut span = queues[w].lock().unwrap();
-                    if span.lo < span.hi {
-                        let i = span.lo;
-                        span.lo += 1;
-                        Some(i)
-                    } else {
-                        None
-                    }
-                };
-                if let Some(i) = mine {
-                    // A panicked job leaves its slot `None`.
-                    *slots[i].lock().unwrap() = run_one(i, panics);
-                    continue;
-                }
-                // Steal the back half of the richest victim. Only one lock
-                // is held at a time, so there is no ordering to deadlock on.
-                let victim = (0..workers)
-                    .filter(|&v| v != w)
-                    .map(|v| (v, queues[v].lock().unwrap().len()))
-                    .max_by_key(|&(_, len)| len)
-                    .filter(|&(_, len)| len > 0)
-                    .map(|(v, _)| v);
-                let Some(v) = victim else {
-                    break; // every span is empty — all jobs are claimed
-                };
-                let stolen = {
-                    let mut span = queues[v].lock().unwrap();
-                    let take = span.len().div_ceil(2);
-                    if take == 0 {
-                        None // raced: the victim drained it first
-                    } else {
-                        let lo = span.hi - take;
-                        let hi = span.hi;
-                        span.hi = lo;
-                        Some(Span { lo, hi })
-                    }
-                };
-                if let Some(s) = stolen {
-                    steals.fetch_add(1, Ordering::Relaxed);
-                    POOL_STEALS.incr();
-                    record_steal();
-                    *queues[w].lock().unwrap() = s;
-                }
-            });
-        }
+    run_workers(workers.clamp(1, n_jobs.max(1)), |_| {
+        deque.drain(|i| {
+            let _busy = POOL_BUSY.start();
+            let out = job(i);
+            *slots[i].lock().expect("a slot is locked only to store") = Some(out);
+        });
     });
-
     let out = slots
         .into_iter()
-        .map(|slot| slot.into_inner().unwrap())
+        .map(|slot| slot.into_inner().expect("a slot is locked only to store"))
         .collect();
-    (
-        out,
-        PoolStats {
-            steals: steals.into_inner(),
-            donations: 0,
-            peak_queue,
-            panics: panics.into_inner(),
-        },
-    )
+    (out, deque.stats())
 }
 
-/// A shared LIFO deque of dynamically discovered tasks.
+/// A shared LIFO deque of tasks: a fixed seed set ([`run_jobs`]) or one
+/// that grows as tasks split.
 ///
 /// Built for tree searches that split subtrees on demand: a worker pops
 /// an open task, expands it, and may [`push`](Self::push) any number of
@@ -337,6 +222,7 @@ impl<T> TaskDeque<T> {
     /// a seed task therefore always registers a steal).
     pub fn new(initial: Vec<T>) -> Self {
         let n = initial.len();
+        POOL_PEAK_QUEUE.record_max(n as u64);
         let token = thread_token();
         TaskDeque {
             queue: Mutex::new(initial.into_iter().map(|t| (token, t)).collect()),
@@ -565,8 +451,21 @@ mod tests {
     }
 
     #[test]
+    fn one_worker_runs_the_jobs_in_order_on_the_calling_thread() {
+        let caller = std::thread::current().id();
+        let seen = Mutex::new(Vec::new());
+        let out = run_jobs(12, 1, |i| {
+            seen.lock().unwrap().push((std::thread::current().id(), i));
+            i
+        });
+        assert_eq!(out, (0..12).collect::<Vec<_>>());
+        let expected: Vec<_> = (0..12).map(|i| (caller, i)).collect();
+        assert_eq!(seen.into_inner().unwrap(), expected);
+    }
+
+    #[test]
     fn run_jobs_stats_are_surfaced_without_telemetry() {
-        // Serial: nothing to steal, the whole grid is one span.
+        // Serial: every job is popped by the seeding thread.
         let (out, stats) = run_jobs_checked(9, 1, |i| i);
         assert_eq!(out, (0..9).map(Some).collect::<Vec<_>>());
         assert_eq!(
@@ -578,16 +477,24 @@ mod tests {
                 panics: 0,
             }
         );
-        // Front-loaded long jobs force the later workers to steal.
+        // Spawned workers claim every job from the seeding thread, and
+        // the whole grid is queued up front: whatever the job durations,
+        // each value is fixed.
         let (_, stats) = run_jobs_checked(24, 4, |i| {
             if i < 4 {
                 std::thread::sleep(std::time::Duration::from_millis(10));
             }
             i
         });
-        assert!(stats.steals > 0, "starved workers must have stolen");
-        assert_eq!(stats.donations, 0, "the static pool never donates");
-        assert_eq!(stats.peak_queue, 6);
+        assert_eq!(
+            stats,
+            PoolStats {
+                steals: 24,
+                donations: 0,
+                peak_queue: 24,
+                panics: 0,
+            }
+        );
     }
 
     #[test]

@@ -5,8 +5,18 @@
 //! the sharded serve tier and the parallel pool feed it nonzero
 //! steal/prune/admission counts.
 
+use std::sync::{Mutex, MutexGuard};
+
 use snsp::prelude::*;
 use snsp::telemetry::{Class, Snapshot};
+
+/// Collection is process-global, so a campaign one test runs outside
+/// `capture` records into whatever session another test has open. Every
+/// test here holds this lock for its whole body.
+fn serial() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 /// Name-keyed counter values.
 type CounterCore = Vec<(String, u64)>;
@@ -74,6 +84,7 @@ fn det_core(snap: &Snapshot) -> (CounterCore, HistogramCore) {
 /// be byte-identical whether collection is on or off.
 #[test]
 fn stable_bench_artifacts_are_unperturbed_by_telemetry() {
+    let _serial = serial();
     let sweep_off = run_campaign(&sweep_campaign(2)).render_json(false);
     let (sweep_on, _) = capture(|| run_campaign(&sweep_campaign(2)).render_json(false));
     assert_eq!(sweep_off, sweep_on, "BENCH_sweep.json bytes moved");
@@ -92,6 +103,7 @@ fn stable_bench_artifacts_are_unperturbed_by_telemetry() {
 /// bytes too, with telemetry enabled throughout).
 #[test]
 fn deterministic_core_is_worker_count_independent() {
+    let _serial = serial();
     let (sweep_base, snap1) = capture(|| run_campaign(&sweep_campaign(1)).render_json(false));
     let sweep_det = det_core(&snap1);
     let (refine_base, snap1) =
@@ -150,6 +162,7 @@ fn deterministic_core_is_worker_count_independent() {
 /// pool must register steals in the overlay.
 #[test]
 fn sharded_serve_campaign_feeds_the_expected_counters() {
+    let _serial = serial();
     let (report, snap) = capture(|| run_serve_campaign(&serve_campaign(4)));
     let admitted: usize = report.points.iter().map(|p| p.admitted).sum();
     let rejected: usize = report.points.iter().map(|p| p.rejected).sum();
@@ -170,6 +183,11 @@ fn sharded_serve_campaign_feeds_the_expected_counters() {
         "a 4-worker campaign pool must register steals"
     );
     assert!(
+        snap.gauge("pool.peak_queue_depth")
+            .is_some_and(|depth| depth > 0),
+        "every pool run records its queue depth"
+    );
+    assert!(
         snap.histogram("serve.shard.admitted")
             .is_some_and(|h| h.count > 0),
         "per-shard admission imbalance histogram is recorded"
@@ -184,6 +202,7 @@ fn sharded_serve_campaign_feeds_the_expected_counters() {
 /// bounds through the facade, telemetry on or off.
 #[test]
 fn solver_surfaces_pool_stats_and_bounds_without_telemetry() {
+    let _serial = serial();
     let inst = snsp::gen::paper_instance(12, 0.9, 7);
     let config = BranchBoundConfig {
         node_budget: 200_000,
@@ -229,6 +248,7 @@ fn chaos_campaign(workers: usize) -> ServeCampaign {
 /// worker-count-independent.
 #[test]
 fn chaos_campaign_telemetry_reconciles_and_is_worker_independent() {
+    let _serial = serial();
     let (base_body, snap) =
         capture(|| run_serve_campaign(&chaos_campaign(1)).render_chaos_json(false));
     let base_det = det_core(&snap);
