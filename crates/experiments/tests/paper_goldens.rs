@@ -1,9 +1,11 @@
-//! Tier-1 gate on the paper's own figures: every §5 sweep grid is rerun
-//! through the experiments CLI in stable form and compared with its
-//! committed golden, `golden/sweep-<id>.json`, by
+//! Tier-1 gate on the committed stable outputs: every recipe in
+//! [`RECIPES`] — the paper's six §5 sweep grids and the two refine grids
+//! — is rerun through the experiments CLI in stable form and compared
+//! with its committed golden under `golden/` by
 //! `snsp_sweep::diff_reports`, which holds every deterministic column
 //! fixed. A change that moves one heuristic's cost at one point of one
-//! figure fails here with the grid, the point and the heuristic named.
+//! figure, or one refine column at one point, fails here with the file,
+//! the point and the column named.
 
 use std::path::Path;
 use std::process::Command;
@@ -11,20 +13,39 @@ use std::process::Command;
 use snsp_sweep::json::{parse, Json};
 use snsp_sweep::{diff_reports, DiffOptions};
 
-/// The paper grids that have a committed golden.
-const GRIDS: [&str; 6] = ["fig2a", "fig2b", "fig3", "fig3n20", "large", "lowfreq"];
+/// Every gated recipe: the experiments CLI arguments (always run with
+/// `--stable-json`) and the golden file under `golden/` they reproduce.
+const RECIPES: [(&str, &str); 8] = [
+    ("sweep --grid fig2a --seeds 10", "sweep-fig2a.json"),
+    ("sweep --grid fig2b --seeds 10", "sweep-fig2b.json"),
+    ("sweep --grid fig3 --seeds 10", "sweep-fig3.json"),
+    ("sweep --grid fig3n20 --seeds 10", "sweep-fig3n20.json"),
+    ("sweep --grid large --seeds 10", "sweep-large.json"),
+    ("sweep --grid lowfreq --seeds 10", "sweep-lowfreq.json"),
+    ("refine --grid ci --seeds 5", "refine-ci.json"),
+    ("refine --grid large-n --seeds 3", "refine-large-n.json"),
+];
 
-/// Regenerates every golden, run from the repository root.
-const REGENERATE: &str = "for g in fig2a fig2b fig3 fig3n20 large lowfreq; do \
-    cargo run -q --release -p snsp-experiments -- sweep --grid $g --seeds 10 --stable-json \
-    --out /tmp/snsp-goldens --json golden/sweep-$g.json; done";
+/// The commands that regenerate every golden, run from the repository
+/// root: one line per recipe.
+fn regenerate() -> String {
+    RECIPES
+        .iter()
+        .map(|(args, file)| {
+            format!(
+                "  cargo run -q --release -p snsp-experiments -- {args} --stable-json \
+                 --out /tmp/snsp-goldens --json golden/{file}\n"
+            )
+        })
+        .collect()
+}
 
 fn read(path: &Path) -> String {
     std::fs::read_to_string(path).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
 }
 
-/// Names what a `results[i].heuristics[j]…` path of a sweep document
-/// points at: "point 120, Object-Grouping".
+/// Names what a `results[i]…` path of a sweep or refine document points
+/// at: "point 120, Object-Grouping" or "point het N=30 α=0.9".
 fn what(doc: &Json, path: &str) -> Option<String> {
     let index = |key: &str| -> Option<usize> {
         let rest = path.split(&format!("{key}[")).nth(1)?;
@@ -40,15 +61,16 @@ fn what(doc: &Json, path: &str) -> Option<String> {
 }
 
 #[test]
-fn paper_grids_match_their_goldens() {
+fn stable_recipes_match_their_goldens() {
     let golden = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../golden");
     let tmp = Path::new(env!("CARGO_TARGET_TMPDIR")).join("paper_goldens");
     std::fs::create_dir_all(&tmp).expect("the temp dir is writable");
     let mut failures = Vec::new();
-    for grid in GRIDS {
-        let fresh = tmp.join(format!("sweep-{grid}.json"));
+    for (args, file) in RECIPES {
+        let fresh = tmp.join(file);
         let run = Command::new(env!("CARGO_BIN_EXE_snsp-experiments"))
-            .args(["sweep", "--grid", grid, "--seeds", "10", "--stable-json"])
+            .args(args.split_whitespace())
+            .arg("--stable-json")
             .arg("--out")
             .arg(&tmp)
             .arg("--json")
@@ -57,12 +79,12 @@ fn paper_grids_match_their_goldens() {
             .expect("the experiments CLI starts");
         assert!(
             run.status.success(),
-            "sweep --grid {grid} failed:\n{}",
+            "{args} failed:\n{}",
             String::from_utf8_lossy(&run.stderr)
         );
-        let expected = read(&golden.join(format!("sweep-{grid}.json")));
+        let expected = read(&golden.join(file));
         let report = diff_reports(&expected, &read(&fresh), DiffOptions::default())
-            .unwrap_or_else(|e| panic!("grid {grid}: {}", e.join("; ")));
+            .unwrap_or_else(|e| panic!("golden/{file}: {}", e.join("; ")));
         if !report.clean() {
             let doc = parse(&expected).expect("the golden parses");
             let named: String = report
@@ -70,12 +92,16 @@ fn paper_grids_match_their_goldens() {
                 .iter()
                 .filter_map(|e| Some(format!("  {} is {}\n", e.path, what(&doc, &e.path)?)))
                 .collect();
-            failures.push(format!("grid {grid}: {}{named}", report.render_table()));
+            failures.push(format!(
+                "golden/{file} ({args}): {}{named}",
+                report.render_table()
+            ));
         }
     }
     assert!(
         failures.is_empty(),
-        "{}\nafter a deliberate behaviour change, regenerate the goldens with:\n  {REGENERATE}",
-        failures.join("\n")
+        "{}\nafter a deliberate behaviour change, regenerate the goldens with:\n{}",
+        failures.join("\n"),
+        regenerate()
     );
 }
