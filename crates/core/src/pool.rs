@@ -8,8 +8,10 @@
 //! * a **fixed** grid — [`run_jobs`] seeds the deque with the job
 //!   indices `0..n_jobs` and every job writes only its own result slot,
 //!   so the collected output is identical for every worker count and
-//!   every interleaving. This is the campaign executor (under
-//!   `snsp_sweep::run_grid`) and the sharded replay's batch executor;
+//!   every interleaving. Nothing is ever pushed, so a worker that finds
+//!   the queue empty returns at once. This is the campaign executor
+//!   (under `snsp_sweep::run_grid`) and the sharded replay's batch
+//!   executor;
 //! * a **growing** set whose extent is unknown up front
 //!   (branch-and-bound subtree splitting) — workers pop open tasks from
 //!   the shared LIFO deque, may push newly split tasks while running,
@@ -133,8 +135,8 @@ where
 }
 
 /// Panic-containing form of [`run_jobs`] that also returns the deque's
-/// [`PoolStats`]. The job indices seed a [`TaskDeque`] (reversed, so the
-/// LIFO pop hands out index 0 first) that the workers
+/// [`PoolStats`]. The job indices seed a fixed [`TaskDeque`] (reversed,
+/// so the LIFO pop hands out index 0 first) that the workers
 /// [`drain`](TaskDeque::drain): a job that unwinds yields `None` in its
 /// result slot (and bumps [`PoolStats::panics`]), and every *other* job
 /// still runs to completion — a poisoned job can never deadlock or
@@ -145,7 +147,7 @@ where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    let deque = TaskDeque::new((0..n_jobs).rev().collect());
+    let deque = TaskDeque::fixed((0..n_jobs).rev().collect());
     let slots: Vec<Mutex<Option<T>>> = (0..n_jobs).map(|_| Mutex::new(None)).collect();
     run_workers(workers.clamp(1, n_jobs.max(1)), |_| {
         deque.drain(|i| {
@@ -214,6 +216,9 @@ pub struct TaskDeque<T> {
     peak_queue: AtomicUsize,
     /// Tasks whose body unwound inside [`drain`](Self::drain).
     panics: AtomicU64,
+    /// Whether tasks may be pushed: `false` for a fixed grid, whose
+    /// empty queue means no task is left to claim.
+    growing: bool,
 }
 
 impl<T> TaskDeque<T> {
@@ -232,6 +237,17 @@ impl<T> TaskDeque<T> {
             donations: AtomicU64::new(0),
             peak_queue: AtomicUsize::new(n),
             panics: AtomicU64::new(0),
+            growing: true,
+        }
+    }
+
+    /// A fixed grid's deque: never pushed to, so [`pop`](Self::pop)
+    /// returns `None` as soon as the queue is empty instead of waiting
+    /// for the tasks still in flight.
+    fn fixed(jobs: Vec<T>) -> Self {
+        TaskDeque {
+            growing: false,
+            ..Self::new(jobs)
         }
     }
 
@@ -239,6 +255,7 @@ impl<T> TaskDeque<T> {
     /// while it still holds its current task — the count of that current
     /// task keeps the deque alive until [`complete`](Self::complete).
     pub fn push(&self, task: T) {
+        debug_assert!(self.growing, "a fixed grid never grows");
         self.pending.fetch_add(1, Ordering::SeqCst);
         self.donations.fetch_add(1, Ordering::Relaxed);
         POOL_DONATIONS.incr();
@@ -249,9 +266,10 @@ impl<T> TaskDeque<T> {
         POOL_PEAK_QUEUE.record_max(queue.len() as u64);
     }
 
-    /// Pops the most recently pushed open task; blocks (yielding) while
-    /// the deque is momentarily empty but other workers hold in-flight
-    /// tasks, and returns `None` once everything has completed.
+    /// Pops the most recently pushed open task. An empty growing deque
+    /// blocks (yielding) while other workers hold in-flight tasks that
+    /// may still split, and returns `None` once everything has
+    /// completed; an empty fixed grid returns `None` at once.
     pub fn pop(&self) -> Option<T> {
         let mut idle: Option<SpanGuard> = None;
         loop {
@@ -267,7 +285,7 @@ impl<T> TaskDeque<T> {
                     return Some(task);
                 }
             }
-            if self.pending.load(Ordering::SeqCst) == 0 {
+            if !self.growing || self.pending.load(Ordering::SeqCst) == 0 {
                 return None;
             }
             if idle.is_none() {

@@ -9,6 +9,7 @@ use snsp_core::heuristics::{
 };
 use snsp_core::instance::Instance;
 use snsp_core::refine::{RefineDriver, RefineOptions};
+use snsp_solver::lower_bound;
 
 use crate::moves::{enumerate, propose, Move};
 use crate::state::{telemetry_for, RefineStats, SearchState};
@@ -76,11 +77,28 @@ pub struct RefineOutcome {
 /// paragraph: anytime local search over the typed neighborhood, screened
 /// through the incremental demand engine and committed only past the
 /// full constraint check. The result never costs more than `start`.
+///
+/// The search stops early at the certificate
+/// [`snsp_solver::lower_bound`]: no feasible mapping costs less, so a
+/// state that meets it is optimal. Stopping there returns the same
+/// solution the full search would, in fewer evaluations.
 pub fn refine(
     inst: &Instance,
     start: &Solution,
     placement: PlacementOptions,
     opts: &RefineOptions,
+) -> RefineOutcome {
+    certified_refine(inst, start, placement, opts, lower_bound(inst).value())
+}
+
+/// [`refine`] against a given certificate, a cost no feasible mapping
+/// undercuts. Certificate 0 is never met.
+fn certified_refine(
+    inst: &Instance,
+    start: &Solution,
+    placement: PlacementOptions,
+    opts: &RefineOptions,
+    certificate: u64,
 ) -> RefineOutcome {
     let mut state = SearchState::new(inst, start, placement, opts.seed);
     let mut budget = Budget::new(opts.max_evals);
@@ -91,7 +109,7 @@ pub fn refine(
     };
     let solution = match opts.driver {
         RefineDriver::FirstImprovement => {
-            greedy(&mut state, &mut budget, &mut stats);
+            greedy(&mut state, &mut budget, &mut stats, certificate);
             state.solution(start.heuristic)
         }
         RefineDriver::Anneal => anneal(
@@ -100,6 +118,7 @@ pub fn refine(
             &mut stats,
             opts.seed,
             start.heuristic,
+            certificate,
         ),
     };
     stats.evals = budget.used();
@@ -110,10 +129,17 @@ pub fn refine(
 
 /// First-improvement greedy descent: commits the first strictly
 /// improving move of each sweep and restarts the sweep. Terminates at a
-/// local optimum or on budget exhaustion, then polishes the download
-/// routing.
-fn greedy(state: &mut SearchState<'_>, budget: &mut Budget, stats: &mut RefineStats) {
-    'descent: loop {
+/// local optimum, at the `certificate` or on budget exhaustion, then
+/// polishes the download routing. A sweep from a state at the
+/// certificate could only screen moves that fail verification, so
+/// skipping it leaves the state, and hence the polish, unchanged.
+fn greedy(
+    state: &mut SearchState<'_>,
+    budget: &mut Budget,
+    stats: &mut RefineStats,
+    certificate: u64,
+) {
+    'descent: while state.cost() > certificate {
         for mv in &enumerate(state) {
             if !budget.charge(1) {
                 break 'descent;
@@ -153,18 +179,21 @@ fn state_reroute_seed(base: u64, k: u64) -> u64 {
 /// Simulated annealing with geometric cooling from [`ANNEAL_T0`] by
 /// [`ANNEAL_COOLING`] per proposal. Every accepted state is fully
 /// verified (the trajectory never leaves the feasible region), and the
-/// best state along the way is snapshotted and returned.
+/// best state along the way is snapshotted and returned. Stops once the
+/// best meets the `certificate`: only a strictly cheaper state replaces
+/// it, and none exists.
 fn anneal(
     state: &mut SearchState<'_>,
     budget: &mut Budget,
     stats: &mut RefineStats,
     seed: u64,
     heuristic: &'static str,
+    certificate: u64,
 ) -> Solution {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut t = ANNEAL_T0;
     let mut best = state.solution(heuristic);
-    while budget.charge(1) {
+    while best.cost > certificate && budget.charge(1) {
         let mv = propose(state, &mut rng);
         if let Move::Reroute { attempt } = mv {
             if state.try_reroute(seed ^ u64::from(attempt)) {
@@ -199,7 +228,9 @@ fn anneal(
 /// The portfolio driver: race all six paper heuristics as starts (the
 /// default pipeline), keep the feasible ones, refine the cheapest `top_k`
 /// under `opts`, and return the best refined solution (never worse than
-/// the best start). `None` when no heuristic finds a feasible start.
+/// the best start). Once the best meets the [`refine`] certificate, no
+/// later start can replace it, so none is refined. `None` when no
+/// heuristic finds a feasible start.
 pub fn refine_portfolio(
     inst: &Instance,
     seed: u64,
@@ -216,9 +247,16 @@ pub fn refine_portfolio(
         return None;
     }
     let best_start = starts[0].clone();
+    let certificate = lower_bound(inst).value();
     let mut best: Option<RefineOutcome> = None;
     for start in starts.into_iter().take(top_k.max(1)) {
-        let out = refine(inst, &start, pipeline.placement, opts);
+        if best
+            .as_ref()
+            .is_some_and(|b| b.solution.cost <= certificate)
+        {
+            break;
+        }
+        let out = certified_refine(inst, &start, pipeline.placement, opts, certificate);
         let replace = best
             .as_ref()
             .is_none_or(|b| out.solution.cost < b.solution.cost);
@@ -356,6 +394,88 @@ mod tests {
                 (a, b) => panic!("portfolio feasibility diverged: {a:?} vs {}", b.is_some()),
             }
         }
+    }
+
+    /// The certificate changes no refined solution. Each driver runs
+    /// from every feasible start with certificate 0, which is never met
+    /// (the uncertified search), and with `lower_bound`. Cost,
+    /// assignment and kinds are equal, and the certified run never
+    /// evaluates more. Downloads are equal too, except where a
+    /// first-improvement budget ran out inside the uncertified descent:
+    /// the certified run skipped that descent, so it reached the routing
+    /// polish and re-routed where the uncertified one could not.
+    #[test]
+    fn the_certificate_changes_no_refined_solution() {
+        let instances: Vec<(usize, TreeShape)> = [500, 100, 60, 30, 12, 8]
+            .into_iter()
+            .flat_map(|n| [(n, TreeShape::Random), (n, TreeShape::LeftDeep)])
+            .collect();
+        // One job per instance on two workers, the largest first: about
+        // 12 s of debug-build refinement in all.
+        let counts = snsp_core::pool::run_jobs(instances.len(), 2, |i| {
+            let (n, shape) = instances[i];
+            certificate_equivalence(n, shape)
+        });
+        let [runs, certified, polished] = counts
+            .into_iter()
+            .fold([0; 3], |acc, c| [0, 1, 2].map(|k| acc[k] + c[k]));
+        assert!(runs >= 390, "only {runs} runs");
+        assert!(
+            certified > runs / 2,
+            "{certified} of {runs} runs stopped early"
+        );
+        assert!(
+            polished > 0,
+            "no budget ran out inside an uncertified descent"
+        );
+    }
+
+    /// Runs both drivers at budgets 50, 600 and 3,000 from every feasible
+    /// start of one paper instance, with certificate 0, which is never
+    /// met (the uncertified search), and with `lower_bound`. Cost,
+    /// assignment and kinds are equal, and the certified run never
+    /// evaluates more. Downloads are equal too, except where a
+    /// first-improvement budget ran out inside the uncertified descent:
+    /// the certified run skipped that descent, so it reached the routing
+    /// polish and re-routed where the uncertified one could not. Returns
+    /// the runs, those that stopped early and those that polished more.
+    fn certificate_equivalence(n: usize, shape: TreeShape) -> [usize; 3] {
+        let pipeline = PipelineOptions::default();
+        let seed = n as u64;
+        let inst = generate(&ScenarioParams::paper(n, 0.9), shape, seed);
+        let certificate = lower_bound(&inst).value();
+        let [mut runs, mut certified, mut polished] = [0; 3];
+        for h in all_heuristics() {
+            let Ok(start) = solve_seeded(h.as_ref(), &inst, seed, &pipeline) else {
+                continue;
+            };
+            for driver in [RefineDriver::FirstImprovement, RefineDriver::Anneal] {
+                for max_evals in [50, 600, 3_000] {
+                    let opts = opts_with(driver, max_evals);
+                    let run = |c| certified_refine(&inst, &start, pipeline.placement, &opts, c);
+                    let (plain, fast) = (run(0), run(certificate));
+                    let at = format!(
+                        "N={n} {shape:?} {} {} max_evals={max_evals}",
+                        h.name(),
+                        driver.name()
+                    );
+                    let (a, b) = (&plain.solution, &fast.solution);
+                    assert_eq!(a.cost, b.cost, "{at}");
+                    assert_eq!(a.mapping.assignment, b.mapping.assignment, "{at}");
+                    assert_eq!(a.mapping.proc_kinds, b.mapping.proc_kinds, "{at}");
+                    assert!(fast.stats.evals <= plain.stats.evals, "{at}");
+                    if a.mapping.downloads != b.mapping.downloads {
+                        assert_eq!(driver, RefineDriver::FirstImprovement, "{at}");
+                        assert_eq!(plain.stats.evals, max_evals, "{at}");
+                        assert!(fast.stats.rerouted > plain.stats.rerouted, "{at}");
+                        polished += 1;
+                    }
+                    certified += usize::from(fast.stats.evals < plain.stats.evals);
+                    runs += 1;
+                }
+            }
+        }
+        [runs, certified, polished]
     }
 
     #[test]

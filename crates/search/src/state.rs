@@ -21,10 +21,13 @@
 //! threshold by more than its bound; integer counts decide exactly.
 //! Anything else is priced by the probe on the move's operator list
 //! (`search.screen.fallbacks`), so a screen returns exactly the probe's
-//! kinds. None of the 322,474 pricings of the three refine grids falls
-//! back, and the offline-large job set screens its 21,036 moves in
+//! kinds. None of the 322,474 pricings of the three refine grids fell
+//! back, and the offline-large job set screened its 21,036 moves in
 //! 15–23 ms where re-probing whole groups took 1.8–2.3 s (2-vCPU
-//! container).
+//! container). Both counts predate the drivers' stop at the lower
+//! bound, which cut the three grids' evaluations (screened moves plus
+//! re-route attempts) from 457,691 to 18,316, and offline-large's from
+//! 21,036 to 36 re-route attempts.
 //!
 //! The placement-time pair-link view is conservative across a move's two
 //! sides (an excluded member still keys its edges to its old group), so a

@@ -8,7 +8,8 @@
 //! * [`bb`] — an exact branch-and-bound over operator groupings with
 //!   per-group cost lower bounds, giving true optima for the instance
 //!   sizes the paper could solve;
-//! * [`bounds`] — analytic cost lower bounds valid for every instance;
+//! * [`bounds`] — analytic cost lower bounds valid for every instance,
+//!   which certify a solution optimal when its cost meets them;
 //! * [`inverse`] — the budgeted-throughput inverse problem (§6 future
 //!   work): the highest ρ a heuristic can provision within a budget.
 //!
@@ -29,5 +30,5 @@ pub mod bounds;
 pub mod inverse;
 
 pub use bb::{solve_exact, solve_exact_reference, BranchBoundConfig, ExactResult};
-pub use bounds::{lower_bound, min_processors, LowerBound};
+pub use bounds::{lower_bound, LowerBound};
 pub use inverse::{max_throughput_under_budget, BudgetResult};

@@ -786,8 +786,9 @@ fn perf_rules(doc: &Json, errors: &mut Vec<String>) {
     at_most(doc, rows, "feasible", "runs", errors);
 }
 
-/// Refinement is never worse than its start, and costs are null exactly
-/// when no run was feasible.
+/// Refinement is never worse than its start, the lower bound is never
+/// above the refined or the exact cost, and costs are null exactly when
+/// no run was feasible.
 fn refine_rules(doc: &Json, errors: &mut Vec<String>) {
     one_per(doc, "results", "config.points", errors);
     for (a, b) in [
@@ -799,6 +800,28 @@ fn refine_rules(doc: &Json, errors: &mut Vec<String>) {
     }
     for key in ["mean_start_cost", "mean_refined_cost"] {
         null_iff_infeasible(doc, "results[]", key, errors);
+    }
+    // The bound's mean runs over every seed and a cost's over the seeds
+    // that have one, so the two compare where those are all the seeds.
+    for (at, row) in each(doc, "results[]") {
+        let bound = row.get("mean_lower_bound").and_then(Json::as_num);
+        let costs = [
+            (
+                "mean_refined_cost",
+                Some(row),
+                "mean_refined_cost",
+                "feasible",
+            ),
+            ("exact.mean_cost", row.get("exact"), "mean_cost", "solved"),
+        ];
+        for (name, holder, key, seeds) in costs {
+            let Some(holder) = holder else { continue };
+            if let (Some(bound), Some(cost)) = (bound, holder.get(key).and_then(Json::as_num)) {
+                if int(holder, seeds) == int(row, "runs") && bound > cost + 1e-9 {
+                    errors.push(format!("{at}: mean_lower_bound exceeds {name}"));
+                }
+            }
+        }
     }
 }
 
@@ -1282,6 +1305,17 @@ mod tests {
         let broken = refine_doc().replacen("\"exact\": null", "\"unrelated\": null", 1);
         let errors = Refine.validate(&broken).unwrap_err();
         assert!(errors.iter().any(|e| e.contains("exact")), "{errors:?}");
+        // A lower bound above the refined and the exact cost is unsound.
+        let broken = refine_doc().replacen(
+            "\"mean_lower_bound\": 7548.0",
+            "\"mean_lower_bound\": 16000.0",
+            1,
+        );
+        let errors = Refine.validate(&broken).unwrap_err();
+        for name in ["mean_refined_cost", "exact.mean_cost"] {
+            let message = format!("results[0]: mean_lower_bound exceeds {name}");
+            assert!(errors.contains(&message), "{errors:?}");
+        }
         // `improved` cannot exceed `feasible`.
         let broken = refine_doc().replacen("\"improved\": 1", "\"improved\": 3", 1);
         let errors = Refine.validate(&broken).unwrap_err();

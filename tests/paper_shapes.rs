@@ -1,6 +1,7 @@
 //! Qualitative reproduction checks: the *shapes* the paper reports must
 //! hold (who wins, where the thresholds sit), even though absolute dollar
-//! values differ from the 2008 testbed (see EXPERIMENTS.md).
+//! values differ from the 2008 testbed (the work model's calibration, in
+//! `snsp_core::work`, says why).
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;

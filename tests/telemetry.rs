@@ -37,9 +37,13 @@ fn sweep_campaign(workers: usize) -> Campaign {
         .with_workers(workers)
 }
 
+/// The ci grid's first point, which the exact reference covers, and
+/// its het N=100 α=1.5 point, where one of the three seeds starts above
+/// the lower bound, so the search runs and its move counters tick.
 fn refine_campaign(workers: usize) -> RefineCampaign {
-    let mut c = snsp::search::refine_grid("ci", 1).expect("ci grid exists");
-    c.points.truncate(3);
+    let mut c = snsp::search::refine_grid("ci", 3).expect("ci grid exists");
+    c.points
+        .retain(|p| p.label == "hom N=8 α=0.9" || p.label == "het N=100 α=1.5");
     c.refine.max_evals = 300;
     c.with_workers(workers)
 }
@@ -220,6 +224,27 @@ fn solver_surfaces_pool_stats_and_bounds_without_telemetry() {
         res.pool.steals > 0,
         "the coordinating thread seeds the deque, so a 4-worker solve steals"
     );
+}
+
+/// A fixed grid never grows, so a worker that finds its queue empty
+/// returns at once instead of spinning until the last job completes: a
+/// slow first job leaves no `pool.worker.idle` span behind.
+#[test]
+fn fixed_grid_workers_return_once_the_queue_is_empty() {
+    let _serial = serial();
+    let (out, snap) = capture(|| {
+        snsp::core::pool::run_jobs(8, 4, |i| {
+            if i == 0 {
+                std::thread::sleep(std::time::Duration::from_millis(50));
+            }
+            i
+        })
+    });
+    assert_eq!(out, (0..8).collect::<Vec<_>>());
+    let busy = snap.spans.iter().find(|s| s.name == "pool.worker.busy");
+    assert_eq!(busy.map(|s| s.count), Some(8), "every job is timed");
+    let idle = snap.spans.iter().find(|s| s.name == "pool.worker.idle");
+    assert_eq!(idle.map_or(0, |s| s.count), 0, "a fixed-grid worker waited");
 }
 
 fn chaos_campaign(workers: usize) -> ServeCampaign {
