@@ -80,8 +80,10 @@ pub struct RefineOutcome {
 ///
 /// The search stops early at the certificate
 /// [`snsp_solver::lower_bound`]: no feasible mapping costs less, so a
-/// state that meets it is optimal. Stopping there returns the same
-/// solution the full search would, in fewer evaluations.
+/// state that meets it is optimal. Stopping there returns the cost,
+/// grouping and kinds of the full search in fewer evaluations, and its
+/// downloads too unless the full search would have spent the whole
+/// budget before its routing polish.
 pub fn refine(
     inst: &Instance,
     start: &Solution,
@@ -92,7 +94,7 @@ pub fn refine(
 }
 
 /// [`refine`] against a given certificate, a cost no feasible mapping
-/// undercuts. Certificate 0 is never met.
+/// undercuts. Certificate 0 is never met, which runs the full search.
 fn certified_refine(
     inst: &Instance,
     start: &Solution,
@@ -237,6 +239,18 @@ pub fn refine_portfolio(
     opts: &RefineOptions,
     top_k: usize,
 ) -> Option<RefineOutcome> {
+    certified_portfolio(inst, seed, opts, top_k, lower_bound(inst).value())
+}
+
+/// [`refine_portfolio`] against a given certificate, as
+/// [`certified_refine`] is [`refine`].
+fn certified_portfolio(
+    inst: &Instance,
+    seed: u64,
+    opts: &RefineOptions,
+    top_k: usize,
+    certificate: u64,
+) -> Option<RefineOutcome> {
     let pipeline = PipelineOptions::default();
     let mut starts: Vec<Solution> = all_heuristics()
         .iter()
@@ -247,7 +261,6 @@ pub fn refine_portfolio(
         return None;
     }
     let best_start = starts[0].clone();
-    let certificate = lower_bound(inst).value();
     let mut best: Option<RefineOutcome> = None;
     for start in starts.into_iter().take(top_k.max(1)) {
         if best
@@ -396,14 +409,8 @@ mod tests {
         }
     }
 
-    /// The certificate changes no refined solution. Each driver runs
-    /// from every feasible start with certificate 0, which is never met
-    /// (the uncertified search), and with `lower_bound`. Cost,
-    /// assignment and kinds are equal, and the certified run never
-    /// evaluates more. Downloads are equal too, except where a
-    /// first-improvement budget ran out inside the uncertified descent:
-    /// the certified run skipped that descent, so it reached the routing
-    /// polish and re-routed where the uncertified one could not.
+    /// The certificate changes no refined solution, on paper instances
+    /// of both tree shapes (see [`certificate_equivalence`]).
     #[test]
     fn the_certificate_changes_no_refined_solution() {
         let instances: Vec<(usize, TreeShape)> = [500, 100, 60, 30, 12, 8]
@@ -431,8 +438,9 @@ mod tests {
     }
 
     /// Runs both drivers at budgets 50, 600 and 3,000 from every feasible
-    /// start of one paper instance, with certificate 0, which is never
-    /// met (the uncertified search), and with `lower_bound`. Cost,
+    /// start of one paper instance, and both portfolios at 600, with
+    /// certificate 0, which is never met (the uncertified search), and
+    /// with `lower_bound`. Cost,
     /// assignment and kinds are equal, and the certified run never
     /// evaluates more. Downloads are equal too, except where a
     /// first-improvement budget ran out inside the uncertified descent:
@@ -474,6 +482,29 @@ mod tests {
                     runs += 1;
                 }
             }
+        }
+        for driver in [RefineDriver::FirstImprovement, RefineDriver::Anneal] {
+            let opts = opts_with(driver, 600);
+            let run = |c| certified_portfolio(&inst, seed, &opts, 3, c);
+            let at = format!("N={n} {shape:?} portfolio {}", driver.name());
+            let (plain, fast) = match (run(0), run(certificate)) {
+                (Some(plain), Some(fast)) => (plain, fast),
+                (plain, fast) => {
+                    assert!(plain.is_none() && fast.is_none(), "{at}");
+                    continue;
+                }
+            };
+            let (a, b) = (&plain.solution, &fast.solution);
+            assert_eq!(a.cost, b.cost, "{at}");
+            assert_eq!(a.mapping.assignment, b.mapping.assignment, "{at}");
+            assert_eq!(a.mapping.proc_kinds, b.mapping.proc_kinds, "{at}");
+            assert!(fast.stats.evals <= plain.stats.evals, "{at}");
+            if a.mapping.downloads != b.mapping.downloads {
+                assert_eq!(driver, RefineDriver::FirstImprovement, "{at}");
+                polished += 1;
+            }
+            certified += usize::from(fast.stats.evals < plain.stats.evals);
+            runs += 1;
         }
         [runs, certified, polished]
     }
