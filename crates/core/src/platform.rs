@@ -232,11 +232,6 @@ impl Catalog {
             .position(|k| k.speed >= min_speed && k.bandwidth >= min_bandwidth)
     }
 
-    /// Maximum CPU speed across kinds.
-    pub fn max_speed(&self) -> f64 {
-        self.kinds.iter().map(|k| k.speed).fold(0.0, f64::max)
-    }
-
     /// Best speed-per-dollar across kinds (used by cost lower bounds).
     pub fn best_speed_per_dollar(&self) -> f64 {
         self.kinds
