@@ -26,7 +26,7 @@
 //! the search completed (`optimal = true`) or was truncated. The original
 //! recompute-per-node implementation is kept verbatim as
 //! [`solve_exact_reference`]: equivalence tests pin the incremental
-//! search to it, and the perf harness measures the speedup between them.
+//! search's results to it and check that it never explores more nodes.
 //!
 //! ## Optimality caveat
 //!
@@ -702,8 +702,8 @@ pub fn solve_exact(inst: &Instance, config: &BranchBoundConfig) -> ExactResult {
 }
 
 /// The original recompute-per-node search, kept as the slow reference
-/// oracle for the incremental implementation (equivalence tests, perf
-/// baseline). Same branching order; only the bookkeeping differs —
+/// oracle for the incremental implementation's equivalence tests. Same
+/// branching order; only the bookkeeping differs —
 /// its bounds use work and downloads alone, so it explores at least as
 /// many nodes as [`solve_exact`].
 pub fn solve_exact_reference(inst: &Instance, config: &BranchBoundConfig) -> ExactResult {
@@ -932,6 +932,7 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use snsp_core::heuristics::{all_heuristics, solve, PipelineOptions};
+    use snsp_core::platform::Catalog;
     use snsp_gen::paper_instance;
 
     #[test]
@@ -1190,6 +1191,30 @@ mod tests {
                 fast.nodes,
                 slow.nodes
             );
+        }
+        // CONSTR-HOM at N = 20: seeds 0 and 1 are one-machine optima both
+        // searches reach in 21 nodes. No grouping fits seed 2, and the
+        // cut-edge bounds prove it in 5,595 nodes, where the reference is
+        // cut off at the 100k budget (and still at 2M).
+        let config = BranchBoundConfig {
+            node_budget: 100_000,
+            ..Default::default()
+        };
+        for (seed, nodes, ref_nodes) in [(0, 21, 21), (1, 21, 21), (2, 5_595, 100_001)] {
+            let mut inst = paper_instance(20, 0.9, seed);
+            inst.platform.catalog = Catalog::homogeneous(0, 0);
+            let fast = solve_exact(&inst, &config);
+            let slow = solve_exact_reference(&inst, &config);
+            let ctx = format!("hom N=20 seed={seed}");
+            let feasible = seed < 2;
+            assert!(fast.optimal, "{ctx}");
+            let procs = fast.mapping.as_ref().map(Mapping::proc_count);
+            assert_eq!(procs, feasible.then_some(1), "{ctx}");
+            assert_eq!((fast.nodes, slow.nodes), (nodes, ref_nodes), "{ctx}");
+            assert_eq!(slow.optimal, feasible, "{ctx}");
+            if feasible {
+                assert_eq!(slow.cost, fast.cost, "{ctx}");
+            }
         }
     }
 }
