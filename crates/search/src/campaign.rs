@@ -6,7 +6,7 @@
 //! start → portfolio refinement → optional exact reference), and
 //! aggregation runs in grid order, so the **stable** JSON rendering of
 //! the schema-v4 `BENCH_refine.json` is byte-identical at any worker
-//! count — the same contract CI enforces for the sweep, serve and perf
+//! count — the same contract CI enforces for the sweep, serve and chaos
 //! artifacts.
 //!
 //! The **start column is Subtree-Bottom-Up**, the paper's overall
@@ -491,19 +491,6 @@ mod tests {
         ArtifactKind::Refine
             .validate(&report.render_json(false))
             .expect("stable form validates");
-    }
-
-    #[test]
-    fn stable_json_is_identical_at_any_worker_count() {
-        let serial = run_refine_campaign(&small_campaign(1));
-        for workers in [2usize, 4] {
-            let parallel = run_refine_campaign(&small_campaign(workers));
-            assert_eq!(
-                serial.render_json(false),
-                parallel.render_json(false),
-                "{workers} workers diverged"
-            );
-        }
     }
 
     #[test]

@@ -101,16 +101,27 @@ proptest! {
 }
 
 /// Contract 3 (scheduling independence): the ci refinement campaign's
-/// stable JSON is byte-identical at 1, 2 and 4 workers.
+/// stable JSON is byte-identical at 1, 2 and 4 workers. The pin runs the
+/// ci grid's het N=100 α=1.5 point, where the starts sit above the lower
+/// bound and the search screens and accepts moves; on the smaller points
+/// every start is certified optimal, so no move would be screened.
 #[test]
 fn campaign_traces_are_byte_identical_across_worker_counts() {
     let base = || {
-        let mut c = refine_grid("ci", 2).expect("ci grid exists");
-        c.points.truncate(4); // keep the unit test cheap
+        let mut c = refine_grid("ci", 5).expect("ci grid exists");
+        c.points.retain(|p| p.label == "het N=100 α=1.5");
         c.refine.max_evals = 400;
         c
     };
-    let serial = run_refine_campaign(&base().with_workers(1)).render_json(false);
+    let report = run_refine_campaign(&base().with_workers(1));
+    let point = &report.points[0];
+    assert!(
+        point.mean_evals > 0.0 && point.mean_accepted > 0.0,
+        "the pin must search: {} evals, {} accepted",
+        point.mean_evals,
+        point.mean_accepted
+    );
+    let serial = report.render_json(false);
     for workers in [2usize, 4] {
         let parallel = run_refine_campaign(&base().with_workers(workers)).render_json(false);
         assert_eq!(serial, parallel, "{workers}-worker trace diverged");
