@@ -48,8 +48,8 @@
 //! `demand_of` stays as the slow reference oracle: equivalence tests
 //! compare the accumulator against it field by field, and
 //! [`PlacementOptions::demand_oracle`] routes the whole probe API through
-//! it so the perf harness can measure the rewrite's speedup and the
-//! stability tests can pin bit-identical outputs.
+//! it so the stability tests can pin bit-identical outputs and probe
+//! decisions.
 
 use crate::constraints::Violation;
 use crate::ids::{OpId, ProcId, TypeId};
@@ -96,8 +96,8 @@ impl std::error::Error for HeuristicError {}
 pub struct PlacementOptions {
     /// Route every probe through the [`GroupBuilder::demand_of`] reference
     /// oracle (full recompute per query) instead of the incremental
-    /// accumulator. Only for the perf harness's before/after comparison
-    /// and the solution-stability tests; never enable in production.
+    /// accumulator. Only for the solution-stability tests; never enable
+    /// in production.
     pub demand_oracle: bool,
 }
 

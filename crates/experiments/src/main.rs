@@ -45,13 +45,6 @@
 //!   range-checked before any replay starts: an out-of-range value exits
 //!   2 naming its key.
 //!
-//! snsp-experiments perf --grid <ci|large-n> [--seeds K] [--json PATH]
-//!                       [--out DIR]
-//!   Times the incremental demand engine against its retained reference
-//!   oracles (heuristic pipelines, branch-and-bound, raw demand probes)
-//!   and writes BENCH_perf.json (schema v4 with the peak-RSS gauge,
-//!   byte-stable layout).
-//!
 //! snsp-experiments refine --grid <ci|fig2|large-n>
 //!                         [--seeds K] [--workers W] [--bb-workers B]
 //!                         [--json PATH] [--stable-json] [--out DIR]
@@ -63,23 +56,23 @@
 //!
 //! snsp-experiments validate <PATH>
 //!   Schema-checks a BENCH_sweep.json (v1), BENCH_serve.json (v3),
-//!   BENCH_perf.json (v4), BENCH_refine.json (v4), TELEMETRY.json (v5),
-//!   BENCH_chaos.json (v6) or TRACE.json (v7) against its kind's field
-//!   table — the kind sniffed via the "kind" discriminator; exits
-//!   non-zero on violations, including keys the table does not declare.
+//!   BENCH_refine.json (v4), TELEMETRY.json (v5), BENCH_chaos.json (v6)
+//!   or TRACE.json (v7) against its kind's field table — the kind
+//!   sniffed via the "kind" discriminator; exits non-zero on violations,
+//!   including keys the table does not declare.
 //!
 //! snsp-experiments telemetry-summary <PATH>
 //!   Renders a TELEMETRY.json as human-readable tables: deterministic
 //!   counters and histograms, the executor-pool roll-up, then the
 //!   wall-clock overlay (gauges, spans, latency percentiles).
 //!
-//! snsp-experiments report diff <A> <B> [--timing-tolerance FRAC]
+//! snsp-experiments report diff <A> <B>
 //!   Structurally compares two same-kind report artifacts: strict on
-//!   deterministic columns, toleranced (or informational, without a
-//!   threshold) on wall-clock/RSS columns, each column classed by its
-//!   kind's field table. Prints the regression table
-//!   and exits non-zero when a deterministic column moved — the CI
-//!   regression sentinel.
+//!   deterministic columns, informational on wall-clock/RSS columns,
+//!   each column classed by its kind's field table. Prints the
+//!   regression table and exits non-zero when a deterministic column
+//!   moved — the CI regression sentinel. Wall-clock time is measured by
+//!   perfbench, not here.
 //!
 //! The serve and chaos subcommands accept --trace-out PATH: record the
 //! causal event trace across the run and write the deterministic
@@ -89,7 +82,7 @@
 //! recorder dumps to <stem>.flight.json on audit failure or a contained
 //! pool panic.
 //!
-//! The sweep, serve, chaos, perf and refine subcommands accept --telemetry
+//! The sweep, serve, chaos and refine subcommands accept --telemetry
 //! (capture counters/histograms/spans across the run) and
 //! --telemetry-out PATH (implies --telemetry; default
 //! <out>/TELEMETRY.json). With --stable-json the wall-clock overlay is
@@ -98,7 +91,6 @@
 //! ```
 
 mod experiments;
-mod perf;
 mod table;
 mod telemetry;
 
@@ -107,9 +99,7 @@ use std::time::Instant;
 
 use snsp_search::run_refine_campaign;
 use snsp_serve::run_serve_campaign;
-use snsp_sweep::{
-    diff_reports, run_campaign, ArtifactKind, DiffOptions, PhaseTiming, ReferenceConfig,
-};
+use snsp_sweep::{diff_reports, run_campaign, ArtifactKind, PhaseTiming, ReferenceConfig};
 use table::Table;
 
 struct Args {
@@ -129,7 +119,6 @@ struct Args {
     fault_plan: Option<String>,
     trace_out: Option<PathBuf>,
     diff_paths: Option<(PathBuf, PathBuf)>,
-    timing_tolerance: Option<f64>,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -152,7 +141,6 @@ fn parse_args() -> Result<Args, String> {
         fault_plan: None,
         trace_out: None,
         diff_paths: None,
-        timing_tolerance: None,
     };
     if parsed.experiment == "validate" || parsed.experiment == "telemetry-summary" {
         parsed.validate_path =
@@ -199,14 +187,6 @@ fn parse_args() -> Result<Args, String> {
                     args.next().ok_or("--trace-out needs a path")?,
                 ));
             }
-            "--timing-tolerance" => {
-                parsed.timing_tolerance = Some(
-                    args.next()
-                        .and_then(|v| v.parse().ok())
-                        .filter(|&t: &f64| t >= 0.0)
-                        .ok_or("--timing-tolerance needs a non-negative fraction")?,
-                );
-            }
             "--stable-json" => parsed.stable_json = true,
             "--reference" => parsed.reference = true,
             "--telemetry" => parsed.telemetry = true,
@@ -242,14 +222,12 @@ fn usage() -> String {
      \u{20}      snsp-experiments chaos --grid <ci|racks|msg-storm> [--seeds K] [--workers W] \
      [--replay-workers R] [--fault-plan SPEC] [--json PATH] [--stable-json] [--out DIR] \
      [--telemetry] [--telemetry-out PATH] [--trace-out PATH]\n\
-     \u{20}      snsp-experiments perf --grid <ci|large-n> [--seeds K] [--json PATH] [--out DIR] \
-     [--telemetry] [--telemetry-out PATH]\n\
      \u{20}      snsp-experiments refine --grid <ci|fig2|large-n> [--seeds K] [--workers W] \
      [--bb-workers B] [--json PATH] [--stable-json] [--out DIR] \
      [--telemetry] [--telemetry-out PATH]\n\
      \u{20}      snsp-experiments validate <PATH>\n\
      \u{20}      snsp-experiments telemetry-summary <PATH>\n\
-     \u{20}      snsp-experiments report diff <A> <B> [--timing-tolerance FRAC]"
+     \u{20}      snsp-experiments report diff <A> <B>"
         .to_string()
 }
 
@@ -354,10 +332,7 @@ fn run_report_diff(args: &Args) -> Result<bool, String> {
         std::fs::read_to_string(a).map_err(|e| format!("could not read {}: {e}", a.display()))?;
     let body_b =
         std::fs::read_to_string(b).map_err(|e| format!("could not read {}: {e}", b.display()))?;
-    let opts = DiffOptions {
-        timing_tolerance: args.timing_tolerance,
-    };
-    let report = diff_reports(&body_a, &body_b, opts).map_err(|errors| errors.join("\n"))?;
+    let report = diff_reports(&body_a, &body_b).map_err(|errors| errors.join("\n"))?;
     print!("{}", report.render_table());
     Ok(report.clean())
 }
@@ -608,14 +583,6 @@ fn run_validate(path: &PathBuf) -> Result<(), String> {
     }
 }
 
-fn run_perf(args: &Args) -> Result<(), String> {
-    let run = GridRun::start(args, "perf")?;
-    let campaign = run.campaign(perf::perf_grid(run.grid, args.seeds), perf::PERF_GRID_IDS)?;
-    let (report, telem) = run_captured(args.telemetry, || perf::run_perf(&campaign));
-    let (tables, body) = (report.tables(), report.render_json());
-    run.finish(args, &tables, ArtifactKind::Perf, &body, telem, None)
-}
-
 fn main() {
     let args = match parse_args() {
         Ok(a) => a,
@@ -654,7 +621,6 @@ fn main() {
     let campaign = match args.experiment.as_str() {
         "sweep" => Some(run_sweep(&args)),
         "serve" | "chaos" => Some(run_serve(&args, args.experiment == "chaos")),
-        "perf" => Some(run_perf(&args)),
         "refine" => Some(run_refine(&args)),
         _ => None,
     };

@@ -10,8 +10,8 @@
 use std::path::Path;
 use std::process::Command;
 
+use snsp_sweep::diff_reports;
 use snsp_sweep::json::{parse, Json};
-use snsp_sweep::{diff_reports, DiffOptions};
 
 /// Every gated recipe: the experiments CLI arguments (always run with
 /// `--stable-json`) and the golden file under `golden/` they reproduce.
@@ -83,7 +83,7 @@ fn stable_recipes_match_their_goldens() {
             String::from_utf8_lossy(&run.stderr)
         );
         let expected = read(&golden.join(file));
-        let report = diff_reports(&expected, &read(&fresh), DiffOptions::default())
+        let report = diff_reports(&expected, &read(&fresh))
             .unwrap_or_else(|e| panic!("golden/{file}: {}", e.join("; ")));
         if !report.clean() {
             let doc = parse(&expected).expect("the golden parses");

@@ -10,10 +10,10 @@
 //! * **Deterministic values are strict** — any type or value mismatch,
 //!   missing key, or array-length change is a regression. A path the
 //!   table does not declare is deterministic too.
-//! * **Wall-clock/RSS values are toleranced** — compared against a
-//!   configurable relative threshold; absent a threshold they are
-//!   informational only. A `null`-vs-value difference on such a path is
-//!   the stable-vs-timed rendering split and is never a finding.
+//! * **Wall-clock/RSS values are informational** — a numeric drift
+//!   prints but never gates; perfbench, not this diff, judges wall-clock
+//!   time. A `null`-vs-value difference on such a path is the
+//!   stable-vs-timed rendering split and is never a finding.
 //! * **Identity metadata is informational** — `generator`,
 //!   `schema_version` and worker counts may differ between runs; when the
 //!   schema versions differ, missing keys degrade to informational too,
@@ -27,29 +27,6 @@
 use crate::json::{parse, Json};
 use crate::schema::{join, ArtifactKind, Class};
 
-/// Options for [`diff_reports`].
-#[derive(Debug, Clone, Copy, Default)]
-pub struct DiffOptions {
-    /// Relative tolerance for wall-clock/RSS columns (e.g. `0.25` =
-    /// ±25%). `None` makes toleranced columns informational only.
-    pub timing_tolerance: Option<f64>,
-}
-
-/// Why a difference was classified the way it was.
-#[derive(Debug, Clone, PartialEq)]
-pub enum DiffKind {
-    /// Deterministic column mismatch — always a regression.
-    Strict,
-    /// Toleranced column moved beyond the configured threshold.
-    ToleranceBreach {
-        /// The observed relative change (|b−a| / max(|a|, ε)).
-        rel: f64,
-    },
-    /// Informational drift (timing column within/without threshold,
-    /// identity metadata, cross-version structure).
-    Info,
-}
-
 /// One observed difference between the two documents.
 #[derive(Debug, Clone)]
 pub struct DiffEntry {
@@ -59,8 +36,6 @@ pub struct DiffEntry {
     pub a: String,
     /// Rendered value in the second document (`-` when absent).
     pub b: String,
-    /// Classification.
-    pub kind: DiffKind,
 }
 
 /// Outcome of a structural diff.
@@ -72,7 +47,8 @@ pub struct DiffReport {
     pub compared: usize,
     /// Differences that must fail the build.
     pub regressions: Vec<DiffEntry>,
-    /// Differences worth printing but not failing on.
+    /// Differences worth printing but not failing on: wall-clock drift,
+    /// identity metadata and cross-version structure.
     pub informational: Vec<DiffEntry>,
 }
 
@@ -93,20 +69,9 @@ impl DiffReport {
             self.regressions.len(),
             self.informational.len()
         );
-        for e in &self.regressions {
-            let tag = match e.kind {
-                DiffKind::ToleranceBreach { rel } => {
-                    format!("TOLERANCE({:+.1}%)", rel * 100.0)
-                }
-                _ => "REGRESSION".to_string(),
-            };
+        let tagged = self.regressions.iter().map(|e| ("REGRESSION", e));
+        for (tag, e) in tagged.chain(self.informational.iter().map(|e| ("info", e))) {
             out.push_str(&format!("  {tag:<18} {}: {} -> {}\n", e.path, e.a, e.b));
-        }
-        for e in &self.informational {
-            out.push_str(&format!(
-                "  {:<18} {}: {} -> {}\n",
-                "info", e.path, e.a, e.b
-            ));
         }
         out
     }
@@ -115,7 +80,7 @@ impl DiffReport {
 /// Structurally compares two same-kind report documents. Returns the
 /// classified differences, or the parse/kind errors that prevented a
 /// comparison.
-pub fn diff_reports(a: &str, b: &str, opts: DiffOptions) -> Result<DiffReport, Vec<String>> {
+pub fn diff_reports(a: &str, b: &str) -> Result<DiffReport, Vec<String>> {
     let a = parse(a).map_err(|e| vec![format!("first document is not JSON: {e}")])?;
     let b = parse(b).map_err(|e| vec![format!("second document is not JSON: {e}")])?;
     let kind = ArtifactKind::of(&a).map_err(|e| vec![format!("first document: {e}")])?;
@@ -131,7 +96,6 @@ pub fn diff_reports(a: &str, b: &str, opts: DiffOptions) -> Result<DiffReport, V
         != b.get("schema_version").and_then(Json::as_int);
     let mut cx = DiffCx {
         kind,
-        opts,
         cross_version,
         compared: 0,
         regressions: Vec::new(),
@@ -148,7 +112,6 @@ pub fn diff_reports(a: &str, b: &str, opts: DiffOptions) -> Result<DiffReport, V
 
 struct DiffCx {
     kind: ArtifactKind,
-    opts: DiffOptions,
     cross_version: bool,
     compared: usize,
     regressions: Vec<DiffEntry>,
@@ -156,34 +119,27 @@ struct DiffCx {
 }
 
 impl DiffCx {
-    fn push(&mut self, path: &str, a: String, b: String, kind: DiffKind) {
-        let entry = DiffEntry {
-            path: path.to_string(),
-            a,
-            b,
-            kind,
-        };
-        match entry.kind {
-            DiffKind::Info => self.informational.push(entry),
-            _ => self.regressions.push(entry),
+    fn push(&mut self, path: &str, a: String, b: String, strict: bool) {
+        let path = path.to_string();
+        let entry = DiffEntry { path, a, b };
+        if strict {
+            self.regressions.push(entry);
+        } else {
+            self.informational.push(entry);
         }
     }
 
     /// A key present on one side only: strict on deterministic paths of
     /// same-version documents, informational otherwise.
     fn missing(&mut self, path: &str, pattern: &str, present_in_a: bool, value: &Json) {
-        let kind = if self.cross_version || self.kind.class_of(pattern) != Class::Det {
-            DiffKind::Info
-        } else {
-            DiffKind::Strict
-        };
+        let strict = !self.cross_version && self.kind.class_of(pattern) == Class::Det;
         let (v, absent) = (render_leaf(value), "-".to_string());
         let (a, b) = if present_in_a {
             (v, absent)
         } else {
             (absent, v)
         };
-        self.push(path, a, b, kind);
+        self.push(path, a, b, strict);
     }
 
     /// Compares the values at concrete `path`, whose table pattern is
@@ -206,12 +162,9 @@ impl DiffCx {
             }
             (Json::Arr(xa), Json::Arr(xb)) => {
                 if xa.len() != xb.len() {
-                    let kind = match self.kind.class_of(pattern) {
-                        Class::Det => DiffKind::Strict,
-                        _ => DiffKind::Info,
-                    };
+                    let strict = self.kind.class_of(pattern) == Class::Det;
                     let (la, lb) = (xa.len().to_string(), xb.len().to_string());
-                    self.push(&format!("{path}.len()"), la, lb, kind);
+                    self.push(&format!("{path}.len()"), la, lb, strict);
                 }
                 let items = format!("{pattern}[]");
                 for (i, (va, vb)) in xa.iter().zip(xb).enumerate() {
@@ -225,25 +178,17 @@ impl DiffCx {
     fn leaf(&mut self, path: &str, pattern: &str, a: &Json, b: &Json) {
         self.compared += 1;
         let class = self.kind.class_of(pattern);
-        let kind = match (class, a.as_num(), b.as_num()) {
-            (Class::Timing, Some(na), Some(nb)) => {
-                if na == nb {
-                    return;
-                }
-                let rel = (nb - na) / na.abs().max(1e-9);
-                match self.opts.timing_tolerance {
-                    Some(tol) if rel.abs() > tol => DiffKind::ToleranceBreach { rel },
-                    _ => DiffKind::Info,
-                }
-            }
+        let strict = match (class, a.as_num(), b.as_num()) {
+            (Class::Timing, Some(na), Some(nb)) if na == nb => return,
+            (Class::Timing, Some(_), Some(_)) => false,
             _ if render_leaf(a) == render_leaf(b) => return,
             // The stable rendering nulls wall-clock values; a
             // null-vs-value pair is the two forms, not a drift.
-            (Class::Timing, ..) if *a == Json::Null || *b == Json::Null => DiffKind::Info,
-            (Class::Meta, ..) => DiffKind::Info,
-            _ => DiffKind::Strict,
+            (Class::Timing, ..) => *a != Json::Null && *b != Json::Null,
+            (Class::Meta, ..) => false,
+            (Class::Det, ..) => true,
         };
-        self.push(path, render_leaf(a), render_leaf(b), kind);
+        self.push(path, render_leaf(a), render_leaf(b), strict);
     }
 }
 
@@ -288,7 +233,7 @@ mod tests {
     #[test]
     fn self_diff_is_clean() {
         let d = doc(7548.5, 1.25);
-        let report = diff_reports(&d, &d, DiffOptions::default()).unwrap();
+        let report = diff_reports(&d, &d).unwrap();
         assert!(report.clean());
         assert!(report.informational.is_empty());
         assert!(report.compared > 0);
@@ -296,12 +241,7 @@ mod tests {
 
     #[test]
     fn det_column_change_is_a_regression() {
-        let report = diff_reports(
-            &doc(7548.5, 1.25),
-            &doc(7600.0, 1.25),
-            DiffOptions::default(),
-        )
-        .unwrap();
+        let report = diff_reports(&doc(7548.5, 1.25), &doc(7600.0, 1.25)).unwrap();
         assert_eq!(report.regressions.len(), 1);
         assert!(report.regressions[0].path.contains("mean_cost"));
         assert!(report.render_table().contains("REGRESSION"));
@@ -309,36 +249,15 @@ mod tests {
 
     #[test]
     fn timing_drift_is_informational_without_a_threshold() {
-        let report = diff_reports(
-            &doc(7548.5, 1.25),
-            &doc(7548.5, 9.0),
-            DiffOptions::default(),
-        )
-        .unwrap();
+        let report = diff_reports(&doc(7548.5, 1.25), &doc(7548.5, 9.0)).unwrap();
         assert!(report.clean());
         assert_eq!(report.informational.len(), 1);
     }
 
     #[test]
-    fn timing_drift_breaches_a_tight_threshold() {
-        let opts = DiffOptions {
-            timing_tolerance: Some(0.10),
-        };
-        let report = diff_reports(&doc(7548.5, 1.0), &doc(7548.5, 2.0), opts).unwrap();
-        assert_eq!(report.regressions.len(), 1);
-        assert!(matches!(
-            report.regressions[0].kind,
-            DiffKind::ToleranceBreach { .. }
-        ));
-        // Within threshold stays informational.
-        let report = diff_reports(&doc(7548.5, 1.0), &doc(7548.5, 1.05), opts).unwrap();
-        assert!(report.clean());
-    }
-
-    #[test]
     fn null_vs_value_on_timing_is_the_stable_form_split() {
         let stable = doc(7548.5, 1.0).replace("\"total_s\": 1.0", "\"total_s\": null");
-        let report = diff_reports(&stable, &doc(7548.5, 1.0), DiffOptions::default()).unwrap();
+        let report = diff_reports(&stable, &doc(7548.5, 1.0)).unwrap();
         assert!(report.clean());
     }
 
@@ -348,17 +267,17 @@ mod tests {
             "\"campaign\": \"unit\"",
             "\"kind\": \"serve\", \"campaign\": \"unit\"",
         );
-        let err = diff_reports(&doc(1.0, 1.0), &serve, DiffOptions::default()).unwrap_err();
+        let err = diff_reports(&doc(1.0, 1.0), &serve).unwrap_err();
         assert!(err[0].contains("kind mismatch"));
     }
 
     #[test]
     fn missing_key_is_strict_same_version_info_across_versions() {
         let trimmed = doc(7548.5, 1.0).replace("    \"label\": \"8\",\n", "");
-        let report = diff_reports(&doc(7548.5, 1.0), &trimmed, DiffOptions::default()).unwrap();
+        let report = diff_reports(&doc(7548.5, 1.0), &trimmed).unwrap();
         assert!(!report.clean());
         let v2 = trimmed.replace("\"schema_version\": 1", "\"schema_version\": 2");
-        let report = diff_reports(&doc(7548.5, 1.0), &v2, DiffOptions::default()).unwrap();
+        let report = diff_reports(&doc(7548.5, 1.0), &v2).unwrap();
         assert!(report.clean(), "{}", report.render_table());
     }
 
@@ -370,7 +289,7 @@ mod tests {
             "\"admit_p50_us\": 850.0\n    }, {\"label\": \"9\", \"mean_cost\": 1.0, \
              \"admit_p50_us\": 1.0}",
         );
-        let report = diff_reports(&a, &b, DiffOptions::default()).unwrap();
+        let report = diff_reports(&a, &b).unwrap();
         assert!(!report.clean());
         assert!(report.regressions.iter().any(|e| e.path.contains("len()")));
     }

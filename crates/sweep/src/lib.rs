@@ -13,9 +13,8 @@
 //! and chaos campaigns. It resolves the worker count, lays each point's
 //! cells out point-major on [`snsp_core::pool::run_jobs`] (which seeds
 //! the deque with the job indices), folds each point in grid order and
-//! times the phases ([`PhaseTiming`]). Their writers, and the perf
-//! writer, fill one document skeleton
-//! ([`ArtifactKind::document`]): the kind's header, `campaign`, `config`
+//! times the phases ([`PhaseTiming`]). Their writers fill one document
+//! skeleton ([`ArtifactKind::document`]): the kind's header, `campaign`, `config`
 //! with `seeds` first, `results`, and in timed form the `timing` block
 //! ([`PhaseTiming::to_json`]).
 //!
@@ -63,7 +62,7 @@ pub mod tracefile;
 pub use campaign::{
     run_campaign, run_grid, Campaign, PointSpec, ReferenceConfig, PIPELINE_SEED_STRIDE,
 };
-pub use diff::{diff_reports, DiffEntry, DiffKind, DiffOptions, DiffReport};
+pub use diff::{diff_reports, DiffEntry, DiffReport};
 pub use json::Json;
 pub use schema::{validate, ArtifactKind};
 pub use sink::{CampaignReport, HeurStats, PhaseTiming, PointReport, ReferenceStats};

@@ -9,7 +9,7 @@
 //! declare, so the table is the complete description of the artifact.
 //! Invariants that span rows live in one small hook per kind. Every
 //! writer takes its header from [`ArtifactKind::header`]; the campaign
-//! writers (sweep, serve, perf, refine, chaos) fill the whole
+//! writers (sweep, serve, refine, chaos) fill the whole
 //! [`ArtifactKind::document`] skeleton around it.
 //!
 //! ```
@@ -32,8 +32,6 @@ pub enum ArtifactKind {
     Sweep,
     /// `BENCH_serve.json`: online-serving service metrics (v3).
     Serve,
-    /// `BENCH_perf.json`: incremental engine vs reference oracles (v4).
-    Perf,
     /// `BENCH_refine.json`: local-search refinement campaigns (v4).
     Refine,
     /// `TELEMETRY.json`: deterministic metrics plus wall-clock overlay (v5).
@@ -49,7 +47,7 @@ pub enum ArtifactKind {
 pub(crate) enum Class {
     /// Deterministic: any change is a regression.
     Det,
-    /// Wall-clock or RSS: toleranced; null-vs-value is the stable form.
+    /// Wall-clock or RSS: informational; null-vs-value is the stable form.
     Timing,
     /// Identity metadata (tool version, worker count): informational.
     Meta,
@@ -261,44 +259,6 @@ const CHAOS: &[Field] = &[
     det("results[].audit_failures", Zero),
 ];
 
-const PERF: &[Field] = &[
-    det("config.seeds", PosInt),
-    det("config.points[].label", Str),
-    det("config.points[].n_ops", PosInt),
-    det("config.points[].alpha", Num),
-    det("config.bb_points[].label", Str),
-    det("config.bb_points[].n_ops", PosInt),
-    det("config.bb_points[].alpha", Num),
-    det("config.bb_points[].homogeneous", Bool),
-    det("config.bb_points[].node_budget", PosInt),
-    det("config.probe_n_ops", PosInt),
-    det("results.heuristics[].label", Str),
-    det("results.heuristics[].rows[].name", Str),
-    det("results.heuristics[].rows[].runs", Nat),
-    det("results.heuristics[].rows[].feasible", Nat),
-    timing("results.heuristics[].rows[].incremental_ms", NonNeg),
-    timing("results.heuristics[].rows[].oracle_ms", NonNeg),
-    timing("results.heuristics[].rows[].speedup", Pos),
-    det("results.heuristics[].rows[].costs_match", True),
-    det("results.bb[].label", Str),
-    det("results.bb[].incremental.nodes", Nat),
-    timing("results.bb[].incremental.ms", NonNeg),
-    timing("results.bb[].incremental.nodes_per_sec", NonNeg),
-    det("results.bb[].reference.nodes", Nat),
-    timing("results.bb[].reference.ms", NonNeg),
-    timing("results.bb[].reference.nodes_per_sec", NonNeg),
-    timing("results.bb[].wall_speedup", Pos),
-    det("results.bb[].node_ratio", Pos),
-    det("results.bb[].costs_match", True),
-    det("results.demand_probe.probes", PosInt),
-    timing("results.demand_probe.incremental_ms", NonNeg),
-    timing("results.demand_probe.oracle_ms", NonNeg),
-    timing("results.demand_probe.speedup", Pos),
-    det("results.demand_probe.accepted_match", True),
-    // Null on platforms without `/proc/self/status`.
-    timing("results.peak_rss_kb", Nat).null(),
-];
-
 const REFINE: &[Field] = &[
     det("config.seeds", PosInt),
     det("config.driver", NonEmpty),
@@ -371,10 +331,9 @@ const TRACE: &[Field] = &[
 struct Spec(&'static str, i64, &'static str, &'static [&'static [Field]]);
 
 /// In [`ArtifactKind::ALL`] order.
-static SPECS: [Spec; 7] = [
+static SPECS: [Spec; 6] = [
     Spec("sweep", 1, "snsp-sweep", &[SWEEP, TIMING]),
     Spec("serve", 3, "snsp-serve", &[SERVE_COMMON, SERVE, TIMING]),
-    Spec("perf", 4, "snsp-experiments", &[PERF]),
     Spec("refine", 4, "snsp-search", &[REFINE, TIMING]),
     Spec("telemetry", 5, "snsp-experiments", &[TELEMETRY]),
     Spec("chaos", 6, "snsp-serve", &[SERVE_COMMON, CHAOS, TIMING]),
@@ -383,7 +342,7 @@ static SPECS: [Spec; 7] = [
 
 impl ArtifactKind {
     /// Every kind, in schema-version order.
-    pub const ALL: [ArtifactKind; 7] = [Sweep, Serve, Perf, Refine, Telemetry, Chaos, Trace];
+    pub const ALL: [ArtifactKind; 6] = [Sweep, Serve, Refine, Telemetry, Chaos, Trace];
 
     fn spec(self) -> &'static Spec {
         &SPECS[self as usize]
@@ -468,7 +427,6 @@ impl ArtifactKind {
         let rules = match self {
             Sweep => sweep_rules,
             Serve => serve_rules,
-            Perf => perf_rules,
             Refine => refine_rules,
             Telemetry => telemetry_rules,
             Chaos => chaos_rules,
@@ -779,13 +737,6 @@ fn chaos_rules(doc: &Json, errors: &mut Vec<String>) {
     }
 }
 
-fn perf_rules(doc: &Json, errors: &mut Vec<String>) {
-    one_per(doc, "results.heuristics", "config.points", errors);
-    one_per(doc, "results.bb", "config.bb_points", errors);
-    let rows = "results.heuristics[].rows[]";
-    at_most(doc, rows, "feasible", "runs", errors);
-}
-
 /// Refinement is never worse than its start, the lower bound is never
 /// above the refined or the exact cost, and costs are null exactly when
 /// no run was feasible.
@@ -1022,117 +973,6 @@ mod tests {
         assert!(errors.iter().any(|e| e.contains("burst")), "{errors:?}");
     }
 
-    /// A minimal well-formed perf document (what `snsp-experiments perf`
-    /// renders; kept in sync by that crate's own round-trip test).
-    fn perf_doc() -> String {
-        r#"{
-  "schema_version": 4,
-  "generator": "snsp-experiments 0.1.0",
-  "kind": "perf",
-  "campaign": "perf-ci",
-  "config": {
-    "seeds": 2,
-    "points": [
-      {"label": "140", "n_ops": 140, "alpha": 0.9}
-    ],
-    "bb_points": [
-      {"label": "hom-16", "n_ops": 16, "alpha": 0.9, "homogeneous": true, "node_budget": 500000}
-    ],
-    "probe_n_ops": 500
-  },
-  "results": {
-    "heuristics": [
-      {
-        "label": "140",
-        "rows": [
-          {
-            "name": "Subtree-Bottom-Up",
-            "runs": 2,
-            "feasible": 2,
-            "incremental_ms": 0.08,
-            "oracle_ms": 0.12,
-            "speedup": 1.5,
-            "costs_match": true
-          }
-        ]
-      }
-    ],
-    "bb": [
-      {
-        "label": "hom-16",
-        "incremental": {"nodes": 17, "ms": 0.02, "nodes_per_sec": 850000.0},
-        "reference": {"nodes": 170, "ms": 0.2, "nodes_per_sec": 850000.0},
-        "wall_speedup": 10.0,
-        "node_ratio": 10.0,
-        "costs_match": true
-      }
-    ],
-    "demand_probe": {
-      "probes": 499,
-      "incremental_ms": 0.05,
-      "oracle_ms": 5.0,
-      "speedup": 100.0,
-      "accepted_match": true
-    },
-    "peak_rss_kb": 14336
-  }
-}"#
-        .to_string()
-    }
-
-    #[test]
-    fn perf_schema_accepts_well_formed_documents() {
-        Perf.validate(&perf_doc()).expect("perf doc validates");
-    }
-
-    #[test]
-    fn perf_schema_rejects_divergence_and_other_kinds() {
-        // A v1 campaign report is not a perf report.
-        let errors = Perf.validate(&rendered(false)).unwrap_err();
-        assert!(errors.iter().any(|e| e.contains("schema_version")));
-        assert!(errors.iter().any(|e| e.contains("kind")));
-        // An engine divergence invalidates the document outright.
-        let broken = perf_doc().replacen("\"costs_match\": true", "\"costs_match\": false", 1);
-        let errors = Perf.validate(&broken).unwrap_err();
-        assert!(
-            errors.iter().any(|e| e.contains("costs_match")),
-            "{errors:?}"
-        );
-        // Zero or negative speedups are structural nonsense.
-        let broken = perf_doc().replace("\"speedup\": 100.0", "\"speedup\": 0.0");
-        let errors = Perf.validate(&broken).unwrap_err();
-        assert!(errors.iter().any(|e| e.contains("speedup")), "{errors:?}");
-        // A missing probe block is flagged.
-        let broken = perf_doc().replace("\"demand_probe\"", "\"unrelated\"");
-        let errors = Perf.validate(&broken).unwrap_err();
-        assert!(
-            errors.iter().any(|e| e.contains("demand_probe")),
-            "{errors:?}"
-        );
-    }
-
-    #[test]
-    fn perf_v4_requires_the_rss_column_but_tolerates_null() {
-        // v3 documents (no peak_rss_kb) no longer validate...
-        let v3 = perf_doc()
-            .replace("\"schema_version\": 4", "\"schema_version\": 3")
-            .replace(",\n    \"peak_rss_kb\": 14336", "");
-        let errors = Perf.validate(&v3).unwrap_err();
-        assert!(errors.iter().any(|e| e.contains("schema_version")));
-        assert!(errors.iter().any(|e| e.contains("peak_rss_kb")));
-        // ...but a platform without /proc may null the gauge.
-        let nulled = perf_doc().replace("\"peak_rss_kb\": 14336", "\"peak_rss_kb\": null");
-        Perf.validate(&nulled)
-            .expect("null RSS is the no-procfs form");
-        // Negative high-water marks are nonsense.
-        let broken = perf_doc().replace("\"peak_rss_kb\": 14336", "\"peak_rss_kb\": -1");
-        let errors = Perf.validate(&broken).unwrap_err();
-        assert!(
-            errors.iter().any(|e| e.contains("peak_rss_kb")),
-            "{errors:?}"
-        );
-    }
-
     /// A minimal well-formed telemetry document (what `snsp-experiments
     /// --telemetry-out` renders; kept in sync by that crate's tests).
     fn telemetry_doc() -> String {
@@ -1202,18 +1042,18 @@ mod tests {
         let errors = Telemetry.validate(&broken).unwrap_err();
         assert!(errors.iter().any(|e| e.contains("ordered")), "{errors:?}");
         // Other kinds are rejected by name, and vice versa.
-        let errors = Telemetry.validate(&perf_doc()).unwrap_err();
+        let errors = Telemetry.validate(&refine_doc()).unwrap_err();
         assert!(
             errors
                 .iter()
-                .any(|e| e.contains("expected \"telemetry\"") && e.contains("found \"perf\"")),
+                .any(|e| e.contains("expected \"telemetry\"") && e.contains("found \"refine\"")),
             "{errors:?}"
         );
         let telemetry = telemetry_doc();
         assert!(Sweep.validate(&telemetry).is_err());
         assert!(Serve.validate(&telemetry).is_err());
-        assert!(Perf.validate(&telemetry).is_err());
         assert!(Refine.validate(&telemetry).is_err());
+        assert!(Chaos.validate(&telemetry).is_err());
     }
 
     /// A minimal well-formed refine document (what `snsp-search`
@@ -1279,10 +1119,10 @@ mod tests {
         let errors = Refine.validate(&rendered(false)).unwrap_err();
         assert!(errors.iter().any(|e| e.contains("schema_version")));
         assert!(errors.iter().any(|e| e.contains("kind")));
-        // Nor are serve and perf documents.
+        // Nor are serve and telemetry documents.
         let errors = Refine.validate(&serve_doc()).unwrap_err();
         assert!(errors.iter().any(|e| e.contains("kind")), "{errors:?}");
-        let errors = Refine.validate(&perf_doc()).unwrap_err();
+        let errors = Refine.validate(&telemetry_doc()).unwrap_err();
         assert!(errors.iter().any(|e| e.contains("kind")), "{errors:?}");
         // A cost regression invalidates the document outright.
         let broken = refine_doc().replacen("\"never_worse\": true", "\"never_worse\": false", 1);
@@ -1328,7 +1168,7 @@ mod tests {
         let refine = refine_doc();
         assert!(Sweep.validate(&refine).is_err());
         assert!(Serve.validate(&refine).is_err());
-        assert!(Perf.validate(&refine).is_err());
+        assert!(Telemetry.validate(&refine).is_err());
     }
 
     #[test]
@@ -1342,11 +1182,11 @@ mod tests {
                 .any(|e| e.contains("expected \"serve\"") && e.contains("found \"refine\"")),
             "{errors:?}"
         );
-        let errors = Refine.validate(&perf_doc()).unwrap_err();
+        let errors = Refine.validate(&telemetry_doc()).unwrap_err();
         assert!(
             errors
                 .iter()
-                .any(|e| e.contains("expected \"refine\"") && e.contains("found \"perf\"")),
+                .any(|e| e.contains("expected \"refine\"") && e.contains("found \"telemetry\"")),
             "{errors:?}"
         );
         // The kindless v1 validator names the found kind too, and points
@@ -1360,11 +1200,11 @@ mod tests {
         );
         // A kinded validator fed a kindless document says what kindless
         // documents are, instead of a bare rejection.
-        let errors = Perf.validate(&rendered(false)).unwrap_err();
+        let errors = Telemetry.validate(&rendered(false)).unwrap_err();
         assert!(
             errors
                 .iter()
-                .any(|e| e.contains("\"perf\"") && e.contains("schema-v1")),
+                .any(|e| e.contains("\"telemetry\"") && e.contains("schema-v1")),
             "{errors:?}"
         );
     }
@@ -1383,7 +1223,8 @@ mod tests {
         // The sniffing entry point picks the table from the discriminator.
         for (doc, kind) in [
             (serve_doc(), Serve),
-            (perf_doc(), Perf),
+            (refine_doc(), Refine),
+            (telemetry_doc(), Telemetry),
             (rendered(false), Sweep),
         ] {
             assert_eq!(validate(&doc), Ok(kind));

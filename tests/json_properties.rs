@@ -5,12 +5,11 @@
 
 use proptest::prelude::*;
 use snsp::sweep::json::{parse, Json};
-use snsp::sweep::{diff_reports, validate, ArtifactKind, DiffOptions};
+use snsp::sweep::{diff_reports, validate, ArtifactKind};
 
-const ARTIFACTS: [&str; 5] = [
+const ARTIFACTS: [&str; 4] = [
     "BENCH_serve.json",
     "BENCH_chaos.json",
-    "BENCH_perf.json",
     "BENCH_refine.json",
     "TELEMETRY.json",
 ];
@@ -94,11 +93,8 @@ fn exercise(text: &str, baseline: &str) {
     for kind in ArtifactKind::ALL {
         let _ = kind.validate(text);
     }
-    let _ = diff_reports(baseline, text, DiffOptions::default());
-    let tight = DiffOptions {
-        timing_tolerance: Some(0.1),
-    };
-    let _ = diff_reports(text, baseline, tight);
+    let _ = diff_reports(baseline, text);
+    let _ = diff_reports(text, baseline);
 }
 
 proptest! {
