@@ -21,6 +21,8 @@ use crate::heuristics::{Heuristic, HeuristicError, PipelineOptions, PlacedGroup,
 use crate::ids::{OpId, ProcId, TypeId};
 use crate::instance::Instance;
 use crate::mapping::{Download, Mapping};
+use crate::object::ObjectCatalog;
+use crate::platform::Platform;
 
 /// A set of applications sharing one platform and object catalog.
 ///
@@ -194,7 +196,7 @@ pub struct DownloadLedger {
 
 impl DownloadLedger {
     /// Fresh ledger with every server NIC fully available.
-    pub fn new(platform: &crate::platform::Platform) -> Self {
+    pub fn new(platform: &Platform) -> Self {
         DownloadLedger {
             server_left: platform.servers.iter().map(|s| s.nic_bandwidth).collect(),
             link_used: std::collections::BTreeMap::new(),
@@ -232,7 +234,7 @@ impl DownloadLedger {
     /// existing stream is returned as-is.
     pub fn ensure(
         &mut self,
-        platform: &crate::platform::Platform,
+        platform: &Platform,
         rate: f64,
         proc: ProcId,
         ty: TypeId,
@@ -446,23 +448,51 @@ pub fn solve_joint(
 
 /// Checks the joint solution's shared capacities, each load summed over
 /// *all* applications: CPU (constraint 1) and NIC (2) per processor, NIC
-/// per server (3). It checks neither server→processor links (4) nor
-/// processor-pair links (5); see the joint-link item in ROADMAP.md.
+/// per server (3). A thin caller of [`check_joint`] over the solution's
+/// processors, assignments and downloads, on the first application's
+/// platform and catalog; see there for what it does not check.
 pub fn verify_joint(multi: &MultiInstance, sol: &MultiSolution) -> Result<(), HeuristicError> {
-    let n_procs = sol.proc_kinds.len();
-    let catalog = &multi.apps[0].platform.catalog;
-    let mut cpu = vec![0.0_f64; n_procs];
-    let mut nic = vec![0.0_f64; n_procs];
-    let mut server = vec![0.0_f64; multi.apps[0].platform.servers.len()];
-    let mut violations = Vec::new();
+    let first = &multi.apps[0];
+    let kinds: Vec<Option<usize>> = sol.proc_kinds.iter().copied().map(Some).collect();
+    let apps = multi.apps.iter().zip(&sol.assignments);
+    let apps = apps.map(|(app, assign)| (app, assign.as_slice()));
+    check_joint(
+        &first.platform,
+        &first.objects,
+        &kinds,
+        apps,
+        &sol.downloads,
+    )
+    .map_err(HeuristicError::FinalCheck)
+}
 
-    for d in &sol.downloads {
-        let rate = multi.apps[0].object_rate(d.ty);
+/// The one joint capacity checker, over borrowed views of a shared
+/// platform: `kinds[u]` is processor `u`'s catalog kind, or `None` for a
+/// tombstone (a sold or failed slot, which has no capacity, so any load
+/// on it is reported); `apps` are `(application, assignment)` pairs
+/// indexing `kinds`; `downloads` are the shared streams, each counted
+/// once. Each load is summed over every application: CPU (constraint 1)
+/// and NIC (2) per processor, NIC per server (3). The NIC and server sums
+/// add the streams first, in the given order, then the cut edges in
+/// application and operator order. It checks neither server→processor
+/// links (4) nor processor-pair links (5); see the joint-link item in
+/// ROADMAP.md. Returns every violation found.
+pub fn check_joint<'a>(
+    platform: &Platform,
+    objects: &ObjectCatalog,
+    kinds: &[Option<usize>],
+    apps: impl IntoIterator<Item = (&'a Instance, &'a [ProcId])>,
+    downloads: &[Download],
+) -> Result<(), Vec<constraints::Violation>> {
+    let mut cpu = vec![0.0_f64; kinds.len()];
+    let mut nic = vec![0.0_f64; kinds.len()];
+    let mut server = vec![0.0_f64; platform.servers.len()];
+    for d in downloads {
+        let rate = objects.rate(d.ty);
         nic[d.proc.index()] += rate;
         server[d.server.index()] += rate;
     }
-    for (k, app) in multi.apps.iter().enumerate() {
-        let assign = &sol.assignments[k];
+    for (app, assign) in apps {
         for op in app.tree.ops() {
             let u = assign[op.index()];
             cpu[u.index()] += app.rho * app.tree.work(op);
@@ -476,24 +506,28 @@ pub fn verify_joint(multi: &MultiInstance, sol: &MultiSolution) -> Result<(), He
             }
         }
     }
-    for u in 0..n_procs {
-        let kind = catalog.kind(sol.proc_kinds[u]);
-        if cpu[u] > kind.speed * (1.0 + constraints::EPS) {
+    let mut violations = Vec::new();
+    for (u, kind) in kinds.iter().enumerate() {
+        let (speed, bandwidth) = kind.map_or((0.0, 0.0), |k| {
+            let kind = platform.catalog.kind(k);
+            (kind.speed, kind.bandwidth)
+        });
+        if cpu[u] > speed * (1.0 + constraints::EPS) {
             violations.push(constraints::Violation::CpuOverload {
                 proc: ProcId::from(u),
-                load: cpu[u] / kind.speed,
+                load: cpu[u] / speed,
             });
         }
-        if nic[u] > kind.bandwidth * (1.0 + constraints::EPS) {
+        if nic[u] > bandwidth * (1.0 + constraints::EPS) {
             violations.push(constraints::Violation::NicOverload {
                 proc: ProcId::from(u),
                 used: nic[u],
-                capacity: kind.bandwidth,
+                capacity: bandwidth,
             });
         }
     }
     for (s, &used) in server.iter().enumerate() {
-        let cap = multi.apps[0].platform.servers[s].nic_bandwidth;
+        let cap = platform.servers[s].nic_bandwidth;
         if used > cap * (1.0 + constraints::EPS) {
             violations.push(constraints::Violation::ServerOverload {
                 server: crate::ids::ServerId::from(s),
@@ -505,7 +539,7 @@ pub fn verify_joint(multi: &MultiInstance, sol: &MultiSolution) -> Result<(), He
     if violations.is_empty() {
         Ok(())
     } else {
-        Err(HeuristicError::FinalCheck(violations))
+        Err(violations)
     }
 }
 
@@ -664,6 +698,54 @@ mod tests {
         assert!(ledger.release(rate, ProcId(0), ty));
         assert!(!ledger.has(ProcId(0), ty));
         assert!(!ledger.release(rate, ProcId(0), ty), "double release");
+    }
+
+    #[test]
+    fn check_joint_reports_load_on_a_tombstone() {
+        let multi = multi(2, 8, 0.9);
+        let mut rng = StdRng::seed_from_u64(3);
+        let joint = solve_joint(
+            &multi,
+            &SubtreeBottomUp,
+            &mut rng,
+            &PipelineOptions::default(),
+        )
+        .unwrap();
+        let app = &multi.apps[0];
+        let apps = || {
+            let views = multi.apps.iter().zip(&joint.assignments);
+            views.map(|(app, assign)| (app, assign.as_slice()))
+        };
+        let mut kinds: Vec<Option<usize>> = joint.proc_kinds.iter().copied().map(Some).collect();
+        check_joint(
+            &app.platform,
+            &app.objects,
+            &kinds,
+            apps(),
+            &joint.downloads,
+        )
+        .expect("the solved joint passes the view checker");
+        // Processor 0 hosts operators and streams; as a tombstone it has
+        // no capacity, so both its loads are overloads.
+        kinds[0] = None;
+        let v = check_joint(
+            &app.platform,
+            &app.objects,
+            &kinds,
+            apps(),
+            &joint.downloads,
+        )
+        .expect_err("load on a tombstone must be reported");
+        let on_tombstone = |x: &constraints::Violation| match *x {
+            constraints::Violation::CpuOverload { proc, load } => {
+                proc == ProcId(0) && load == f64::INFINITY
+            }
+            constraints::Violation::NicOverload { proc, capacity, .. } => {
+                proc == ProcId(0) && capacity == 0.0
+            }
+            _ => false,
+        };
+        assert_eq!(v.iter().filter(|x| on_tombstone(x)).count(), 2, "{v:?}");
     }
 
     #[test]

@@ -43,8 +43,8 @@
 //! * [`audit_platform`] runs after every injected fault, and after every
 //!   trace failure of a replay whose plan injects anything: per-shard
 //!   structural invariants ([`LivePlatform::audit`] — live-slot
-//!   assignments, resident aggregates, ledger conservation,
-//!   `verify_joint`) plus the
+//!   assignments, resident aggregates, ledger conservation, and the
+//!   joint capacities checked in place by `check_joint`) plus the
 //!   cross-shard ones (home routing, no double residency). Violations
 //!   are counted, surfaced in the report, and asserted zero by the
 //!   integration tests.
@@ -504,8 +504,10 @@ impl ChaosReport {
 /// Checks every platform invariant across the sharded tier: each
 /// shard's [`LivePlatform::audit`] (live-slot assignments, no leaked
 /// machines, resident aggregates equal to a tenant scan,
-/// download-ledger conservation,
-/// [`verify_joint`](snsp_core::multi::verify_joint)) plus the
+/// download-ledger conservation, and joint CPU, processor NIC and
+/// server NIC capacity, which
+/// [`check_joint`](snsp_core::multi::check_joint) sums over the live
+/// shard in place, cloning no tenant) plus the
 /// cross-shard invariants — every resident lives on its *home* shard
 /// (the routing hash) and no tenant is resident on two shards. The
 /// chaos replay runs this after every injected fault.

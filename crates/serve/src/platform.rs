@@ -18,9 +18,10 @@
 //! Processor *slots* are never recycled: a sold or failed slot stays a
 //! tombstone so event logs and assignments keep stable ids for the whole
 //! trace. [`LivePlatform::snapshot`] compacts live slots into a
-//! contiguous [`MultiInstance`]/[`MultiSolution`] pair for offline
-//! verification ([`verify_joint`]) and
-//! engine spot-runs.
+//! contiguous [`MultiInstance`]/[`MultiSolution`] pair for engine
+//! spot-runs, fingerprints and offline verification ([`verify_joint`]);
+//! [`LivePlatform::audit`] checks the same joint capacities on the live
+//! slots in place.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -30,8 +31,11 @@ use rand::SeedableRng;
 use snsp_core::heuristics::{Heuristic, HeuristicError, PipelineOptions};
 use snsp_core::ids::{OpId, ProcId, TenantId, TypeId};
 use snsp_core::instance::Instance;
+use snsp_core::mapping::Download;
+#[cfg(doc)]
+use snsp_core::multi::verify_joint;
 use snsp_core::multi::{
-    shared_demand, verify_joint, DownloadLedger, MultiInstance, MultiSolution, SharedDemand,
+    check_joint, shared_demand, DownloadLedger, MultiInstance, MultiSolution, SharedDemand,
 };
 use snsp_core::object::ObjectCatalog;
 use snsp_core::platform::Platform;
@@ -428,16 +432,18 @@ impl LivePlatform {
     }
 
     /// Oracle for a slot's type refcounts: per type, how many of the
-    /// scanned `blocks` need it.
+    /// scanned `blocks` need it. Each block's types are deduplicated in
+    /// one reused buffer.
     fn types_scan(&self, blocks: &[(u32, Vec<OpId>)]) -> BTreeMap<TypeId, u32> {
         let mut counts = BTreeMap::new();
+        let mut types: Vec<TypeId> = Vec::new();
         for (tid, ops) in blocks {
             let tree = &self.tenants[tid].inst.tree;
-            let types: BTreeSet<TypeId> = ops
-                .iter()
-                .flat_map(|&op| tree.leaf_types(op).iter().copied())
-                .collect();
-            for ty in types {
+            types.clear();
+            types.extend(ops.iter().flat_map(|&op| tree.leaf_types(op)));
+            types.sort_unstable();
+            types.dedup();
+            for &ty in &types {
                 *counts.entry(ty).or_insert(0) += 1;
             }
         }
@@ -445,15 +451,16 @@ impl LivePlatform {
     }
 
     /// Oracle for a slot's demand: [`shared_demand`] over the scanned
-    /// `blocks` of slot `u`.
+    /// `blocks` of slot `u`, each member's tenant looked up once.
     fn demand_scan(&self, u: usize, blocks: &[(u32, Vec<OpId>)]) -> SharedDemand {
-        let members: Vec<(&Instance, &[OpId])> = blocks
+        let tenants: Vec<&Tenant> = blocks.iter().map(|(tid, _)| &self.tenants[tid]).collect();
+        let members: Vec<(&Instance, &[OpId])> = tenants
             .iter()
-            .map(|(tid, ops)| (&self.tenants[tid].inst, ops.as_slice()))
+            .zip(blocks)
+            .map(|(t, (_, ops))| (&t.inst, ops.as_slice()))
             .collect();
         shared_demand(&members, |m, op| {
-            let t = &self.tenants[&blocks[m].0];
-            t.assignment[op.index()].index() == u
+            tenants[m].assignment[op.index()].index() == u
         })
     }
 
@@ -923,10 +930,13 @@ impl LivePlatform {
     /// 5. download-ledger conservation: the multiset of `(slot, type)`
     ///    streams equals — without duplicates — exactly the set the
     ///    residents need;
-    /// 6. the compacted snapshot passes [`verify_joint`]: joint CPU,
-    ///    processor NIC and server NIC capacity. It checks neither
-    ///    server→processor links (constraint 4) nor processor-pair
-    ///    links (constraint 5); see the joint-link item in ROADMAP.md.
+    /// 6. the joint capacities hold, checked in place by [`check_joint`]
+    ///    against this platform's own environment: CPU (constraint 1)
+    ///    and NIC (2) per slot and NIC per server (3), each summed over
+    ///    every tenant; any load on a tombstone is an overload. No
+    ///    tenant is cloned. It checks neither server→processor links
+    ///    (constraint 4) nor processor-pair links (constraint 5); see the
+    ///    joint-link item in ROADMAP.md.
     ///
     /// The chaos harness runs this after every injected fault
     /// (`audit_platform` extends it with cross-shard checks).
@@ -983,13 +993,9 @@ impl LivePlatform {
             }
             need.extend(types.keys().map(|&ty| (u, ty)));
         }
-        let mut have: Vec<(usize, TypeId)> = self
-            .ledger
-            .downloads()
-            .into_iter()
-            .map(|d| (d.proc.index(), d.ty))
-            .collect();
-        have.sort_unstable();
+        // Sorted by `(slot, type, server)`, as the snapshot lists them.
+        let streams = self.ledger.downloads();
+        let have: Vec<(usize, TypeId)> = streams.iter().map(|d| (d.proc.index(), d.ty)).collect();
         if let Some(w) = have.windows(2).find(|w| w[0] == w[1]) {
             return Err(format!(
                 "duplicate download stream (slot {}, type {})",
@@ -1008,10 +1014,25 @@ impl LivePlatform {
                 "residents need (slot {u}, type {ty}) but the ledger has no stream"
             ));
         }
-        if let Some((multi, sol)) = self.snapshot() {
-            verify_joint(&multi, &sol).map_err(|e| format!("verify_joint failed: {e}"))?;
-        }
-        Ok(())
+        self.joint_check(&streams)
+    }
+
+    /// Rule 6 of [`audit`](Self::audit): [`check_joint`] on the live tier
+    /// in place — each tenant's instance and assignment, the slot table
+    /// with its tombstones, the ledger's `streams` (sorted) and this
+    /// platform's own environment — with every violation as text.
+    /// Compaction keeps the `(slot, type, server)` order, so on a platform
+    /// that passes rules 1–5, and whose tenants carry its environment, it
+    /// adds the same terms in the same order as [`verify_joint`] on the
+    /// [`snapshot`](Self::snapshot): it accepts and rejects exactly what
+    /// that does, without cloning a tenant.
+    fn joint_check(&self, streams: &[Download]) -> Result<(), String> {
+        let apps = self.tenants.values();
+        let apps = apps.map(|t| (&t.inst, t.assignment.as_slice()));
+        check_joint(&self.platform, &self.objects, &self.slots, apps, streams).map_err(|v| {
+            let v: Vec<String> = v.iter().map(ToString::to_string).collect();
+            format!("joint capacity check failed: {}", v.join("; "))
+        })
     }
 
     /// Compacts the live platform into an offline snapshot: a
@@ -1042,7 +1063,7 @@ impl LivePlatform {
                     .collect()
             })
             .collect();
-        let mut downloads: Vec<snsp_core::mapping::Download> = self
+        let mut downloads: Vec<Download> = self
             .ledger
             .downloads()
             .into_iter()
@@ -1349,6 +1370,35 @@ mod tests {
         let mut broken = live.clone();
         broken.residents[u].blocks.pop_first();
         assert!(broken.audit().is_err(), "a dropped block must be caught");
+        // Only rule 6 reads server capacity: squeeze the platform's own
+        // NIC of a server below the streams it serves.
+        let streams = live.ledger.downloads();
+        let server = streams[0].server;
+        let served: f64 = streams
+            .iter()
+            .filter(|d| d.server == server)
+            .map(|d| live.objects.rate(d.ty))
+            .sum();
+        let mut broken = live.clone();
+        broken.platform.servers[server.index()].nic_bandwidth = served / 2.0;
+        let err = broken
+            .audit()
+            .expect_err("an overloaded server NIC must be caught");
+        assert!(
+            err.starts_with("joint capacity check failed: ")
+                && err.contains(&format!("server {server} NIC")),
+            "{err}"
+        );
+        // A tombstone carrying load is an overload, not a skipped slot.
+        let mut broken = live.clone();
+        broken.slots[u] = None;
+        let err = broken
+            .joint_check(&streams)
+            .expect_err("load on a tombstone");
+        assert!(
+            err.contains(&format!("processor {u} CPU load inf")),
+            "{err}"
+        );
     }
 
     /// 80 random admit / depart / fail steps over 10–40-op tenants at
@@ -1404,6 +1454,13 @@ mod tests {
                     }
                 }
                 live.audit().unwrap_or_else(|e| panic!("step {id}: {e}"));
+                // The in-place check and the snapshot path agree.
+                live.joint_check(&live.ledger.downloads())
+                    .unwrap_or_else(|e| panic!("step {id}: {e}"));
+                if live.tenant_count() > 0 {
+                    let (multi, sol) = live.snapshot().expect("every tenant is valid");
+                    verify_joint(&multi, &sol).unwrap_or_else(|e| panic!("step {id}: {e}"));
+                }
             });
             merges
         });
