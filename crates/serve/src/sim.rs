@@ -6,9 +6,14 @@
 //!
 //! * Each arrival and departure joins its home shard's pending batch.
 //! * At a **tick barrier** — a trace processor failure, a fault-plan
-//!   event, or the end of the trace — every shard replays its batch in
-//!   parallel on the sweep pool and reports what it committed as
-//!   [`ShardMsg`]s.
+//!   event, or the end of the trace — every shard replays its batch and
+//!   reports what it committed as [`ShardMsg`]s. A tick of at least
+//!   `INLINE_TICK_EVENTS` (256) events fans its batches out in parallel
+//!   on the sweep pool; a smaller one replays them in shard order on the
+//!   calling thread, since moving a few events per shard to fresh
+//!   threads costs more than replaying them. Fault plans put a barrier
+//!   every few dozen events, so their ticks run inline; long
+//!   barrier-free stretches fan out.
 //! * The coordinator folds the tick's messages in `(time, shard, seq)`
 //!   order: `∫ cost dt`, time-weighted utilization, peaks, the event log
 //!   and the `serve.*` counters all derive from each message's typed
@@ -22,6 +27,13 @@
 //! interleaving — so logs, metrics and final states are byte-identical at
 //! any worker count. Under an empty plan no fault mechanism runs: no
 //! retry index, no audits, no message faults.
+//!
+//! Overlay spans time the layers without nesting: `serve.tick.replay`
+//! (the batches, inline or fanned out), `serve.tick.fold` (merge, sort,
+//! message recovery and fold), `serve.fail` (global failure lotteries),
+//! `fault.checkpoint` and `fault.restore` (a crash's clone, and its
+//! restore and re-replay), `fault.audit` and `serve.validate` (final
+//! engine validation), all inside `serve.replay`, the whole replay.
 //!
 //! SLO enforcement is analytic at admission time (joint constraints hold
 //! by construction) and *validated* by spot-running the `snsp-engine`
@@ -39,7 +51,7 @@ use snsp_engine::{meets_slo, SimConfig};
 use snsp_gen::{trace_environment, TenantSpec, TimedEvent, Trace, TraceEvent};
 use snsp_sweep::PIPELINE_SEED_STRIDE;
 use snsp_telemetry::trace::{LogicalTime, TraceEventKind};
-use snsp_telemetry::{Class, Counter, Gauge, Histogram};
+use snsp_telemetry::{Class, Counter, Gauge, Histogram, Span};
 
 #[cfg(doc)]
 use crate::fault::FLIGHT_WINDOW_TICKS;
@@ -86,6 +98,26 @@ static DEGRADE_SHED: Counter = Counter::new("fault.degrade.shed", Class::Det);
 static AUDIT_FAILURES: Counter = Counter::new("fault.audit.failures", Class::Det);
 /// Events re-replayed from checkpoint per crash recovery.
 static RECOVERY_REPLAYED: Histogram = Histogram::new("fault.recovery.replayed_events", Class::Det);
+// Wall-clock spans over the replay's layers (Overlay, like every span).
+// They never nest in one another, so their totals add up to the share
+// of `serve.replay` they explain.
+static SPAN_REPLAY: Span = Span::new("serve.replay");
+static SPAN_TICK_REPLAY: Span = Span::new("serve.tick.replay");
+static SPAN_TICK_FOLD: Span = Span::new("serve.tick.fold");
+static SPAN_FAIL: Span = Span::new("serve.fail");
+static SPAN_VALIDATE: Span = Span::new("serve.validate");
+static SPAN_CHECKPOINT: Span = Span::new("fault.checkpoint");
+static SPAN_RESTORE: Span = Span::new("fault.restore");
+static SPAN_AUDIT: Span = Span::new("fault.audit");
+
+/// A tick with fewer events than this replays its shard batches on the
+/// calling thread. Such a tick's shards hold a few events each, and
+/// handing them to fresh pool threads costs more than replaying them:
+/// on a 16-shard trace at 2 workers, fanning out ticks of 37 and 110
+/// events lost to one thread, the two were about even at 370 events,
+/// and the fan-out won from about 1,000. Results never depend on the
+/// worker count, so this moves nothing but the wall time.
+const INLINE_TICK_EVENTS: u64 = 256;
 
 /// Serving-loop policy knobs. Arriving tenants are placed by
 /// Subtree-Bottom-Up, the paper's overall winner, and every departure
@@ -189,6 +221,7 @@ pub(crate) fn replay(
     opts: &ShardOptions,
     plan: &FaultPlan,
 ) -> (TraceReport, ChaosStats, ShardedPlatform) {
+    let _replay = SPAN_REPLAY.start();
     let opts = opts.clamped();
     let (objects, platform) = trace_environment(&trace.params, trace.seed);
     let sharded = ShardedPlatform::new(objects, platform, opts.shards);
@@ -294,7 +327,8 @@ struct Engine<'a> {
 }
 
 impl Engine<'_> {
-    /// Drains the pending tick: replays every shard's batch in parallel,
+    /// Drains the pending tick: replays every shard's batch — in parallel
+    /// from [`INLINE_TICK_EVENTS`] events on, else on this thread —
     /// crashes (and recovers) the `crash_victims`, injects and recovers
     /// message faults, and folds the canonical message stream.
     fn flush(&mut self, crash_victims: &[usize]) {
@@ -312,9 +346,17 @@ impl Engine<'_> {
         // Checkpoints: the victims' state at the last barrier is exactly
         // their current state (batches are in flight, not committed).
         let checkpoint = |s: usize| (s, self.sharded.shard(s).clone(), self.admitted[s]);
-        let ckpts: Vec<(usize, LivePlatform, usize)> =
-            crash_victims.iter().map(|&s| checkpoint(s)).collect();
+        let ckpts: Vec<(usize, LivePlatform, usize)> = {
+            let _checkpoint = (!crash_victims.is_empty()).then(|| SPAN_CHECKPOINT.start());
+            crash_victims.iter().map(|&s| checkpoint(s)).collect()
+        };
+        let workers = if events < INLINE_TICK_EVENTS {
+            1
+        } else {
+            self.workers
+        };
         let (results, pool) = {
+            let _replay = SPAN_TICK_REPLAY.start();
             // Each worker gets exclusive access to one (shard, batch,
             // counter) cell; every cell is locked exactly once, so the
             // mutexes are uncontended bookkeeping, not synchronization.
@@ -324,7 +366,7 @@ impl Engine<'_> {
                 .zip(self.admitted.iter_mut())
                 .map(|((live, batch), count)| Mutex::new((live, batch, count)))
                 .collect();
-            run_jobs_checked(cells.len(), self.workers, |s| {
+            run_jobs_checked(cells.len(), workers, |s| {
                 let mut cell = cells[s].lock().expect("each cell is locked once");
                 let (live, batch, count) = &mut *cell;
                 replay_batch(s, live, batch, run, config, count, tick)
@@ -346,6 +388,7 @@ impl Engine<'_> {
         // re-replayed events twice; the Det stream collapses the exact
         // duplicates, keeping only the `crash`/`restore` markers.)
         for (s, ckpt, adm) in ckpts {
+            let _restore = SPAN_RESTORE.start();
             trace_det(run, tick, s, 0, TraceEventKind::Crash { shard: s as u64 });
             *self.sharded.shard_mut(s) = ckpt;
             self.admitted[s] = adm;
@@ -365,6 +408,7 @@ impl Engine<'_> {
             FAULT_RECOVERIES.incr();
             RECOVERY_REPLAYED.record(replayed as f64);
         }
+        let fold_span = SPAN_TICK_FOLD.start();
         let mut msgs: Vec<ShardMsg> = Vec::new();
         for (s, (mut shard_msgs, shard_lat)) in outcomes.into_iter().enumerate() {
             if msgs.is_empty() {
@@ -398,6 +442,7 @@ impl Engine<'_> {
             }
             self.fold(msg);
         }
+        drop(fold_span);
         self.batches.iter_mut().for_each(Vec::clear);
         // Sustained pressure ⇒ shed (at the barrier, so the decision is
         // a pure fold of the tick's canonical message stream).
@@ -511,6 +556,7 @@ impl Engine<'_> {
     /// and revocation kills all share this path): folds the failure and
     /// its evictions, and queues the evicted tenants for retry.
     fn fail_global(&mut self, t: f64, lottery: u64, cause: FailCause) {
+        let _fail = SPAN_FAIL.start();
         let Some((s, out)) = self.sharded.fail(lottery) else {
             return;
         };
@@ -688,7 +734,11 @@ impl Engine<'_> {
     /// also triggers a flight-recorder dump pointing at the suspect
     /// shard's first event in the retained window.
     fn audit_now(&mut self, t: f64) {
-        if let Err((shard, e)) = audit_platform_located(&self.sharded) {
+        let audit = {
+            let _audit = SPAN_AUDIT.start();
+            audit_platform_located(&self.sharded)
+        };
+        if let Err((shard, e)) = audit {
             self.stats.audit_failures += 1;
             AUDIT_FAILURES.incr();
             let first = &mut self.stats.audit_first;
@@ -725,6 +775,7 @@ impl Engine<'_> {
     /// integral step, and the per-replay telemetry.
     fn finish(mut self, horizon: f64) -> (TraceReport, ChaosStats, ShardedPlatform) {
         if self.config.final_validation {
+            let _validate = SPAN_VALIDATE.start();
             for s in 0..self.sharded.shard_count() {
                 let checked = validate_residents(self.sharded.shard(s), self.config);
                 self.note(horizon, checked);

@@ -8,6 +8,7 @@
 use std::sync::{Mutex, MutexGuard};
 
 use snsp::prelude::*;
+use snsp::serve::FaultKind;
 use snsp::telemetry::{Class, Snapshot};
 
 /// Collection is process-global, so a campaign one test runs outside
@@ -296,6 +297,89 @@ fn chaos_campaign_telemetry_reconciles_and_is_worker_independent() {
             base_det,
             det_core(&snap),
             "chaos det core diverged at {workers} workers"
+        );
+    }
+}
+
+/// Each non-empty tick of a chaos replay: its trace events and whether a
+/// shard crash closed it. A tick closes at every plan event and at every
+/// trace processor failure, and holds the arrivals and departures since
+/// the previous one.
+fn chaos_ticks(trace: &Trace, plan: &FaultPlan) -> Vec<(usize, bool)> {
+    let is_fail = |e: &TraceEvent| matches!(e, TraceEvent::ProcessorFail { .. });
+    let mut barriers: Vec<(f64, bool)> = plan
+        .events
+        .iter()
+        .map(|f| (f.time, matches!(f.kind, FaultKind::ShardCrash { .. })))
+        .collect();
+    let fails = trace.events.iter().filter(|e| is_fail(&e.event));
+    barriers.extend(fails.map(|e| (e.time, false)));
+    barriers.push((f64::INFINITY, false));
+    barriers.sort_by(|a, b| a.0.total_cmp(&b.0));
+    let mut ticks = Vec::new();
+    let mut from = f64::NEG_INFINITY;
+    for (to, crash) in barriers {
+        let held = trace.events.iter().filter(|e| !is_fail(&e.event));
+        let events = held.filter(|e| from < e.time && e.time < to).count();
+        if events > 0 || crash {
+            ticks.push((events, crash));
+        }
+        from = to;
+    }
+    ticks
+}
+
+/// Most chaos ticks hold a few events and replay on the calling thread,
+/// so this replay's ticks fall on both sides of the inline bound (256
+/// events), with a crash on a fanned-out tick, message faults, a
+/// revocation and retries. Log, chaos stats and fingerprint agree at 1,
+/// 2 and 4 workers, and the multi-worker runs really fan out.
+#[test]
+fn chaos_replay_with_fanned_out_ticks_is_worker_independent() {
+    let _serial = serial();
+    let params = TraceParams::heavy(150.0, 0.4, 4.0)
+        .with_failures(0.5)
+        .with_tenant_rho(2.0, 6.0);
+    let trace = generate_trace(&params, 4);
+    let spec = FaultSpec::seeded(2)
+        .with_crashes(0.75)
+        .with_msg_faults(0.05, 0.05, 0.05)
+        .with_revocation(2.0, 2.4, 0.5)
+        .with_retry(RetryPolicy {
+            base: 0.05,
+            ..RetryPolicy::standard()
+        });
+    let plan = FaultPlan::instantiate(&spec, params.horizon);
+    let ticks = chaos_ticks(&trace, &plan);
+    assert!(
+        ticks.iter().any(|&(events, _)| events < 256)
+            && ticks.iter().any(|&(events, crash)| crash && events >= 256),
+        "ticks on both sides of the bound, one crashed: {ticks:?}"
+    );
+    let replay = |workers| {
+        let opts = ShardOptions { shards: 2, workers };
+        let config = ServeConfig::default();
+        capture(|| replay_trace_chaos(&trace, &config, &opts, &plan))
+    };
+    let ((base, _), snap) = replay(1);
+    let stats = &base.stats;
+    assert_eq!(stats.crashes, plan.crash_count());
+    assert_eq!(stats.revocations, 1);
+    assert!(stats.msgs_dropped + stats.msgs_duplicated + stats.msgs_delayed > 0);
+    assert!(
+        stats.retry_enqueued > 0 && stats.readmitted > 0,
+        "{stats:?}"
+    );
+    assert_eq!(stats.audit_failures, 0, "{:?}", stats.audit_first);
+    assert_eq!(snap.counter("pool.steals").unwrap_or(0), 0, "one worker");
+    for workers in [2usize, 4] {
+        let ((chaos, _), snap) = replay(workers);
+        assert_eq!(chaos.base.log, base.base.log, "{workers} workers");
+        assert_eq!(chaos.stats, base.stats, "{workers} workers");
+        assert_eq!(chaos.fingerprint, base.fingerprint, "{workers} workers");
+        assert!(
+            snap.counter("pool.steals").unwrap_or(0) > 0,
+            "{workers} workers never fanned a tick out"
         );
     }
 }
