@@ -330,6 +330,7 @@ impl<'a> GroupBuilder<'a> {
     }
 
     /// Number of unassigned operators.
+    #[cfg(test)]
     pub fn unassigned_count(&self) -> usize {
         self.op_group.iter().filter(|g| g.is_none()).count()
     }
@@ -345,6 +346,7 @@ impl<'a> GroupBuilder<'a> {
     }
 
     /// Ids of all live groups.
+    #[cfg(test)]
     pub fn live_groups(&self) -> Vec<usize> {
         (0..self.groups.len())
             .filter(|&g| self.groups[g].alive)
@@ -528,6 +530,7 @@ impl<'a> GroupBuilder<'a> {
 
     /// Whether `op` is in the current probe session.
     #[inline]
+    #[cfg(test)]
     pub fn probe_contains(&self, op: OpId) -> bool {
         self.probe.in_set[op.index()]
     }

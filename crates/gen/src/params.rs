@@ -107,12 +107,6 @@ impl ScenarioParams {
         self.n_servers = n_servers;
         self
     }
-
-    /// Overrides ρ.
-    pub fn with_rho(mut self, rho: f64) -> Self {
-        self.rho = rho;
-        self
-    }
 }
 
 #[cfg(test)]
@@ -136,12 +130,10 @@ mod tests {
             .with_sizes(SizeRange::LARGE)
             .with_freq(Frequency::LOW)
             .with_replicas(2, 3)
-            .with_servers(24)
-            .with_rho(0.5);
+            .with_servers(24);
         assert_eq!(p.sizes, SizeRange::LARGE);
         assert_eq!(p.freq, Frequency::LOW);
         assert_eq!((p.min_replicas, p.max_replicas), (2, 3));
         assert_eq!(p.n_servers, 24);
-        assert!((p.rho - 0.5).abs() < 1e-12);
     }
 }

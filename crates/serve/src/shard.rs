@@ -57,7 +57,6 @@ use std::time::Instant;
 
 use snsp_core::heuristics::SubtreeBottomUp;
 use snsp_core::ids::{ProcId, TenantId};
-use snsp_core::multi::{MultiInstance, MultiSolution};
 use snsp_core::object::ObjectCatalog;
 use snsp_core::platform::Platform;
 use snsp_gen::{tenant_instance, TenantSpec, TimedEvent, TraceEvent};
@@ -516,13 +515,6 @@ impl ShardedPlatform {
         unreachable!("lottery index within total live count")
     }
 
-    /// Per-shard offline snapshots, in shard order (see
-    /// [`LivePlatform::snapshot`]).
-    #[allow(clippy::type_complexity)]
-    pub fn snapshots(&self) -> Vec<Option<(MultiInstance, MultiSolution)>> {
-        self.shards.iter().map(LivePlatform::snapshot).collect()
-    }
-
     /// A structural FNV-1a fingerprint of the final state: per shard (in
     /// shard order) the cost, purchased kinds, resident tenants with
     /// their full assignments, and the sorted download set. Two platforms
@@ -809,8 +801,10 @@ mod tests {
         }
         assert!(sharded.tenant_count() > 0);
         let mut resident = 0;
-        for snap in sharded.snapshots().into_iter().flatten() {
-            let (multi, sol) = snap;
+        for s in 0..sharded.shard_count() {
+            let Some((multi, sol)) = sharded.shard(s).snapshot() else {
+                continue;
+            };
             verify_joint(&multi, &sol).expect("shard snapshot verifies");
             resident += sol.assignments.len();
         }

@@ -67,11 +67,11 @@ fn rho_zero_point_five_is_never_harder_than_rho_one() {
     // feasible at ρ = 1 must stay feasible at ρ = 0.5 with cost no larger.
     for seed in 0..3u64 {
         let hard = snsp_gen::generate(&ScenarioParams::paper(40, 1.6), TreeShape::Random, seed);
-        let easy = snsp_gen::generate(
-            &ScenarioParams::paper(40, 1.6).with_rho(0.5),
-            TreeShape::Random,
-            seed,
-        );
+        let easy = ScenarioParams {
+            rho: 0.5,
+            ..ScenarioParams::paper(40, 1.6)
+        };
+        let easy = snsp_gen::generate(&easy, TreeShape::Random, seed);
         for h in all_heuristics() {
             let mut rng = StdRng::seed_from_u64(seed);
             let hard_sol = solve(h.as_ref(), &hard, &mut rng, &PipelineOptions::default());

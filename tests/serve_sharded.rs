@@ -192,8 +192,10 @@ fn final_shard_snapshots_verify_jointly() {
     );
     assert!(report.admitted > 0);
     let mut resident = 0;
-    for snap in platform.snapshots().into_iter().flatten() {
-        let (multi, sol) = snap;
+    for s in 0..platform.shard_count() {
+        let Some((multi, sol)) = platform.shard(s).snapshot() else {
+            continue;
+        };
         verify_joint(&multi, &sol).expect("shard snapshot verifies");
         resident += sol.assignments.len();
     }
