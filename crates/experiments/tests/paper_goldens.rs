@@ -1,6 +1,8 @@
 //! Tier-1 gate on the committed stable outputs: every recipe in
-//! [`RECIPES`] — the paper's six §5 sweep grids and the two refine grids
-//! — is rerun through the experiments CLI in stable form and compared
+//! [`RECIPES`] — the `ci` sweep (the branch-and-bound reference on the
+//! tiny points), the `large-n` sweep (all six heuristics at N =
+//! 250–2000), the paper's six §5 sweep grids and the two refine grids —
+//! is rerun through the experiments CLI in stable form and compared
 //! with its committed golden under `golden/` by
 //! `snsp_sweep::diff_reports`, which holds every deterministic column
 //! fixed. A change that moves one heuristic's cost at one point of one
@@ -15,7 +17,9 @@ use snsp_sweep::json::{parse, Json};
 
 /// Every gated recipe: the experiments CLI arguments (always run with
 /// `--stable-json`) and the golden file under `golden/` they reproduce.
-const RECIPES: [(&str, &str); 8] = [
+const RECIPES: [(&str, &str); 10] = [
+    ("sweep --grid ci --seeds 2", "sweep-ci.json"),
+    ("sweep --grid large-n --seeds 3", "sweep-large-n.json"),
     ("sweep --grid fig2a --seeds 10", "sweep-fig2a.json"),
     ("sweep --grid fig2b --seeds 10", "sweep-fig2b.json"),
     ("sweep --grid fig3 --seeds 10", "sweep-fig3.json"),

@@ -10,12 +10,18 @@
 //! change. The exact solver is pinned the same way against its retained
 //! reference implementation.
 //!
-//! The N = 1000 and 2000 grid takes about 14 s in a debug build, so it
-//! runs only in release: `cargo test --release --test incremental_stability`.
+//! Both engines run the same heuristic drivers, so a driver change would
+//! move them together. Object-Grouping's and Object-Availability's
+//! drivers are therefore also pinned to committed fingerprints of their
+//! `place` results (every group's kind and operator list, or the error
+//! text) over N = 5–2000, α = 0.5–2.0 and four scenarios.
+//!
+//! The N = 1000 and 2000 grids take about 14 s in a debug build, so they
+//! run only in release: `cargo test --release --test incremental_stability`.
 
 use snsp::prelude::*;
-use snsp_core::heuristics::{GroupBuilder, PlacementOptions};
-use snsp_gen::{generate, SizeRange};
+use snsp_core::heuristics::{GroupBuilder, HeuristicError, PlacedOps, PlacementOptions};
+use snsp_gen::{generate, Frequency, SizeRange};
 use snsp_solver::solve_exact_reference;
 
 fn pipelines() -> (PipelineOptions, PipelineOptions) {
@@ -122,6 +128,152 @@ fn heuristics_match_oracle_on_large_objects() {
     let large = |n| ScenarioParams::paper(n, 0.9).with_sizes(SizeRange::LARGE);
     let feasible = run_grid(&[large(5), large(15)], 3);
     assert_eq!(feasible, 30, "feasible solves of 54");
+}
+
+/// One row of the placement pins: a scenario the two object heuristics
+/// are fingerprinted on.
+struct PinScenario {
+    name: &'static str,
+    params: fn(usize, f64) -> ScenarioParams,
+    shape: TreeShape,
+}
+
+const PIN_SCENARIOS: [PinScenario; 4] = [
+    PinScenario {
+        name: "paper",
+        params: ScenarioParams::paper,
+        shape: TreeShape::Random,
+    },
+    PinScenario {
+        name: "large-object",
+        params: |n, alpha| ScenarioParams::paper(n, alpha).with_sizes(SizeRange::LARGE),
+        shape: TreeShape::Random,
+    },
+    PinScenario {
+        name: "low-frequency",
+        params: |n, alpha| ScenarioParams::paper(n, alpha).with_freq(Frequency::LOW),
+        shape: TreeShape::Random,
+    },
+    PinScenario {
+        name: "left-deep",
+        params: ScenarioParams::paper,
+        shape: TreeShape::LeftDeep,
+    },
+];
+
+const PIN_ALPHAS: [f64; 5] = [0.5, 0.9, 1.3, 1.7, 2.0];
+
+/// What a run of `place` results contributes to a pin: an FNV-1a hash
+/// over every group's kind and operator list, in order, or the error
+/// text, plus the group and error counts the hash stands for.
+struct Fingerprint {
+    groups: usize,
+    errors: usize,
+    hash: u64,
+}
+
+impl Fingerprint {
+    fn new() -> Self {
+        Fingerprint {
+            groups: 0,
+            errors: 0,
+            hash: 0xcbf2_9ce4_8422_2325,
+        }
+    }
+
+    fn eat(&mut self, text: &str) {
+        for &b in text.as_bytes() {
+            self.hash = (self.hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    fn add(&mut self, placed: Result<PlacedOps, HeuristicError>) {
+        match placed {
+            Ok(placed) => {
+                for g in &placed.groups {
+                    self.eat(&format!("{}:{:?};", g.kind, g.ops));
+                }
+                self.groups += placed.groups.len();
+            }
+            Err(e) => {
+                self.eat(&format!("{e};"));
+                self.errors += 1;
+            }
+        }
+        self.eat("|");
+    }
+}
+
+/// Fingerprints Object-Grouping's and Object-Availability's `place` over
+/// every scenario × α × size × seed and compares each (heuristic,
+/// scenario) row, rendered as "heuristic scenario groups errors hash",
+/// with its pin. The pins were taken before the two drivers' bookkeeping
+/// was rewritten, so any changed placement fails.
+fn assert_placements_pinned(sizes: &[usize], seeds: u64, pins: [&str; 8]) {
+    let heuristics: [&dyn Heuristic; 2] = [&ObjectGrouping, &ObjectAvailability];
+    let mut rows = Vec::new();
+    for h in heuristics {
+        for sc in &PIN_SCENARIOS {
+            let mut fp = Fingerprint::new();
+            for &alpha in &PIN_ALPHAS {
+                for &n in sizes {
+                    for seed in 0..seeds {
+                        let inst = generate(&(sc.params)(n, alpha), sc.shape, seed);
+                        let mut rng = StdRng::seed_from_u64(seed);
+                        fp.add(h.place(&inst, &mut rng, &PlacementOptions::default()));
+                    }
+                }
+            }
+            let (groups, errors, hash) = (fp.groups, fp.errors, fp.hash);
+            rows.push(format!("{} {} {groups} {errors} {hash}", h.name(), sc.name));
+        }
+    }
+    let moved: Vec<String> = rows
+        .iter()
+        .zip(pins)
+        .filter(|(row, pin)| row != pin)
+        .map(|(row, pin)| format!("  {row}\n    pinned {pin}"))
+        .collect();
+    assert!(
+        moved.is_empty(),
+        "placements moved:\n{}\nall rows:\n{rows:#?}",
+        moved.join("\n")
+    );
+}
+
+#[test]
+fn object_heuristic_placements_are_pinned_to_n500() {
+    let sizes = [5, 10, 15, 20, 30, 40, 60, 80, 100, 140, 200, 300, 500];
+    let pins = [
+        "Object-Grouping paper 227 47 7464349261582159996",
+        "Object-Grouping large-object 36 171 14932509996962705503",
+        "Object-Grouping low-frequency 229 47 16056084911830355888",
+        "Object-Grouping left-deep 237 64 15220699104961861858",
+        "Object-Availability paper 1475 45 1219679465968748173",
+        "Object-Availability large-object 39 171 11577169554663354087",
+        "Object-Availability low-frequency 1478 45 8454526359016667340",
+        "Object-Availability left-deep 2361 64 17417154243319091361",
+    ];
+    assert_placements_pinned(&sizes, 3, pins);
+}
+
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "N = 1000/2000; run with cargo test --release"
+)]
+fn object_heuristic_placements_are_pinned_at_n1000_and_n2000() {
+    let pins = [
+        "Object-Grouping paper 12 18 7997364534513967534",
+        "Object-Grouping large-object 0 30 13283075377733901023",
+        "Object-Grouping low-frequency 12 18 16943406131279056186",
+        "Object-Grouping left-deep 11 24 6736643704428939224",
+        "Object-Availability paper 42 18 14792436623746193774",
+        "Object-Availability large-object 0 30 3566295961051704157",
+        "Object-Availability low-frequency 42 18 16287350020677637166",
+        "Object-Availability left-deep 201 24 8418562205766773988",
+    ];
+    assert_placements_pinned(&[1000, 2000], 3, pins);
 }
 
 /// Grows one group of the most expensive kind across the whole `n`-op
