@@ -14,6 +14,7 @@
 //!    unchanged if that is impossible.
 
 use rand::RngCore;
+use snsp_telemetry::Span;
 
 use super::common::{GroupBuilder, HeuristicError, KindPolicy, PlacedOps, PlacementOptions};
 use super::Heuristic;
@@ -23,6 +24,10 @@ use crate::instance::Instance;
 /// Greedy grouping by communication demand.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CommGreedy;
+
+/// Times every [`CommGreedy`] placement (overlay: one relaxed load while
+/// telemetry is off).
+static PLACE_SPAN: Span = Span::new("heuristics.place.comm-greedy");
 
 impl Heuristic for CommGreedy {
     fn name(&self) -> &'static str {
@@ -35,6 +40,7 @@ impl Heuristic for CommGreedy {
         _rng: &mut dyn RngCore,
         opts: &PlacementOptions,
     ) -> Result<PlacedOps, HeuristicError> {
+        let _span = PLACE_SPAN.start();
         let mut edges: Vec<(OpId, OpId, f64)> = inst.tree.edges().collect();
         edges.sort_by(|a, b| b.2.partial_cmp(&a.2).unwrap().then(a.1.cmp(&b.1)));
 

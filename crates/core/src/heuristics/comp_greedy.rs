@@ -9,6 +9,7 @@
 //! order as long as they fit.
 
 use rand::RngCore;
+use snsp_telemetry::Span;
 
 use super::common::{GroupBuilder, HeuristicError, KindPolicy, PlacedOps, PlacementOptions};
 use super::Heuristic;
@@ -18,6 +19,10 @@ use crate::instance::Instance;
 /// Greedy packing by computation demand.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CompGreedy;
+
+/// Times every [`CompGreedy`] placement (overlay: one relaxed load while
+/// telemetry is off).
+static PLACE_SPAN: Span = Span::new("heuristics.place.comp-greedy");
 
 /// Operators sorted by non-increasing work, ties broken by id for
 /// determinism.
@@ -69,6 +74,7 @@ impl Heuristic for CompGreedy {
         _rng: &mut dyn RngCore,
         opts: &PlacementOptions,
     ) -> Result<PlacedOps, HeuristicError> {
+        let _span = PLACE_SPAN.start();
         let order = by_decreasing_work(inst);
         let mut builder = GroupBuilder::new(inst, *opts);
         while let Some(&seed) = order.iter().find(|&&op| builder.is_unassigned(op)) {

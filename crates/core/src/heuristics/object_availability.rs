@@ -8,6 +8,7 @@
 //! operators are placed like Comp-Greedy (non-increasing `w_i`).
 
 use rand::RngCore;
+use snsp_telemetry::Span;
 
 use super::common::{GroupBuilder, HeuristicError, KindPolicy, PlacedOps, PlacementOptions};
 use super::comp_greedy::{by_decreasing_work, pack_group};
@@ -18,6 +19,10 @@ use crate::instance::Instance;
 /// Scarcity-driven grouping of al-operators.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ObjectAvailability;
+
+/// Times every [`ObjectAvailability`] placement (overlay: one relaxed load while
+/// telemetry is off).
+static PLACE_SPAN: Span = Span::new("heuristics.place.object-availability");
 
 impl Heuristic for ObjectAvailability {
     fn name(&self) -> &'static str {
@@ -30,6 +35,7 @@ impl Heuristic for ObjectAvailability {
         _rng: &mut dyn RngCore,
         opts: &PlacementOptions,
     ) -> Result<PlacedOps, HeuristicError> {
+        let _span = PLACE_SPAN.start();
         // Object types used by the tree, scarcest first.
         let mut types: Vec<TypeId> = inst.tree.used_types();
         types.sort_by_key(|&t| (inst.platform.placement.availability(t), t));

@@ -11,6 +11,7 @@
 use std::collections::BTreeSet;
 
 use rand::RngCore;
+use snsp_telemetry::Span;
 
 use super::common::{GroupBuilder, HeuristicError, KindPolicy, PlacedOps, PlacementOptions};
 use super::comp_greedy::{by_decreasing_work, pack_group};
@@ -21,6 +22,10 @@ use crate::instance::Instance;
 /// Popularity-driven grouping of al-operators.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ObjectGrouping;
+
+/// Times every [`ObjectGrouping`] placement (overlay: one relaxed load while
+/// telemetry is off).
+static PLACE_SPAN: Span = Span::new("heuristics.place.object-grouping");
 
 /// `popularity[k]` = number of operators needing object type `k`.
 pub(crate) fn popularities(inst: &Instance) -> Vec<usize> {
@@ -44,6 +49,7 @@ impl Heuristic for ObjectGrouping {
         _rng: &mut dyn RngCore,
         opts: &PlacementOptions,
     ) -> Result<PlacedOps, HeuristicError> {
+        let _span = PLACE_SPAN.start();
         let pop = popularities(inst);
         let op_popularity = |op: OpId| -> usize {
             inst.types_needed_by(op)

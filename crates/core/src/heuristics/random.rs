@@ -7,6 +7,7 @@
 //! the neighbour's processor if it had one).
 
 use rand::RngCore;
+use snsp_telemetry::Span;
 
 use super::common::{GroupBuilder, HeuristicError, KindPolicy, PlacedOps, PlacementOptions};
 use super::Heuristic;
@@ -15,6 +16,10 @@ use crate::instance::Instance;
 /// The random placement baseline.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Random;
+
+/// Times every [`Random`] placement (overlay: one relaxed load while
+/// telemetry is off).
+static PLACE_SPAN: Span = Span::new("heuristics.place.random");
 
 impl Heuristic for Random {
     fn name(&self) -> &'static str {
@@ -28,6 +33,7 @@ impl Heuristic for Random {
         opts: &PlacementOptions,
     ) -> Result<PlacedOps, HeuristicError> {
         use rand::Rng;
+        let _span = PLACE_SPAN.start();
         let mut builder = GroupBuilder::new(inst, *opts);
         // The pool mirrors `builder.unassigned()` (ascending id order, so
         // the RNG draws are unchanged) but is maintained in place instead

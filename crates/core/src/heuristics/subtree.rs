@@ -17,6 +17,7 @@
 //!    fallback included).
 
 use rand::RngCore;
+use snsp_telemetry::Span;
 
 use super::common::{GroupBuilder, HeuristicError, KindPolicy, PlacedOps, PlacementOptions};
 use super::Heuristic;
@@ -25,6 +26,10 @@ use crate::instance::Instance;
 /// Bottom-up subtree merging.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SubtreeBottomUp;
+
+/// Times every [`SubtreeBottomUp`] placement (overlay: one relaxed load while
+/// telemetry is off).
+static PLACE_SPAN: Span = Span::new("heuristics.place.subtree-bottom-up");
 
 impl Heuristic for SubtreeBottomUp {
     fn name(&self) -> &'static str {
@@ -37,6 +42,7 @@ impl Heuristic for SubtreeBottomUp {
         _rng: &mut dyn RngCore,
         opts: &PlacementOptions,
     ) -> Result<PlacedOps, HeuristicError> {
+        let _span = PLACE_SPAN.start();
         let mut builder = GroupBuilder::new(inst, *opts);
 
         // Phase 1: one most-expensive processor per al-operator.
