@@ -6,6 +6,20 @@
 //! each type the heuristic packs as many of the al-operators downloading
 //! that type as possible onto most-expensive processors. Remaining internal
 //! operators are placed like Comp-Greedy (non-increasing `w_i`).
+//!
+//! ## Cost per step
+//!
+//! The al-operators needing each type are listed once, in tree order,
+//! from [`InstanceIndex::op_types`](crate::index::InstanceIndex::op_types).
+//! A type's pass walks its own list only, with a cursor past the prefix
+//! already assigned, so opening a group costs the list's unassigned tail,
+//! not a filter of every al-operator.
+//!
+//! The cursor is exact because assignment only grows here: the packing
+//! loops only assign, and [`GroupBuilder::place_with_grouping`] re-assigns
+//! every operator of each group it dissolves to the group it returns, and
+//! restores those groups before it returns an error, which ends the run.
+//! So an operator once assigned stays assigned.
 
 use rand::RngCore;
 use snsp_telemetry::Span;
@@ -41,18 +55,25 @@ impl Heuristic for ObjectAvailability {
         types.sort_by_key(|&t| (inst.platform.placement.availability(t), t));
 
         let mut builder = GroupBuilder::new(inst, *opts);
+        let mut needing: Vec<Vec<OpId>> = vec![Vec::new(); builder.index().n_types()];
+        for op in inst.tree.al_operators() {
+            for ty in builder.index().op_types(op) {
+                needing[ty.index()].push(op);
+            }
+        }
         for ty in types {
+            let pending = &needing[ty.index()];
+            // `pending[..next]` are all assigned (see the module doc).
+            let mut next = 0;
             loop {
-                let pending: Vec<OpId> = inst
-                    .tree
-                    .al_operators()
-                    .filter(|&op| {
-                        builder.is_unassigned(op) && inst.types_needed_by(op).contains(&ty)
-                    })
-                    .collect();
-                let Some((&seed, rest)) = pending.split_first() else {
+                next += pending[next..]
+                    .iter()
+                    .take_while(|&&op| !builder.is_unassigned(op))
+                    .count();
+                let Some((&seed, rest)) = pending[next..].split_first() else {
                     break;
                 };
+                next += 1;
                 let g = builder.place_with_grouping(seed, KindPolicy::MostExpensive)?;
                 let kind = builder.group_kind(g);
                 builder.probe_load_group(g);
@@ -111,17 +132,14 @@ mod tests {
         types.sort_by_key(|&t| inst.platform.placement.availability(t));
         let scarce = types[0];
         let assign = placed.assignment();
-        let procs: std::collections::BTreeSet<_> = inst
+        let needing: Vec<OpId> = inst
             .tree
             .al_operators()
-            .filter(|&op| inst.types_needed_by(op).contains(&scarce))
-            .map(|op| assign[op.index()])
+            .filter(|&op| inst.tree.leaf_types(op).contains(&scarce))
             .collect();
-        let count = inst
-            .tree
-            .al_operators()
-            .filter(|&op| inst.types_needed_by(op).contains(&scarce))
-            .count();
+        let procs: std::collections::BTreeSet<_> =
+            needing.iter().map(|op| assign[op.index()]).collect();
+        let count = needing.len();
         assert!(procs.len() <= count, "sanity");
         if count >= 2 {
             assert!(procs.len() < count, "scarce-type al-operators should group");

@@ -176,7 +176,10 @@ mod tests {
         assert_eq!(idx.n_types(), 2);
         for op in inst.tree.ops() {
             assert_eq!(idx.work(op), inst.tree.work(op));
-            assert_eq!(idx.op_types(op), inst.types_needed_by(op).as_slice());
+            let mut types = inst.tree.leaf_types(op).to_vec();
+            types.sort_unstable();
+            types.dedup();
+            assert_eq!(idx.op_types(op), types.as_slice());
         }
         // op1 neighbours: child op2 (rate δ_op2), parent op0 (rate δ_op1).
         let nbs = idx.neighbors(OpId(1));

@@ -65,15 +65,6 @@ impl Instance {
         self.objects.rate(ty)
     }
 
-    /// Distinct object types needed by operator `op` (dedup within the
-    /// operator: downloading an object once serves both leaf slots).
-    pub fn types_needed_by(&self, op: OpId) -> Vec<TypeId> {
-        let mut tys = self.tree.leaf_types(op).to_vec();
-        tys.sort_unstable();
-        tys.dedup();
-        tys
-    }
-
     /// Bandwidth the tree edge above `child` would consume if cut:
     /// `ρ · δ_child` MB/s.
     #[inline]
@@ -180,7 +171,9 @@ mod tests {
         let mut platform = Platform::paper(1);
         platform.placement.add_holder(t0, ServerId(0));
         let inst = Instance::new(tree, objects, platform, 1.0).unwrap();
-        assert_eq!(inst.types_needed_by(OpId(0)), vec![t0]);
+        // Downloading an object once serves both leaf slots.
+        let index = crate::index::InstanceIndex::new(&inst);
+        assert_eq!(index.op_types(OpId(0)), &[t0]);
     }
 
     #[test]
