@@ -29,6 +29,8 @@
 //! So an operator once assigned stays assigned, and the assigned prefix
 //! only lengthens.
 
+use std::cmp::Reverse;
+
 use rand::RngCore;
 use snsp_telemetry::Span;
 
@@ -77,11 +79,7 @@ impl Heuristic for ObjectGrouping {
         let mut builder = GroupBuilder::new(inst, *opts);
         let popularity = op_popularities(builder.index());
         let mut al_ops: Vec<OpId> = inst.tree.al_operators().collect();
-        al_ops.sort_by(|&a, &b| {
-            popularity[b.index()]
-                .cmp(&popularity[a.index()])
-                .then(a.cmp(&b))
-        });
+        al_ops.sort_by_key(|&op| (Reverse(popularity[op.index()]), op));
         let work_order = by_decreasing_work(inst);
 
         // `al_ops[..next]` are all assigned (see the module doc).
