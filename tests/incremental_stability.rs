@@ -10,14 +10,15 @@
 //! change. The exact solver is pinned the same way against its retained
 //! reference implementation.
 //!
-//! Both engines run the same heuristic drivers, so a driver change would
+//! Both engines run the same heuristic loops, so a change to a loop would
 //! move them together. Object-Grouping's and Object-Availability's
-//! drivers are therefore also pinned to committed fingerprints of their
+//! placements are therefore also pinned to committed fingerprints of their
 //! `place` results (every group's kind and operator list, or the error
 //! text) over N = 5–2000, α = 0.5–2.0 and four scenarios.
 //!
-//! The N = 1000 and 2000 grids take about 14 s in a debug build, so they
-//! run only in release: `cargo test --release --test incremental_stability`.
+//! The N = 1000 and 2000 grids are slow in a debug build (the oracle grid
+//! about 14 s), so they run only in release:
+//! `cargo test --release --test incremental_stability`.
 
 use snsp::prelude::*;
 use snsp_core::heuristics::{GroupBuilder, HeuristicError, PlacedOps, PlacementOptions};
@@ -207,8 +208,8 @@ impl Fingerprint {
 /// Fingerprints Object-Grouping's and Object-Availability's `place` over
 /// every scenario × α × size × seed and compares each (heuristic,
 /// scenario) row, rendered as "heuristic scenario groups errors hash",
-/// with its pin. The pins were taken before the two drivers' bookkeeping
-/// was rewritten, so any changed placement fails.
+/// with its pin. The pins were taken before the two heuristics'
+/// bookkeeping was rewritten, so any changed placement fails.
 fn assert_placements_pinned(sizes: &[usize], seeds: u64, pins: [&str; 8]) {
     let heuristics: [&dyn Heuristic; 2] = [&ObjectGrouping, &ObjectAvailability];
     let mut rows = Vec::new();
