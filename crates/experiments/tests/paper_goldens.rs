@@ -1,8 +1,10 @@
 //! Tier-1 gate on the committed stable outputs: every recipe in
 //! [`RECIPES`] — the `ci` sweep (the branch-and-bound reference on the
 //! tiny points), the `large-n` sweep (all six heuristics at N =
-//! 250–2000), the paper's six §5 sweep grids and the two refine grids —
-//! is rerun through the experiments CLI in stable form and compared
+//! 250–2000), the paper's six §5 sweep grids, the two refine grids, and
+//! the `sharded-ci` serve and `ci` chaos grids on four campaign and
+//! replay workers (so the pool executor's multi-worker path is under
+//! byte comparison) — is rerun through the experiments CLI in stable form and compared
 //! with its committed golden under `golden/` by
 //! `snsp_sweep::diff_reports`, which holds every deterministic column
 //! fixed. A change that moves one heuristic's cost at one point of one
@@ -17,7 +19,7 @@ use snsp_sweep::json::{parse, Json};
 
 /// Every gated recipe: the experiments CLI arguments (always run with
 /// `--stable-json`) and the golden file under `golden/` they reproduce.
-const RECIPES: [(&str, &str); 10] = [
+const RECIPES: [(&str, &str); 12] = [
     ("sweep --grid ci --seeds 2", "sweep-ci.json"),
     ("sweep --grid large-n --seeds 3", "sweep-large-n.json"),
     ("sweep --grid fig2a --seeds 10", "sweep-fig2a.json"),
@@ -28,6 +30,11 @@ const RECIPES: [(&str, &str); 10] = [
     ("sweep --grid lowfreq --seeds 10", "sweep-lowfreq.json"),
     ("refine --grid ci --seeds 5", "refine-ci.json"),
     ("refine --grid large-n --seeds 3", "refine-large-n.json"),
+    (
+        "serve --grid sharded-ci --seeds 2 --workers 4 --replay-workers 4",
+        "serve-sharded-ci-w4.json",
+    ),
+    ("chaos --grid ci --seeds 2 --workers 4", "chaos-ci-w4.json"),
 ];
 
 /// The commands that regenerate every golden, run from the repository
