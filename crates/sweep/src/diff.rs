@@ -10,10 +10,11 @@
 //! * **Deterministic values are strict** — any type or value mismatch,
 //!   missing key, or array-length change is a regression. A path the
 //!   table does not declare is deterministic too.
-//! * **Wall-clock/RSS values are informational** — a numeric drift
-//!   prints but never gates; perfbench, not this diff, judges wall-clock
-//!   time. A `null`-vs-value difference on such a path is the
-//!   stable-vs-timed rendering split and is never a finding.
+//! * **Wall-clock/RSS values are informational** — any difference there
+//!   (a numeric drift, or a span name shifted by a new span) prints but
+//!   never gates; perfbench, not this diff, judges wall-clock time. A
+//!   `null`-vs-value difference on such a path is the stable-vs-timed
+//!   rendering split and is never a finding.
 //! * **Identity metadata is informational** — `generator`,
 //!   `schema_version` and worker counts may differ between runs; when the
 //!   schema versions differ, missing keys degrade to informational too,
@@ -180,12 +181,11 @@ impl DiffCx {
         let class = self.kind.class_of(pattern);
         let strict = match (class, a.as_num(), b.as_num()) {
             (Class::Timing, Some(na), Some(nb)) if na == nb => return,
-            (Class::Timing, Some(_), Some(_)) => false,
             _ if render_leaf(a) == render_leaf(b) => return,
-            // The stable rendering nulls wall-clock values; a
-            // null-vs-value pair is the two forms, not a drift.
-            (Class::Timing, ..) => *a != Json::Null && *b != Json::Null,
-            (Class::Meta, ..) => false,
+            // Wall-clock values never gate, whatever moved: a drift, the
+            // stable form's null against a timed value, or a span name
+            // shifted along by a new span that sorts before it.
+            (Class::Timing | Class::Meta, ..) => false,
             (Class::Det, ..) => true,
         };
         self.push(path, render_leaf(a), render_leaf(b), strict);

@@ -132,6 +132,33 @@ fn telemetry_overlay_columns_are_informational() {
     assert!(report.informational.is_empty(), "{}", report.render_table());
 }
 
+/// A new span whose name sorts first shifts every later span one index
+/// along, so each `overlay.spans[i]` row differs; all of it is
+/// wall-clock overlay, so the diff stays clean with info rows only.
+#[test]
+fn span_inserted_before_the_others_is_informational() {
+    let body = committed("TELEMETRY.json");
+    let needle = "\"spans\": [\n";
+    let at = body.find(needle).expect("the committed overlay has spans") + needle.len();
+    let span = "      {\n        \"name\": \"aaa.first\",\n        \"count\": 1,\n        \
+                \"total_ms\": 0.5\n      },\n";
+    let inserted = format!("{}{span}{}", &body[..at], &body[at..]);
+    let report = diff_reports(&body, &inserted).expect("same kind");
+    assert!(report.clean(), "{}", report.render_table());
+    assert!(
+        report
+            .informational
+            .iter()
+            .any(|e| e.path == "overlay.spans[0].name"),
+        "{}",
+        report.render_table()
+    );
+    assert!(report
+        .informational
+        .iter()
+        .any(|e| e.path == "overlay.spans.len()"));
+}
+
 /// Cross-kind comparisons refuse instead of reporting nonsense.
 #[test]
 fn cross_kind_diffs_are_refused() {
