@@ -239,23 +239,26 @@ pub fn refine_portfolio(
     opts: &RefineOptions,
     top_k: usize,
 ) -> Option<RefineOutcome> {
-    certified_portfolio(inst, seed, opts, top_k, lower_bound(inst).value())
+    let pipeline = PipelineOptions::default();
+    let starts = all_heuristics()
+        .iter()
+        .filter_map(|h| solve_seeded(h.as_ref(), inst, seed, &pipeline).ok())
+        .collect();
+    certified_portfolio(inst, starts, opts, top_k, lower_bound(inst).value())
 }
 
-/// [`refine_portfolio`] against a given certificate, as
-/// [`certified_refine`] is [`refine`].
-fn certified_portfolio(
+/// [`refine_portfolio`] over starts the caller already solved, against a
+/// given certificate, as [`certified_refine`] is [`refine`]. The starts
+/// are the feasible ones in [`all_heuristics`] order, which the stable
+/// cost sort keeps among equal costs.
+pub(crate) fn certified_portfolio(
     inst: &Instance,
-    seed: u64,
+    mut starts: Vec<Solution>,
     opts: &RefineOptions,
     top_k: usize,
     certificate: u64,
 ) -> Option<RefineOutcome> {
-    let pipeline = PipelineOptions::default();
-    let mut starts: Vec<Solution> = all_heuristics()
-        .iter()
-        .filter_map(|h| solve_seeded(h.as_ref(), inst, seed, &pipeline).ok())
-        .collect();
+    let placement = PipelineOptions::default().placement;
     starts.sort_by_key(|a| a.cost);
     if starts.is_empty() {
         return None;
@@ -269,7 +272,7 @@ fn certified_portfolio(
         {
             break;
         }
-        let out = certified_refine(inst, &start, pipeline.placement, opts, certificate);
+        let out = certified_refine(inst, &start, placement, opts, certificate);
         let replace = best
             .as_ref()
             .is_none_or(|b| out.solution.cost < b.solution.cost);
@@ -485,7 +488,13 @@ mod tests {
         }
         for driver in [RefineDriver::FirstImprovement, RefineDriver::Anneal] {
             let opts = opts_with(driver, 600);
-            let run = |c| certified_portfolio(&inst, seed, &opts, 3, c);
+            let starts: Vec<Solution> = all_heuristics()
+                .iter()
+                .filter_map(|h| {
+                    solve_seeded(h.as_ref(), &inst, seed, &PipelineOptions::default()).ok()
+                })
+                .collect();
+            let run = |c| certified_portfolio(&inst, starts.clone(), &opts, 3, c);
             let at = format!("N={n} {shape:?} portfolio {}", driver.name());
             let (plain, fast) = match (run(0), run(certificate)) {
                 (Some(plain), Some(fast)) => (plain, fast),

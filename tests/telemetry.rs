@@ -161,6 +161,23 @@ fn deterministic_core_is_worker_count_independent() {
     }
 }
 
+/// A refine job solves each paper heuristic once: the Subtree-Bottom-Up
+/// baseline is one of the portfolio's six starts, not a seventh solve.
+#[test]
+fn refine_jobs_place_each_heuristic_once() {
+    let _serial = serial();
+    let mut c = snsp::search::refine_grid("ci", 3).expect("ci grid exists");
+    c.points.retain(|p| p.label == "het N=30 α=0.9");
+    c.reference = None;
+    let (report, snap) = capture(|| run_refine_campaign(&c.with_workers(1)));
+    assert_eq!(report.points[0].feasible, 3, "every seed has a baseline");
+    for h in all_heuristics() {
+        let name = format!("heuristics.place.{}", h.name().to_ascii_lowercase());
+        let span = snap.spans.iter().find(|s| s.name == name);
+        assert_eq!(span.map(|s| s.count), Some(3), "{name}: one call per job");
+    }
+}
+
 /// The sharded serve campaign must light up the counters the committed
 /// TELEMETRY.json is pinned on: admissions (counted once, when the
 /// coordinator folds each event), admission prunes — and the parallel
