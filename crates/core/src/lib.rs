@@ -77,7 +77,7 @@ pub use instance::Instance;
 pub use mapping::{Download, Mapping};
 pub use object::{ObjectCatalog, ObjectType};
 pub use platform::{Catalog, ObjectPlacement, Platform, ProcessorKind, Server};
-pub use pool::{run_jobs, run_jobs_checked, run_workers, PoolStats, TaskDeque};
+pub use pool::{run_jobs, run_jobs_checked, PoolStats};
 pub use refine::{RefineDriver, RefineOptions};
 pub use tree::{OperatorTree, TreeBuilder};
 pub use work::WorkModel;

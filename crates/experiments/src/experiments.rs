@@ -140,7 +140,6 @@ pub fn grid(id: &str, seeds: u64) -> Option<Campaign> {
         "ci" => campaign.with_reference(ReferenceConfig {
             max_ops: 12,
             node_budget: 200_000,
-            workers: 1,
         }),
         _ => campaign,
     })
@@ -678,7 +677,6 @@ pub fn vs_optimal(seeds: u64) -> Vec<Table> {
         .with_reference(ReferenceConfig {
             max_ops: 20,
             node_budget: 500_000,
-            workers: 1,
         });
     report_tables(
         &run_campaign(&campaign),

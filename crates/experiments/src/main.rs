@@ -8,14 +8,11 @@
 //!
 //! snsp-experiments sweep --grid <fig2a|fig2b|fig3|fig3n20|large|lowfreq|ci>
 //!                        [--seeds K] [--workers W] [--reference]
-//!                        [--bb-workers B] [--json PATH] [--stable-json]
-//!                        [--out DIR]
+//!                        [--json PATH] [--stable-json] [--out DIR]
 //!   Runs the grid as one parallel campaign and writes BENCH_sweep.json
 //!   (schema v1). --stable-json omits the timing block so the bytes are
 //!   identical at every worker count; --reference adds a branch-and-bound
-//!   column on small points; --bb-workers runs each reference solve with
-//!   B parallel branch-and-bound threads (wall-clock only — the certified
-//!   optimum is worker-count-independent).
+//!   column on small points.
 //!
 //! snsp-experiments serve --grid <serve-ci|poisson|burst|churn|sharded-ci|sharded-100k>
 //!                        [--seeds K] [--workers W] [--replay-workers R]
@@ -46,13 +43,12 @@
 //!   2 naming its key.
 //!
 //! snsp-experiments refine --grid <ci|fig2|large-n>
-//!                         [--seeds K] [--workers W] [--bb-workers B]
+//!                         [--seeds K] [--workers W]
 //!                         [--json PATH] [--stable-json] [--out DIR]
 //!   Races the six heuristics as starts, refines the best with the
 //!   snsp-search portfolio and writes BENCH_refine.json (schema v4,
 //!   byte-identical at any worker count in --stable-json form; the ci
-//!   grid carries an exact branch-and-bound reference column, solved
-//!   with B parallel threads under --bb-workers — same bytes at any B).
+//!   grid carries an exact branch-and-bound reference column).
 //!
 //! snsp-experiments validate <PATH>
 //!   Schema-checks a BENCH_sweep.json (v1), BENCH_serve.json (v3),
@@ -108,7 +104,6 @@ struct Args {
     out_dir: PathBuf,
     workers: Option<usize>,
     replay_workers: Option<usize>,
-    bb_workers: Option<usize>,
     grid: Option<String>,
     json: Option<PathBuf>,
     stable_json: bool,
@@ -130,7 +125,6 @@ fn parse_args() -> Result<Args, String> {
         out_dir: PathBuf::from("results"),
         workers: None,
         replay_workers: None,
-        bb_workers: None,
         grid: None,
         json: None,
         stable_json: false,
@@ -172,7 +166,6 @@ fn parse_args() -> Result<Args, String> {
             }
             "--workers" => parsed.workers = Some(positive(args.next(), &flag)?),
             "--replay-workers" => parsed.replay_workers = Some(positive(args.next(), &flag)?),
-            "--bb-workers" => parsed.bb_workers = Some(positive(args.next(), &flag)?),
             "--grid" => {
                 parsed.grid = Some(args.next().ok_or("--grid needs a grid id")?);
             }
@@ -214,7 +207,7 @@ fn usage() -> String {
     "usage: snsp-experiments <table1|fig2a|fig2b|fig3|fig3n20|large|lowfreq|rates|vsopt|engine|\
      bounds|mutable|budget|multiapp|all> [--seeds K] [--out DIR]\n\
      \u{20}      snsp-experiments sweep --grid <ID> [--seeds K] [--workers W] [--reference] \
-     [--bb-workers B] [--json PATH] [--stable-json] [--out DIR] \
+     [--json PATH] [--stable-json] [--out DIR] \
      [--telemetry] [--telemetry-out PATH]\n\
      \u{20}      snsp-experiments serve --grid <ID> [--seeds K] [--workers W] \
      [--replay-workers R] [--json PATH] [--stable-json] [--out DIR] \
@@ -223,7 +216,7 @@ fn usage() -> String {
      [--replay-workers R] [--fault-plan SPEC] [--json PATH] [--stable-json] [--out DIR] \
      [--telemetry] [--telemetry-out PATH] [--trace-out PATH]\n\
      \u{20}      snsp-experiments refine --grid <ci|fig2|large-n> [--seeds K] [--workers W] \
-     [--bb-workers B] [--json PATH] [--stable-json] [--out DIR] \
+     [--json PATH] [--stable-json] [--out DIR] \
      [--telemetry] [--telemetry-out PATH]\n\
      \u{20}      snsp-experiments validate <PATH>\n\
      \u{20}      snsp-experiments telemetry-summary <PATH>\n\
@@ -465,9 +458,6 @@ fn run_sweep(args: &Args) -> Result<(), String> {
     if args.reference && campaign.reference.is_none() {
         campaign = campaign.with_reference(ReferenceConfig::default());
     }
-    if let (Some(b), Some(r)) = (args.bb_workers, campaign.reference.as_mut()) {
-        r.workers = b;
-    }
 
     let (report, telem) = run_captured(args.telemetry, || run_campaign(&campaign));
     let title = format!("campaign {}", run.grid);
@@ -543,9 +533,6 @@ fn run_refine(args: &Args) -> Result<(), String> {
     let mut campaign = run.campaign(built, snsp_search::REFINE_GRID_IDS)?;
     if let Some(w) = args.workers {
         campaign = campaign.with_workers(w);
-    }
-    if let (Some(b), Some(r)) = (args.bb_workers, campaign.reference.as_mut()) {
-        r.workers = b;
     }
 
     let (report, telem) = run_captured(args.telemetry, || run_refine_campaign(&campaign));

@@ -256,7 +256,7 @@ fn pool_stats_table(campaign: &str, overlay: Option<&Json>) -> Table {
         format!("telemetry {campaign} — executor pool (PoolStats)"),
         &["metric", "value"],
     );
-    for name in ["pool.steals", "pool.donations", "pool.panics"] {
+    for name in ["pool.steals", "pool.panics"] {
         t.push(vec![name.to_string(), lookup("counters", name)]);
     }
     t.push(vec![

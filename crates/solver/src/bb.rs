@@ -37,51 +37,26 @@
 //! paper's pipeline — groupings, cheapest kinds, three-pass selection —
 //! not a bound over every possible download routing.
 //!
-//! ## One depth-first search at any worker count
+//! ## One depth-first search
 //!
-//! There is one DFS. A *task* is a restricted-growth *prefix* (the group
-//! choice for `order[0..depth]`); a worker replays the prefix pushes to
-//! rebuild the incremental state, then explores the subtree depth-first.
-//! The incumbent cost lives in an `AtomicU64` (read lock-free at every
-//! prune check) and the mapping behind a `Mutex`, updated together under
-//! the lock with a re-check; the node budget is one global counter.
-//!
-//! * With [`BranchBoundConfig::workers`] `<= 1` the root task (the empty
-//!   prefix) runs on the calling thread with donation off. Node count,
-//!   visit order, incumbents and the witness mapping are deterministic,
-//!   [`ExactResult::pool`] is all-zero, and a panic unwinds to the
-//!   caller.
-//! * With more workers the same code runs on that many threads over a
-//!   [`TaskDeque`] on the shared [`snsp_core::pool`] executor: once one
-//!   branch of a node is being explored inline, its untried siblings are
-//!   donated back to the deque whenever it runs dry.
-//!
-//! Node visit *order* and per-run node *counts* of a multi-worker solve
-//! depend on the schedule, but the returned optimum cannot: a subtree is
-//! pruned only when its admissible bound is ≥ the incumbent at that
-//! moment, which is itself ≥ the final optimum — so no pruned subtree can
-//! contain a strictly better leaf, at any worker count.
+//! The search runs on the calling thread: it tries each existing group,
+//! then a fresh one, and prunes a branch once its admissible bound
+//! reaches the incumbent. Node count, visit order, incumbents and the
+//! witness mapping are deterministic, and a panic unwinds to the caller.
+//! [`ExactResult::nodes`] is pinned in the tests below against the
+//! reference search.
 //!
 //! ```
 //! use snsp_gen::paper_instance;
 //! use snsp_solver::bb::{solve_exact, BranchBoundConfig};
 //!
 //! let inst = paper_instance(10, 0.9, 3);
-//! let serial = solve_exact(&inst, &BranchBoundConfig::default());
-//! let parallel = solve_exact(
-//!     &inst,
-//!     &BranchBoundConfig {
-//!         workers: 4,
-//!         ..Default::default()
-//!     },
-//! );
-//! // The certified optimum is worker-count-independent.
-//! assert_eq!(serial.cost, parallel.cost);
-//! assert_eq!(serial.certified_bound(), parallel.certified_bound());
+//! let exact = solve_exact(&inst, &BranchBoundConfig::default());
+//! // A finished search certifies its own optimum.
+//! assert!(exact.optimal);
+//! assert_eq!(exact.certified_bound(), Some(exact.cost));
+//! assert_eq!(exact.bound, exact.cost);
 //! ```
-
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Mutex;
 
 use snsp_core::constraints;
 use snsp_core::heuristics::{
@@ -90,17 +65,16 @@ use snsp_core::heuristics::{
 use snsp_core::ids::{OpId, TypeId};
 use snsp_core::instance::Instance;
 use snsp_core::mapping::{Download, Mapping};
-use snsp_core::pool::{run_workers, PoolStats, TaskDeque};
 use snsp_telemetry::{Class, Counter, Histogram};
 
 use crate::bounds::lower_bound;
 
-// Search observability. Every metric here is Overlay-class: parallel
-// node and prune counts depend on the steal schedule (and refine
-// campaigns vary `--bb-workers`), so none of them may enter the
-// deterministic section of a telemetry report. The counters are pure
-// observers — the starvation test pins `serial.nodes == par.nodes`
-// regardless of whether collection is enabled.
+// Search observability. Every metric here is Overlay-class: the counts
+// are reproducible, but they describe how the reference search ran, not
+// what a campaign computed, so they stay out of the deterministic
+// section of a telemetry report and no committed core gains rows. The
+// counters are pure observers: the pinned node counts below hold
+// whether collection is on or off.
 static BB_NODES: Counter = Counter::new("bb.nodes", Class::Overlay);
 static BB_PRUNE_BOUND: Counter = Counter::new("bb.prune.bound", Class::Overlay);
 static BB_PRUNE_INFEASIBLE: Counter = Counter::new("bb.prune.infeasible", Class::Overlay);
@@ -109,21 +83,12 @@ static BB_PRUNE_SELECTOR: Counter = Counter::new("bb.prune.selector", Class::Ove
 static BB_PRUNE_CONSTRAINTS: Counter = Counter::new("bb.prune.constraints", Class::Overlay);
 static BB_INCUMBENTS: Counter = Counter::new("bb.incumbent.updates", Class::Overlay);
 static BB_INCUMBENT_COST: Histogram = Histogram::new("bb.incumbent.cost", Class::Overlay);
-static BB_SUBTREE_NODES: Histogram = Histogram::new("bb.task.subtree_nodes", Class::Overlay);
 
-/// Donated subtrees must have at least this many undecided operators
-/// left: shipping near-leaf subtrees costs more in replay than the
-/// stolen work is worth, and tiny instances (`N < SPLIT_MARGIN`)
-/// degenerate to one worker owning the whole tree — which must still
-/// terminate cleanly (pinned by the starvation test).
-const SPLIT_MARGIN: usize = 4;
-
-/// Records an overlay-class search trace event (subtree splits,
-/// incumbent publications). Logical time carries no tick — the search
-/// has no barrier clock — so the lane is the node count at emission,
-/// which orders events within one worker and merely groups them for
-/// multi-worker runs (overlay events never enter the Det stream).
-fn record_search_event(kind: snsp_telemetry::trace::TraceEventKind) {
+/// Records an overlay-class trace event for a new incumbent. Logical
+/// time carries no tick — the search has no barrier clock — so the lane
+/// is the node count at emission (overlay events never enter the Det
+/// stream).
+fn record_incumbent(cost: u64) {
     snsp_telemetry::trace::record(
         Class::Overlay,
         0,
@@ -132,7 +97,9 @@ fn record_search_event(kind: snsp_telemetry::trace::TraceEventKind) {
             shard: 0,
             seq: BB_NODES.get() as u32,
         },
-        kind,
+        snsp_telemetry::trace::TraceEventKind::Incumbent {
+            cost_bits: (cost as f64).to_bits(),
+        },
     );
 }
 
@@ -141,17 +108,10 @@ fn record_search_event(kind: snsp_telemetry::trace::TraceEventKind) {
 pub struct BranchBoundConfig {
     /// Maximum number of search nodes to expand before giving up on
     /// optimality (the best solution found so far is still returned).
-    /// The budget is global across workers.
     pub node_budget: u64,
     /// Optional initial upper bound (e.g. a heuristic cost) to seed
     /// pruning.
     pub upper_bound: Option<u64>,
-    /// Search threads. `<= 1` runs the search on the calling thread
-    /// (deterministic node counts); more run the same search on that
-    /// many threads with subtree donation — same optimum and certified
-    /// bound at any value (see the module docs), node counts
-    /// schedule-dependent.
-    pub workers: usize,
 }
 
 impl Default for BranchBoundConfig {
@@ -159,7 +119,6 @@ impl Default for BranchBoundConfig {
         BranchBoundConfig {
             node_budget: 2_000_000,
             upper_bound: None,
-            workers: 1,
         }
     }
 }
@@ -173,8 +132,7 @@ pub struct ExactResult {
     pub cost: u64,
     /// Whether the search space was exhausted (the answer is optimal).
     pub optimal: bool,
-    /// Search nodes expanded. Deterministic for a one-worker solve;
-    /// schedule-dependent (but budget-bounded) with more workers.
+    /// Search nodes expanded (deterministic).
     pub nodes: u64,
     /// Best certified lower bound on the optimal cost: equals `cost`
     /// when optimality was proven with a feasible mapping, otherwise
@@ -182,20 +140,14 @@ pub struct ExactResult {
     /// budget-truncated, so a truncated run reports both how far it got
     /// (`nodes`) and what it can still certify (`bound`).
     pub bound: u64,
-    /// Executor diagnostics (steals, donations, peak frontier depth).
-    /// All zeros for a one-worker solve; scheduling-dependent with more
-    /// workers — but a multi-worker run always registers at least one
-    /// steal (the seed prefix is enqueued by the coordinating thread and
-    /// claimed by a spawned worker).
-    pub pool: PoolStats,
 }
 
 impl ExactResult {
     /// The certified optimum, if this run proved one: `Some(cost)` iff
     /// the search exhausted the space (`optimal`) *and* found a feasible
     /// mapping. This is the value the refine reports' gap column divides
-    /// by; it is worker-count-independent by construction. It is optimal
-    /// for the paper's pipeline (see the module docs' caveat).
+    /// by. It is optimal for the paper's pipeline (see the module docs'
+    /// caveat).
     pub fn certified_bound(&self) -> Option<u64> {
         if self.optimal && self.mapping.is_some() {
             Some(self.cost)
@@ -238,49 +190,10 @@ struct PushSave {
     n_foreign: u8,
 }
 
-/// What every worker of one solve shares. The incumbent is split in
-/// two: the cost in an atomic (read at every prune check, lock-free) and
-/// the mapping behind a mutex (touched only on improvement, rare). Both
-/// are updated together under the lock, with the cost re-checked, so
-/// `best_cost` decreases monotonically and always matches `best`. The
-/// atomics publish no other data (the mapping is read only after every
-/// worker has joined), so they are `Relaxed`.
-struct Shared {
-    best_cost: AtomicU64,
-    best: Mutex<Option<Mapping>>,
-    /// Nodes expanded across all workers; prefix replays do not count,
-    /// so every expanded node is counted exactly once.
-    nodes: AtomicU64,
-    budget: u64,
-    truncated: AtomicBool,
-    /// Open task prefixes; `None` on a one-worker solve (donation off).
-    deque: Option<TaskDeque<Vec<u32>>>,
-    workers: usize,
-}
-
-impl Shared {
-    /// Installs a feasible leaf as the incumbent unless another worker
-    /// published one at least as cheap since the lock-free screen.
-    /// Returns whether it did.
-    fn publish(&self, cost: u64, mapping: Mapping) -> bool {
-        let mut best = self
-            .best
-            .lock()
-            .expect("nothing panics while the incumbent lock is held");
-        if cost >= self.best_cost.load(Ordering::Relaxed) {
-            return false;
-        }
-        self.best_cost.store(cost, Ordering::Relaxed);
-        *best = Some(mapping);
-        true
-    }
-}
-
-/// One worker: the incremental search state over its own group arena,
-/// plus the restricted-growth path to the node it is exploring.
-struct Search<'a, 'b> {
+/// The incremental search state over one group arena, plus the
+/// incumbent and the node budget.
+struct Search<'a> {
     inst: &'a Instance,
-    shared: &'b Shared,
     order: Vec<OpId>,
     /// Operator → group index (`usize::MAX` = unassigned).
     assign: Vec<usize>,
@@ -293,20 +206,17 @@ struct Search<'a, 'b> {
     selector: ServerSelector,
     kinds_buf: Vec<usize>,
     downloads_buf: Vec<Download>,
-    /// Group choices from the root to the current node: the prefix a
-    /// donated sibling extends.
-    path: Vec<u32>,
-    /// Nodes this worker expanded inside the current task, feeding the
-    /// `bb.task.subtree_nodes` histogram (a task's subtree size is the
-    /// natural unit of load balance).
-    task_nodes: u64,
+    best_cost: u64,
+    best: Option<Mapping>,
+    nodes: u64,
+    budget: u64,
+    truncated: bool,
 }
 
-impl<'a, 'b> Search<'a, 'b> {
-    fn new(inst: &'a Instance, shared: &'b Shared) -> Self {
+impl<'a> Search<'a> {
+    fn new(inst: &'a Instance, config: &BranchBoundConfig) -> Self {
         Search {
             inst,
-            shared,
             order: inst.tree.postorder(),
             assign: vec![usize::MAX; inst.tree.len()],
             groups: Vec::new(),
@@ -315,8 +225,11 @@ impl<'a, 'b> Search<'a, 'b> {
             selector: ServerSelector::new(),
             kinds_buf: Vec::new(),
             downloads_buf: Vec::new(),
-            path: Vec::new(),
-            task_nodes: 0,
+            best_cost: config.upper_bound.unwrap_or(u64::MAX),
+            best: None,
+            nodes: 0,
+            budget: config.node_budget,
+            truncated: false,
         }
     }
 
@@ -445,70 +358,17 @@ impl<'a, 'b> Search<'a, 'b> {
         self.n_groups += 1;
     }
 
-    /// Replays a task's prefix — rebuilding the incremental demand state
-    /// push by push — then explores its subtree. A replay push can fail
-    /// or the rebuilt bound can already exceed the incumbent (it may have
-    /// improved since donation): the task is then abandoned, which is
-    /// exactly the search pruning that branch. Every applied push is
-    /// unwound before returning, so the arena is clean for the next
-    /// task. The root task (the empty prefix) replays nothing.
-    fn run_task(&mut self, prefix: &[u32]) {
-        if self.shared.truncated.load(Ordering::Relaxed) {
-            return;
-        }
-        let mut saves: Vec<(usize, PushSave, bool)> = Vec::with_capacity(prefix.len());
-        let mut alive = true;
-        for (depth, &gv) in prefix.iter().enumerate() {
-            let op = self.order[depth];
-            let g = gv as usize;
-            let fresh = g == self.n_groups;
-            if fresh {
-                self.open_group();
-            }
-            match self.push_op(g, op) {
-                Some(save) => {
-                    saves.push((g, save, fresh));
-                    if self.lb_sum >= self.shared.best_cost.load(Ordering::Relaxed) {
-                        alive = false;
-                        break;
-                    }
-                }
-                None => {
-                    if fresh {
-                        self.n_groups -= 1;
-                    }
-                    alive = false;
-                    break;
-                }
-            }
-        }
-        if alive {
-            self.path.clear();
-            self.path.extend_from_slice(prefix);
-            self.task_nodes = 0;
-            self.dfs(prefix.len());
-            BB_SUBTREE_NODES.record(self.task_nodes as f64);
-        }
-        for (g, save, fresh) in saves.iter().rev() {
-            self.pop_op(*g, save);
-            if *fresh {
-                self.n_groups -= 1;
-            }
-        }
-    }
-
     /// The depth-first search below the current node: join each existing
     /// group, then open a fresh one, pruning on the admissible bound
-    /// against the shared incumbent. With donation on, untried siblings
-    /// are pushed to the deque while it is starving.
+    /// against the incumbent.
     fn dfs(&mut self, depth: usize) {
-        if self.shared.truncated.load(Ordering::Relaxed) {
+        if self.truncated {
             return;
         }
-        self.task_nodes += 1;
         BB_NODES.incr();
-        if self.shared.nodes.fetch_add(1, Ordering::Relaxed) + 1 > self.shared.budget {
-            self.shared.truncated.store(true, Ordering::Relaxed);
+        self.nodes += 1;
+        if self.nodes > self.budget {
+            self.truncated = true;
             return;
         }
         if depth == self.order.len() {
@@ -517,22 +377,15 @@ impl<'a, 'b> Search<'a, 'b> {
         }
         let op = self.order[depth];
         let n_existing = self.n_groups;
-        let mut explored_inline = false;
         for g in 0..=n_existing {
-            if explored_inline && self.donate(depth, g) {
-                continue;
-            }
             // Restricted growth: the fresh group is always the next index.
             let fresh = g == n_existing;
             if fresh {
                 self.open_group();
             }
             if let Some(save) = self.push_op(g, op) {
-                if self.lb_sum < self.shared.best_cost.load(Ordering::Relaxed) {
-                    explored_inline = true;
-                    self.path.push(g as u32);
+                if self.lb_sum < self.best_cost {
                     self.dfs(depth + 1);
-                    self.path.pop();
                 } else {
                     BB_PRUNE_BOUND.incr();
                 }
@@ -544,34 +397,15 @@ impl<'a, 'b> Search<'a, 'b> {
         }
     }
 
-    /// Donates the untried branch `g` at `depth` to the deque when
-    /// donation is on, the deque is starving and the subtree is deep
-    /// enough to be worth shipping. Returns whether it did.
-    fn donate(&mut self, depth: usize, g: usize) -> bool {
-        let Some(deque) = &self.shared.deque else {
-            return false;
-        };
-        if deque.queued() >= self.shared.workers || depth + SPLIT_MARGIN >= self.order.len() {
-            return false;
-        }
-        let mut donated = self.path.clone();
-        donated.push(g as u32);
-        record_search_event(snsp_telemetry::trace::TraceEventKind::Split {
-            depth: depth as u64,
-        });
-        deque.push(donated);
-        true
-    }
-
     /// Costs a complete partition from the maintained demands. At a leaf
     /// every edge is decided, so each group's maintained bound *is* its
     /// exact cheapest cost: the partition costs `lb_sum` and the kinds
     /// are the cached `lb_kind`s — O(groups), no catalog scan, no tree
     /// walk. Only server selection and the constraint check remain; a
-    /// feasible partition is published as the new incumbent.
+    /// feasible partition becomes the new incumbent.
     fn evaluate_leaf(&mut self) {
         let cost = self.lb_sum;
-        if cost >= self.shared.best_cost.load(Ordering::Relaxed) {
+        if cost >= self.best_cost {
             BB_PRUNE_LEAF_COST.incr();
             return;
         }
@@ -610,13 +444,11 @@ impl<'a, 'b> Search<'a, 'b> {
             BB_PRUNE_CONSTRAINTS.incr();
             return;
         }
-        if self.shared.publish(cost, mapping) {
-            BB_INCUMBENTS.incr();
-            BB_INCUMBENT_COST.record(cost as f64);
-            record_search_event(snsp_telemetry::trace::TraceEventKind::Incumbent {
-                cost_bits: (cost as f64).to_bits(),
-            });
-        }
+        self.best_cost = cost;
+        self.best = Some(mapping);
+        BB_INCUMBENTS.incr();
+        BB_INCUMBENT_COST.record(cost as f64);
+        record_incumbent(cost);
     }
 }
 
@@ -652,52 +484,18 @@ fn resolve_bound(inst: &Instance, optimal: bool, found: bool, cost: u64) -> u64 
     }
 }
 
-/// Runs the exact search (incremental demand maintenance) on
-/// `config.workers` threads; optimum and certified bound are identical
-/// at any worker count (see the module docs).
+/// Runs the exact search (incremental demand maintenance) on the calling
+/// thread.
 pub fn solve_exact(inst: &Instance, config: &BranchBoundConfig) -> ExactResult {
-    let workers = config.workers.max(1);
-    let shared = Shared {
-        best_cost: AtomicU64::new(config.upper_bound.unwrap_or(u64::MAX)),
-        best: Mutex::new(None),
-        nodes: AtomicU64::new(0),
-        budget: config.node_budget,
-        truncated: AtomicBool::new(false),
-        deque: (workers > 1).then(|| TaskDeque::new(vec![Vec::new()])),
-        workers,
-    };
-    let pool = match &shared.deque {
-        None => {
-            Search::new(inst, &shared).run_task(&[]);
-            PoolStats::default()
-        }
-        Some(deque) => {
-            run_workers(workers, |_| {
-                let mut search = Search::new(inst, &shared);
-                // `drain` contains task panics: a poisoned subtree is
-                // counted (and poisons the certificate below) instead of
-                // wedging the pending counter and deadlocking the
-                // sibling workers.
-                deque.drain(|prefix| search.run_task(&prefix));
-            });
-            deque.stats()
-        }
-    };
-    // Subtrees lost to a panic mid-search leave the incumbent
-    // uncertified.
-    let optimal = !shared.truncated.into_inner() && pool.panics == 0;
-    let cost = shared.best_cost.into_inner();
-    let mapping = shared
-        .best
-        .into_inner()
-        .expect("nothing panics while the incumbent lock is held");
+    let mut search = Search::new(inst, config);
+    search.dfs(0);
+    let optimal = !search.truncated;
     ExactResult {
-        cost,
+        cost: search.best_cost,
         optimal,
-        nodes: shared.nodes.into_inner(),
-        bound: resolve_bound(inst, optimal, mapping.is_some(), cost),
-        pool,
-        mapping,
+        nodes: search.nodes,
+        bound: resolve_bound(inst, optimal, search.best.is_some(), search.best_cost),
+        mapping: search.best,
     }
 }
 
@@ -715,7 +513,6 @@ pub fn solve_exact_reference(inst: &Instance, config: &BranchBoundConfig) -> Exa
         optimal,
         nodes: search.nodes,
         bound: resolve_bound(inst, optimal, search.best.is_some(), search.best_cost),
-        pool: PoolStats::default(),
         mapping: search.best,
     }
 }
@@ -993,7 +790,6 @@ mod tests {
             &BranchBoundConfig {
                 node_budget: 200_000,
                 upper_bound: None,
-                workers: 1,
             },
         );
         assert!(res.mapping.is_none());
@@ -1007,7 +803,6 @@ mod tests {
             &BranchBoundConfig {
                 node_budget: 10,
                 upper_bound: None,
-                workers: 1,
             },
         );
         assert!(!res.optimal);
@@ -1037,123 +832,13 @@ mod tests {
     }
 
     /// Instances whose optimum needs two machines, so the search
-    /// branches: incumbent updates, bound pruning and, with more than one
-    /// worker, live donations all happen. `(N, α, seed, optimum,
-    /// one-worker nodes)`.
+    /// branches: incumbent updates and bound pruning both happen.
+    /// `(N, α, seed, optimum, nodes)`.
     const BRANCHING: [(usize, f64, u64, u64, u64); 3] = [
         (14, 2.1, 2, 21_193, 7_315),
         (14, 2.2, 7, 21_193, 5_873),
         (16, 2.1, 5, 19_843, 21_502),
     ];
-
-    #[test]
-    fn parallel_optimum_is_worker_count_independent() {
-        // The pinned contract: same optimum, same certified bound at
-        // 1/2/4 workers, on both consolidation-light and search-heavy
-        // points. Node counts are schedule-dependent and only reported.
-        let light = [
-            (10usize, 0.9, 3u64, false),
-            (8, 1.3, 0, false),
-            (12, 1.6, 2, false),
-        ];
-        let branching = BRANCHING.map(|(n, alpha, seed, ..)| (n, alpha, seed, true));
-        for &(n, alpha, seed, branches) in light.iter().chain(&branching) {
-            let inst = paper_instance(n, alpha, seed);
-            let serial = solve_exact(&inst, &BranchBoundConfig::default());
-            assert!(serial.optimal);
-            for workers in [2usize, 4] {
-                let par = solve_exact(
-                    &inst,
-                    &BranchBoundConfig {
-                        workers,
-                        ..Default::default()
-                    },
-                );
-                assert_eq!(
-                    serial.cost, par.cost,
-                    "N={n} α={alpha} seed={seed} workers={workers}"
-                );
-                assert_eq!(serial.certified_bound(), par.certified_bound());
-                assert_eq!(serial.mapping.is_some(), par.mapping.is_some());
-                assert!(par.optimal, "budget headroom must keep the flag stable");
-                assert!(
-                    par.pool.steals > 0,
-                    "the seed prefix is enqueued by the coordinating thread, \
-                     so a {workers}-worker run must register a steal"
-                );
-                assert_eq!(serial.pool, PoolStats::default(), "serial runs never steal");
-                if branches {
-                    assert!(par.pool.donations > 0, "a branching search donates");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_respects_upper_bound_seed() {
-        let inst = paper_instance(9, 1.2, 7);
-        let free = solve_exact(&inst, &BranchBoundConfig::default());
-        let seeded = solve_exact(
-            &inst,
-            &BranchBoundConfig {
-                upper_bound: Some(free.cost + 1),
-                workers: 4,
-                ..Default::default()
-            },
-        );
-        assert_eq!(free.cost, seeded.cost);
-        assert_eq!(free.certified_bound(), seeded.certified_bound());
-    }
-
-    #[test]
-    fn parallel_starvation_one_worker_owns_the_whole_tree() {
-        // N < SPLIT_MARGIN: no subtree is ever deep enough to donate, so
-        // one worker explores everything while the rest spin on the
-        // deque — and must still terminate with the serial answer.
-        let inst = paper_instance(3, 0.9, 1);
-        assert!(inst.tree.len() < 4 + 1, "instance small enough to starve");
-        let serial = solve_exact(&inst, &BranchBoundConfig::default());
-        let par = solve_exact(
-            &inst,
-            &BranchBoundConfig {
-                workers: 8,
-                ..Default::default()
-            },
-        );
-        assert_eq!(serial.cost, par.cost);
-        assert_eq!(serial.nodes, par.nodes, "starved run explores serially");
-        assert_eq!(serial.certified_bound(), par.certified_bound());
-    }
-
-    #[test]
-    fn parallel_budget_truncation_is_reported() {
-        let inst = paper_instance(14, 1.6, 4);
-        let res = solve_exact(
-            &inst,
-            &BranchBoundConfig {
-                node_budget: 10,
-                upper_bound: None,
-                workers: 4,
-            },
-        );
-        assert!(!res.optimal);
-        assert!(res.nodes >= 10, "the global budget was actually consumed");
-    }
-
-    #[test]
-    fn parallel_infeasible_instances_return_no_mapping() {
-        let inst = paper_instance(30, 2.5, 2);
-        let res = solve_exact(
-            &inst,
-            &BranchBoundConfig {
-                node_budget: 200_000,
-                upper_bound: None,
-                workers: 4,
-            },
-        );
-        assert!(res.mapping.is_none());
-        assert!(res.certified_bound().is_none());
-    }
 
     #[test]
     fn incremental_search_matches_reference_and_prunes_harder() {
@@ -1184,7 +869,7 @@ mod tests {
                 Some(2),
                 "{ctx}"
             );
-            assert_eq!(fast.nodes, nodes, "{ctx}: one-worker node count moved");
+            assert_eq!(fast.nodes, nodes, "{ctx}: node count moved");
             assert!(
                 fast.nodes < slow.nodes,
                 "{ctx}: {} >= {}",

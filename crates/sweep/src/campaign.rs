@@ -63,10 +63,6 @@ pub struct ReferenceConfig {
     /// Search-node budget per instance; exhausting it demotes the column
     /// to `optimal = false`.
     pub node_budget: u64,
-    /// Branch-and-bound worker threads per reference job (`<= 1` =
-    /// serial). An execution knob, not a semantic one: the optimum is
-    /// worker-count-independent, so it is *not* echoed in the report.
-    pub workers: usize,
 }
 
 impl Default for ReferenceConfig {
@@ -74,7 +70,6 @@ impl Default for ReferenceConfig {
         ReferenceConfig {
             max_ops: 20,
             node_budget: 500_000,
-            workers: 1,
         }
     }
 }
@@ -91,7 +86,6 @@ impl ReferenceConfig {
         BranchBoundConfig {
             node_budget: self.node_budget,
             upper_bound,
-            workers: self.workers,
         }
     }
 }
@@ -409,7 +403,6 @@ mod tests {
             .with_reference(ReferenceConfig {
                 max_ops: 10,
                 node_budget: 200_000,
-                workers: 1,
             })
             .with_workers(2);
         let report = run_campaign(&campaign);
@@ -426,7 +419,6 @@ mod tests {
             .with_reference(ReferenceConfig {
                 max_ops: 16,
                 node_budget: 1,
-                workers: 1,
             })
             .with_workers(1);
         let report = run_campaign(&campaign);

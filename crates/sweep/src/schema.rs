@@ -815,7 +815,6 @@ mod tests {
         .with_reference(ReferenceConfig {
             max_ops: 10,
             node_budget: 100_000,
-            workers: 1,
         })
         .with_workers(2);
         run_campaign(&campaign).render_json(include_timing)

@@ -165,20 +165,14 @@ pub enum TraceEventKind {
     /// A replay barrier closed (Det). Declared after every intra-tick
     /// variant; its time is [`LogicalTime::tick_end`].
     TickEnd,
-    /// The parallel branch-and-bound split a subtree off for donation
-    /// (Overlay — scheduling-dependent).
-    Split {
-        /// Search depth of the donated prefix.
-        depth: u64,
-    },
-    /// A pool worker stole a task enqueued by another thread (Overlay).
+    /// A spawned pool worker ran a job of the calling thread's grid
+    /// (Overlay — which worker runs which job is scheduling-dependent).
     Steal {
-        /// The stealing worker's process-unique thread token.
+        /// The worker's index within its run.
         worker: u64,
     },
-    /// The branch-and-bound published a new incumbent (Overlay — the
-    /// publication *order* is scheduling-dependent; the final incumbent
-    /// is not).
+    /// The branch-and-bound found a new incumbent (Overlay — a search
+    /// diagnostic, not part of any replay's causal record).
     Incumbent {
         /// New incumbent cost, as bits (`f64::to_bits`) so the event is
         /// `Eq`/`Ord`.
@@ -214,7 +208,6 @@ impl TraceEventKind {
                 ("retry_admit", format!("tenant={tenant} attempt={attempt}"))
             }
             TraceEventKind::TickEnd => ("tick_end", String::new()),
-            TraceEventKind::Split { depth } => ("split", format!("depth={depth}")),
             TraceEventKind::Steal { worker } => ("steal", format!("worker={worker}")),
             TraceEventKind::Incumbent { cost_bits } => {
                 ("incumbent", format!("cost={}", f64::from_bits(cost_bits)))

@@ -21,7 +21,6 @@ fn main() {
     let campaign = Campaign::new("example", points, 3).with_reference(ReferenceConfig {
         max_ops: 12,
         node_budget: 200_000,
-        workers: 1,
     });
 
     // -- 2. Run it. Workers default to the machine's parallelism; the

@@ -54,7 +54,6 @@ fn main() {
                     &BranchBoundConfig {
                         node_budget: 300_000,
                         upper_bound: None,
-                        workers: 1,
                     },
                 );
                 if exact.mapping.is_some() {

@@ -162,7 +162,6 @@ fn cloud_budget_core_path() {
             &BranchBoundConfig {
                 node_budget: 300_000,
                 upper_bound: None,
-                workers: 1,
             },
         );
         if exact.mapping.is_some() {
@@ -269,7 +268,6 @@ fn campaign_core_path() {
     let campaign = Campaign::new("example", points, 2).with_reference(ReferenceConfig {
         max_ops: 12,
         node_budget: 200_000,
-        workers: 1,
     });
     let report = run_campaign(&campaign);
     assert_eq!(report.points.len(), 2);

@@ -15,7 +15,6 @@ fn demo_campaign(workers: usize) -> Campaign {
         .with_reference(ReferenceConfig {
             max_ops: 12,
             node_budget: 200_000,
-            workers: 1,
         })
         .with_workers(workers)
 }
@@ -70,7 +69,6 @@ fn truncated_reference_is_reported_as_not_optimal() {
         .with_reference(ReferenceConfig {
             max_ops: 16,
             node_budget: 1,
-            workers: 1,
         })
         .with_workers(2);
     let report = run_campaign(&campaign);
@@ -98,7 +96,6 @@ fn exhaustive_reference_is_optimal_and_bounds_heuristics() {
         .with_reference(ReferenceConfig {
             max_ops: 8,
             node_budget: 2_000_000,
-            workers: 1,
         })
         .with_workers(2);
     let report = run_campaign(&campaign);
