@@ -12,10 +12,9 @@
 //! Every run surfaces a [`PoolStats`] snapshot (steals, peak queue depth,
 //! contained panics) independent of whether telemetry collection is on.
 //! When telemetry *is* enabled the same events also feed the
-//! overlay-class `pool.steals` and `pool.panics` counters, the
-//! `pool.peak_queue_depth` gauge and the `pool.worker.busy` span — all
-//! wall-clock diagnostics, so none of them ever enters stable-form
-//! artifacts.
+//! `pool.steals` and `pool.panics` counters, the `pool.peak_queue_depth`
+//! gauge and the `pool.worker.busy` span — all overlay-class, so none of
+//! them ever enters stable-form artifacts.
 //!
 //! ```
 //! use snsp_core::pool::{run_jobs_checked, PoolStats};
@@ -114,7 +113,9 @@ where
     let panics = AtomicU64::new(0);
     let slots: Vec<Mutex<Option<T>>> = (0..n_jobs).map(|_| Mutex::new(None)).collect();
     // Claims indices until none is left; `spawned` names the worker when
-    // it is not the calling thread, whose every job is then a steal.
+    // it is not the calling thread, whose every job is then a steal. The
+    // claim publishes nothing, so it is `Relaxed`: results travel through
+    // the slot mutexes and the scope's join.
     let drain = |spawned: Option<usize>| loop {
         let i = next.fetch_add(1, Ordering::Relaxed);
         if i >= n_jobs {

@@ -55,7 +55,7 @@ fn read(path: &Path) -> String {
     std::fs::read_to_string(path).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
 }
 
-/// Names what a `results[i]…` path of a sweep or refine document points
+/// Names what a `results[i]…` path of a report document points
 /// at: "point 120, Object-Grouping" or "point het N=30 α=0.9".
 fn what(doc: &Json, path: &str) -> Option<String> {
     let index = |key: &str| -> Option<usize> {

@@ -73,8 +73,8 @@ use crate::bounds::lower_bound;
 // are reproducible, but they describe how the reference search ran, not
 // what a campaign computed, so they stay out of the deterministic
 // section of a telemetry report and no committed core gains rows. The
-// counters are pure observers: the pinned node counts below hold
-// whether collection is on or off.
+// counters are pure observers: `tests/telemetry.rs` checks that a solve
+// expands the same nodes with collection on and off.
 static BB_NODES: Counter = Counter::new("bb.nodes", Class::Overlay);
 static BB_PRUNE_BOUND: Counter = Counter::new("bb.prune.bound", Class::Overlay);
 static BB_PRUNE_INFEASIBLE: Counter = Counter::new("bb.prune.infeasible", Class::Overlay);

@@ -1,7 +1,7 @@
 //! Campaign configuration and execution.
 //!
 //! [`run_grid`] is the one campaign driver: it lays a grid's points ×
-//! cells out on the work-stealing pool, folds each point back in grid
+//! cells out on the fixed-grid pool, folds each point back in grid
 //! order and times the phases. The sweep, refinement and serve campaigns
 //! all run on it.
 //!
@@ -152,7 +152,7 @@ impl Campaign {
     }
 }
 
-/// Runs a scenario grid on the work-stealing pool and folds it back
+/// Runs a scenario grid on the fixed-grid pool and folds it back
 /// into one row per point — the driver under every campaign kind.
 ///
 /// Point `p` owns `cells(p)` jobs, laid out point-major, and

@@ -4,15 +4,14 @@
 //! cost curves swept over N, α and platform parameters. This crate turns
 //! such a grid into a **campaign**: the cross product
 //! `scenario point × heuristic × seed` flattened into independent jobs,
-//! drained from the same task deque as the parallel branch-and-bound
-//! ([`snsp_core::pool`]), and folded by a typed sink into a versioned,
-//! machine-readable `BENCH_sweep.json`.
+//! run on the fixed-grid pool ([`snsp_core::pool`]), and folded by a
+//! typed sink into a versioned, machine-readable `BENCH_sweep.json`.
 //!
 //! [`run_grid`] is the driver every campaign kind shares — this crate's
 //! sweep, `snsp-search`'s refinement campaigns and `snsp-serve`'s serve
 //! and chaos campaigns. It resolves the worker count, lays each point's
-//! cells out point-major on [`snsp_core::pool::run_jobs`] (which seeds
-//! the deque with the job indices), folds each point in grid order and
+//! cells out point-major on [`snsp_core::pool::run_jobs`] (which hands
+//! the job indices out in order), folds each point in grid order and
 //! times the phases ([`PhaseTiming`]). Their writers fill one document
 //! skeleton ([`ArtifactKind::document`]): the kind's header, `campaign`, `config`
 //! with `seeds` first, `results`, and in timed form the `timing` block

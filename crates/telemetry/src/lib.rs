@@ -21,7 +21,7 @@
 //!   histograms sort their sample multiset before rendering. These
 //!   metrics are safe to emit in stable-form artifacts.
 //! * [`Class::Overlay`] — the metric depends on scheduling or wall
-//!   clock (steal counts, idle time, RSS). Overlay metrics — and every
+//!   clock (steal counts, busy time, RSS). Overlay metrics — and every
 //!   [`Span`], which is wall-clock by construction — are excluded from
 //!   stable form unconditionally.
 //!
