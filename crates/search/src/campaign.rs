@@ -18,7 +18,7 @@
 //! satisfies `refined ≤ start` by construction, and the schema rejects
 //! any report where it does not.
 
-use snsp_core::heuristics::{all_heuristics, solve_seeded, PipelineOptions, SubtreeBottomUp};
+use snsp_core::heuristics::{solve_seeded, PipelineOptions, SubtreeBottomUp};
 use snsp_core::platform::Catalog;
 use snsp_core::refine::RefineOptions;
 use snsp_gen::{generate, ScenarioParams, TreeShape};
@@ -311,24 +311,19 @@ fn run_job(campaign: &RefineCampaign, point: &RefinePoint, seed: u64) -> JobResu
     // The baseline: the paper's winning constructive heuristic, full
     // pipeline. Seeds it cannot solve are reported as infeasible (the
     // portfolio may still rescue them, but without a baseline there is
-    // no defensible "refined vs start" row). Otherwise the other five
-    // heuristics are solved and the portfolio refines all six starts,
-    // the baseline in its own place so ties sort as they always have.
-    let pipeline = PipelineOptions::default();
-    let start = solve_seeded(&SubtreeBottomUp, &inst, seed, &pipeline).ok();
+    // no defensible "refined vs start" row). The portfolio reuses the
+    // baseline as its Subtree-Bottom-Up start instead of solving it again.
+    let start = solve_seeded(&SubtreeBottomUp, &inst, seed, &PipelineOptions::default()).ok();
     let lb = lower_bound(&inst).value();
     let outcome = start.as_ref().and_then(|baseline| {
-        let starts = all_heuristics()
-            .iter()
-            .filter_map(|h| {
-                if h.name() == baseline.heuristic {
-                    Some(baseline.clone())
-                } else {
-                    solve_seeded(h.as_ref(), &inst, seed, &pipeline).ok()
-                }
-            })
-            .collect();
-        certified_portfolio(&inst, starts, &campaign.refine, campaign.top_k, lb)
+        certified_portfolio(
+            &inst,
+            seed,
+            Some(baseline),
+            &campaign.refine,
+            campaign.top_k,
+            lb,
+        )
     });
     let (start_cost, refined_cost, evals, accepted) = match (&start, &outcome) {
         (Some(s), Some(o)) => (

@@ -239,26 +239,29 @@ pub fn refine_portfolio(
     opts: &RefineOptions,
     top_k: usize,
 ) -> Option<RefineOutcome> {
-    let pipeline = PipelineOptions::default();
-    let starts = all_heuristics()
-        .iter()
-        .filter_map(|h| solve_seeded(h.as_ref(), inst, seed, &pipeline).ok())
-        .collect();
-    certified_portfolio(inst, starts, opts, top_k, lower_bound(inst).value())
+    certified_portfolio(inst, seed, None, opts, top_k, lower_bound(inst).value())
 }
 
-/// [`refine_portfolio`] over starts the caller already solved, against a
-/// given certificate, as [`certified_refine`] is [`refine`]. The starts
-/// are the feasible ones in [`all_heuristics`] order, which the stable
-/// cost sort keeps among equal costs.
+/// [`refine_portfolio`] against a given certificate, as
+/// [`certified_refine`] is [`refine`]. A start the caller `solved`
+/// already replaces its heuristic's solve, in that heuristic's place in
+/// [`all_heuristics`], so the stable cost sort breaks ties as without it.
 pub(crate) fn certified_portfolio(
     inst: &Instance,
-    mut starts: Vec<Solution>,
+    seed: u64,
+    solved: Option<&Solution>,
     opts: &RefineOptions,
     top_k: usize,
     certificate: u64,
 ) -> Option<RefineOutcome> {
-    let placement = PipelineOptions::default().placement;
+    let pipeline = PipelineOptions::default();
+    let mut starts: Vec<Solution> = all_heuristics()
+        .iter()
+        .filter_map(|h| match solved {
+            Some(s) if s.heuristic == h.name() => Some(s.clone()),
+            _ => solve_seeded(h.as_ref(), inst, seed, &pipeline).ok(),
+        })
+        .collect();
     starts.sort_by_key(|a| a.cost);
     if starts.is_empty() {
         return None;
@@ -272,7 +275,7 @@ pub(crate) fn certified_portfolio(
         {
             break;
         }
-        let out = certified_refine(inst, &start, placement, opts, certificate);
+        let out = certified_refine(inst, &start, pipeline.placement, opts, certificate);
         let replace = best
             .as_ref()
             .is_none_or(|b| out.solution.cost < b.solution.cost);
@@ -488,13 +491,7 @@ mod tests {
         }
         for driver in [RefineDriver::FirstImprovement, RefineDriver::Anneal] {
             let opts = opts_with(driver, 600);
-            let starts: Vec<Solution> = all_heuristics()
-                .iter()
-                .filter_map(|h| {
-                    solve_seeded(h.as_ref(), &inst, seed, &PipelineOptions::default()).ok()
-                })
-                .collect();
-            let run = |c| certified_portfolio(&inst, starts.clone(), &opts, 3, c);
+            let run = |c| certified_portfolio(&inst, seed, None, &opts, 3, c);
             let at = format!("N={n} {shape:?} portfolio {}", driver.name());
             let (plain, fast) = match (run(0), run(certificate)) {
                 (Some(plain), Some(fast)) => (plain, fast),
