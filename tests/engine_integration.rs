@@ -122,3 +122,131 @@ fn exact_solver_mappings_also_run() {
     let report = simulate(&inst, &mapping, &SimConfig::default()).unwrap();
     assert!(report.achieved_throughput >= inst.rho * 0.95);
 }
+
+/// An FNV-1a hash over engine results, with the counts it stands for.
+struct EnginePin {
+    mappings: usize,
+    multi: usize,
+    errors: usize,
+    hash: u64,
+}
+
+impl EnginePin {
+    fn eat(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.hash = (self.hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    /// Folds one run in: its event count, the bits of its throughput and
+    /// of every completion time, or the error text.
+    fn add(&mut self, run: Result<snsp::engine::SimReport, snsp::engine::SimError>) {
+        match run {
+            Ok(report) => {
+                self.eat(&report.events.to_le_bytes());
+                self.eat(&report.achieved_throughput.to_bits().to_le_bytes());
+                for t in &report.completion_times {
+                    self.eat(&t.to_bits().to_le_bytes());
+                }
+            }
+            Err(e) => {
+                self.eat(e.to_string().as_bytes());
+                self.errors += 1;
+            }
+        }
+        self.eat(b"|");
+    }
+}
+
+/// Runs the engine under two configurations on every heuristic's mapping
+/// of `paper_instance(n, α, seed)` for each `n`, α ∈ {0.9, 1.3, 1.7} and
+/// seeds 0–2, and compares one row per `n`, "n mappings multi errors
+/// hash", with its pin. `multi` counts the mappings on several processors
+/// with cut edges, whose transfers go through `max_min_fair`. The pins
+/// were taken before the engine's event loop was rewritten, so any moved
+/// bit of any run fails.
+fn assert_engine_runs_pinned(sizes: &[usize], pins: &[&str]) {
+    let configs = [
+        SimConfig::default(),
+        SimConfig {
+            results: 60,
+            warmup: 5,
+            buffer: 1,
+            ..SimConfig::default()
+        },
+    ];
+    let mut rows = Vec::new();
+    for &n in sizes {
+        let mut pin = EnginePin {
+            mappings: 0,
+            multi: 0,
+            errors: 0,
+            hash: 0xcbf2_9ce4_8422_2325,
+        };
+        for alpha in [0.9, 1.3, 1.7] {
+            for seed in 0..3u64 {
+                let inst = paper_instance(n, alpha, seed);
+                for h in all_heuristics() {
+                    let opts = PipelineOptions::default();
+                    let Ok(sol) = solve_seeded(h.as_ref(), &inst, seed, &opts) else {
+                        pin.eat(b"infeasible|");
+                        continue;
+                    };
+                    let m = &sol.mapping;
+                    pin.mappings += 1;
+                    let cut = inst.tree.ops().any(|op| {
+                        inst.tree
+                            .parent(op)
+                            .is_some_and(|p| m.proc_of(p) != m.proc_of(op))
+                    });
+                    if m.proc_count() > 1 && cut {
+                        pin.multi += 1;
+                    }
+                    for config in &configs {
+                        pin.add(simulate(&inst, m, config));
+                    }
+                }
+            }
+        }
+        let EnginePin {
+            mappings,
+            multi,
+            errors,
+            hash,
+        } = pin;
+        rows.push(format!("{n} {mappings} {multi} {errors} {hash:016x}"));
+    }
+    let moved: Vec<String> = rows
+        .iter()
+        .zip(pins)
+        .filter(|(row, pin)| row != *pin)
+        .map(|(row, pin)| format!("  {row}\n    pinned {pin}"))
+        .collect();
+    assert!(
+        moved.is_empty() && rows.len() == pins.len(),
+        "engine runs moved:\n{}\nall rows:\n{rows:#?}",
+        moved.join("\n")
+    );
+}
+
+#[test]
+fn engine_runs_are_pinned_at_small_n() {
+    assert_engine_runs_pinned(
+        &[5, 10],
+        &["5 54 18 0 6aeb06acd660eaf9", "10 54 18 0 f2ca389453792986"],
+    );
+}
+
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "about 1.6 s in release; run with cargo test --release"
+)]
+fn engine_runs_are_pinned_at_n20_to_n40() {
+    let pins = [
+        "20 54 19 0 da94660125cefd5d",
+        "30 54 20 0 d964b6a41056392b",
+        "40 54 21 0 ccf69f2f882547a6",
+    ];
+    assert_engine_runs_pinned(&[20, 30, 40], &pins);
+}

@@ -222,3 +222,42 @@ fn admission_latency_sample_counts_are_deterministic() {
         assert!(report.admit_latencies_us.iter().all(|&us| us > 0.0));
     }
 }
+
+/// The final engine validation, pinned before it was rewritten. The
+/// trace is 1,089 events in one tick, so the tick fans out from two
+/// workers on. An SLO bar of 1,000·ρ fails every check, so the log
+/// carries each resident's engine-measured rate to the last digit: any
+/// moved bit of any validation run, or a verdict noted out of shard
+/// order, changes the hash.
+#[test]
+fn final_validation_is_pinned_at_every_worker_count() {
+    let trace = generate_trace(&TraceParams::heavy(300.0, 0.25, 2.0), 3);
+    assert_eq!(trace.events.len(), 1089);
+    let config = ServeConfig {
+        slo_frac: 1e3,
+        ..ServeConfig::default()
+    };
+    for workers in [1usize, 2, 4] {
+        let opts = ShardOptions { shards: 4, workers };
+        let ((report, _), snap) = capture(|| replay_trace_sharded(&trace, &config, &opts));
+        assert_eq!(report.slo_checks, 59, "{workers} workers");
+        assert_eq!(report.slo_violations, 59, "{workers} workers");
+        assert_eq!(report.log.len(), 1148, "{workers} workers");
+        assert_eq!(format!("{:016x}", report.log_hash()), "bab8bcd8278c2c79");
+        let first = report.log.iter().find(|l| l.contains("slo-violation"));
+        assert_eq!(
+            first.map(String::as_str),
+            Some(
+                "2.000000 slo-violation t332 (SLO missed: \
+                 achieved 282.86954069298105 < required 1423.2674041841922)"
+            ),
+            "{workers} workers"
+        );
+        if workers == 2 {
+            assert!(
+                snap.counter("pool.steals").unwrap_or(0) > 0,
+                "nothing fanned out"
+            );
+        }
+    }
+}
