@@ -166,15 +166,42 @@ pub fn meets_slo(
 
 /// One remote tree edge with its transfer pipeline state.
 struct RemoteEdge {
-    child: OpId,
-    parent: OpId,
-    src: ProcId,
-    dst: ProcId,
+    child: usize,
+    parent: usize,
     bytes: f64,
+    /// Its resources: sender NIC, receiver NIC, pair link.
+    path: [usize; 3],
     /// Completed transfers (results fully delivered to the parent).
     delivered: usize,
     /// In-flight transfer: remaining MB of the `delivered`-th result.
     active: Option<f64>,
+}
+
+/// Compressed per-operator lists: `items[start[i]..start[i + 1]]` is
+/// operator `i`'s list.
+struct Csr {
+    start: Vec<usize>,
+    items: Vec<usize>,
+}
+
+impl Csr {
+    /// Lists `lists(i)` for every operator `i` in `0..n`, in order.
+    fn build<I: IntoIterator<Item = usize>>(n: usize, mut lists: impl FnMut(usize) -> I) -> Csr {
+        let mut csr = Csr {
+            start: Vec::with_capacity(n + 1),
+            items: Vec::new(),
+        };
+        csr.start.push(0);
+        for i in 0..n {
+            csr.items.extend(lists(i));
+            csr.start.push(csr.items.len());
+        }
+        csr
+    }
+
+    fn of(&self, i: usize) -> &[usize] {
+        &self.items[self.start[i]..self.start[i + 1]]
+    }
 }
 
 /// Runs the engine on one mapping.
@@ -207,80 +234,96 @@ pub fn simulate(
         reserved[d.proc.index()] += inst.object_rate(d.ty);
     }
 
-    // Remote edges and the dynamic network resource table.
+    // Remote edges and the dynamic network resource table: one resource
+    // per processor NIC, one per used pair link.
     let mut edges: Vec<RemoteEdge> = Vec::new();
-    for op in inst.tree.ops() {
-        if let Some(p) = inst.tree.parent(op) {
-            let (u, v) = (mapping.proc_of(op), mapping.proc_of(p));
-            if u != v {
-                edges.push(RemoteEdge {
-                    child: op,
-                    parent: p,
-                    src: u,
-                    dst: v,
-                    bytes: inst.tree.output(op),
-                    delivered: 0,
-                    active: None,
-                });
-            }
-        }
-    }
-    // Resource indices: one per processor NIC, one per used pair link.
     let mut resources: Vec<f64> = Vec::new();
     let mut nic_res: Vec<Option<usize>> = vec![None; mapping.proc_count()];
     let mut link_res: BTreeMap<(ProcId, ProcId), usize> = BTreeMap::new();
-    for e in &edges {
-        for p in [e.src, e.dst] {
-            if nic_res[p.index()].is_none() {
-                let kind = inst.platform.catalog.kind(mapping.proc_kinds[p.index()]);
-                let cap = kind.bandwidth - reserved[p.index()];
-                if cap <= 0.0 {
-                    return Err(SimError::NicSaturated(p));
-                }
-                nic_res[p.index()] = Some(resources.len());
-                resources.push(cap);
-            }
-        }
-        let key = if e.src < e.dst {
-            (e.src, e.dst)
-        } else {
-            (e.dst, e.src)
+    for op in inst.tree.ops() {
+        let Some(p) = inst.tree.parent(op) else {
+            continue;
         };
-        link_res.entry(key).or_insert_with(|| {
-            resources.push(inst.platform.proc_link);
-            resources.len() - 1
+        let (src, dst) = (mapping.proc_of(op), mapping.proc_of(p));
+        if src == dst {
+            continue;
+        }
+        let mut nic = |u: ProcId| match nic_res[u.index()] {
+            Some(r) => Ok(r),
+            None => {
+                let kind = inst.platform.catalog.kind(mapping.proc_kinds[u.index()]);
+                let cap = kind.bandwidth - reserved[u.index()];
+                if cap <= 0.0 {
+                    return Err(SimError::NicSaturated(u));
+                }
+                nic_res[u.index()] = Some(resources.len());
+                resources.push(cap);
+                Ok(resources.len() - 1)
+            }
+        };
+        let (src_nic, dst_nic) = (nic(src)?, nic(dst)?);
+        let link = *link_res
+            .entry((src.min(dst), src.max(dst)))
+            .or_insert_with(|| {
+                resources.push(inst.platform.proc_link);
+                resources.len() - 1
+            });
+        edges.push(RemoteEdge {
+            child: op.index(),
+            parent: p.index(),
+            bytes: inst.tree.output(op),
+            path: [src_nic, dst_nic, link],
+            delivered: 0,
+            active: None,
         });
     }
-    let edge_path: Vec<Vec<usize>> = edges
+
+    // Per-operator constants of the event loop, computed once per run:
+    // processor, work (floored), that processor's CPU speed and parent;
+    // the children on the same processor, which deliver instantly
+    // through its shared memory; and the remote in-edges (indices into
+    // `edges`).
+    let proc: &[usize] = &mapping
+        .assignment
         .iter()
-        .map(|e| {
-            let key = if e.src < e.dst {
-                (e.src, e.dst)
-            } else {
-                (e.dst, e.src)
-            };
-            vec![
-                nic_res[e.src.index()].unwrap(),
-                nic_res[e.dst.index()].unwrap(),
-                link_res[&key],
-            ]
-        })
+        .map(|u| u.index())
+        .collect::<Vec<_>>();
+    let work: Vec<f64> = inst
+        .tree
+        .ops()
+        .map(|op| inst.tree.work(op).max(1e-12))
         .collect();
-
-    // Remote in-edges per operator (indices into `edges`); local children
-    // deliver instantly through the shared memory of the processor.
-    let mut remote_in: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for (i, e) in edges.iter().enumerate() {
-        remote_in[e.parent.index()].push(i);
+    let speed: Vec<f64> = proc
+        .iter()
+        .map(|&u| inst.platform.catalog.kind(mapping.proc_kinds[u]).speed)
+        .collect();
+    let parent: Vec<Option<usize>> = inst
+        .tree
+        .ops()
+        .map(|op| inst.tree.parent(op).map(OpId::index))
+        .collect();
+    let mut edge_of = vec![usize::MAX; n];
+    for (e, edge) in edges.iter().enumerate() {
+        edge_of[edge.child] = e;
     }
+    let children = |i: usize| inst.tree.children(OpId::from(i)).iter().map(|c| c.index());
+    let local_children = Csr::build(n, |i| children(i).filter(move |&c| proc[c] == proc[i]));
+    let remote_in = Csr::build(n, |i| {
+        let remote = children(i).filter(move |&c| proc[c] != proc[i]);
+        remote.map(|c| edge_of[c])
+    });
 
-    // Per-operator state.
+    // Per-operator state, and buffers every event reuses.
     let mut computed = vec![0usize; n];
     let mut computing: Vec<Option<f64>> = vec![None; n]; // remaining Gop
     let mut completion_times = Vec::with_capacity(config.results);
-    let root = inst.tree.root();
+    let root = inst.tree.root().index();
     let mut t = 0.0_f64;
     let mut events = 0u64;
+    let mut cpu_active = vec![0.0_f64; mapping.proc_count()];
+    let mut cpu_rate = vec![0.0_f64; n];
+    let mut active_flows: Vec<usize> = Vec::new();
+    let mut flow_paths: Vec<[usize; 3]> = Vec::new();
 
     // An operator may start result r when every operator child has
     // delivered result r (locally via `computed`, remotely via the edge
@@ -288,17 +331,9 @@ pub fn simulate(
     // root is capped at `config.results`: upstream operators keep the
     // pipeline full until the root is done, so the measured root rate is a
     // true steady-state throughput, not a drained-pipeline burst.
-    let ready = |op: OpId,
-                 computed: &[usize],
-                 computing: &[Option<f64>],
-                 edges: &[RemoteEdge],
-                 remote_in: &[Vec<usize>]|
-     -> bool {
-        if computing[op.index()].is_some() {
-            return false;
-        }
-        let r = computed[op.index()];
-        match inst.tree.parent(op) {
+    let ready = |i: usize, computed: &[usize], edges: &[RemoteEdge]| -> bool {
+        let r = computed[i];
+        match parent[i] {
             None => {
                 if r >= config.results {
                     return false;
@@ -307,45 +342,32 @@ pub fn simulate(
             // Per-parent window: each hop may run at most `buffer` results
             // ahead, which bounds memory while letting deep chains fill.
             Some(p) => {
-                if r >= computed[p.index()] + config.buffer {
+                if r >= computed[p] + config.buffer {
                     return false;
                 }
             }
         }
-        for &c in inst.tree.children(op) {
-            let local = inst.tree.parent(c).map(|p| p == op).unwrap_or(false)
-                && mapping.proc_of(c) == mapping.proc_of(op);
-            if local && computed[c.index()] <= r {
-                return false;
-            }
-        }
-        for &ei in &remote_in[op.index()] {
-            if edges[ei].delivered <= r {
-                return false;
-            }
-        }
-        true
+        local_children.of(i).iter().all(|&c| computed[c] > r)
+            && remote_in.of(i).iter().all(|&e| edges[e].delivered > r)
     };
 
     loop {
-        // Fixpoint: start every compute and transfer that can start.
-        let mut started = true;
-        while started {
-            started = false;
-            for op in inst.tree.ops() {
-                if ready(op, &computed, &computing, &edges, &remote_in) {
-                    computing[op.index()] = Some(inst.tree.work(op).max(1e-12));
-                    started = true;
-                }
+        // Start every compute and transfer that can start. One pass is
+        // the fixpoint: a start sets only its own `computing` or `active`
+        // slot, and no other operator's or transfer's test reads that
+        // slot (they read `computed` and `delivered`, which only
+        // completions move), so a second pass would start nothing.
+        for i in 0..n {
+            if computing[i].is_none() && ready(i, &computed, &edges) {
+                computing[i] = Some(work[i]);
             }
-            for e in edges.iter_mut() {
-                if e.active.is_none()
-                    && computed[e.child.index()] > e.delivered
-                    && e.delivered < computed[e.parent.index()] + config.buffer
-                {
-                    e.active = Some(e.bytes.max(1e-12));
-                    started = true;
-                }
+        }
+        for e in edges.iter_mut() {
+            if e.active.is_none()
+                && computed[e.child] > e.delivered
+                && e.delivered < computed[e.parent] + config.buffer
+            {
+                e.active = Some(e.bytes.max(1e-12));
             }
         }
 
@@ -356,32 +378,24 @@ pub fn simulate(
         // Compute rates: generalized processor sharing weighted by w_i, so
         // every active operator on a processor advances through *results*
         // at the same pace (the fluid ideal constraint (1) assumes).
-        let mut cpu_active = vec![0.0_f64; mapping.proc_count()];
-        for op in inst.tree.ops() {
-            if computing[op.index()].is_some() {
-                cpu_active[mapping.proc_of(op).index()] += inst.tree.work(op).max(1e-12);
+        cpu_active.fill(0.0);
+        for i in 0..n {
+            if computing[i].is_some() {
+                cpu_active[proc[i]] += work[i];
             }
         }
-        let cpu_rate = |op: OpId, cpu_active: &[f64]| -> f64 {
-            let u = mapping.proc_of(op);
-            let kind = inst.platform.catalog.kind(mapping.proc_kinds[u.index()]);
-            kind.speed * inst.tree.work(op).max(1e-12) / cpu_active[u.index()]
-        };
-        let active_flows: Vec<usize> = edges
-            .iter()
-            .enumerate()
-            .filter(|(_, e)| e.active.is_some())
-            .map(|(i, _)| i)
-            .collect();
-        let flow_paths: Vec<Vec<usize>> =
-            active_flows.iter().map(|&i| edge_path[i].clone()).collect();
+        active_flows.clear();
+        active_flows.extend((0..edges.len()).filter(|&e| edges[e].active.is_some()));
+        flow_paths.clear();
+        flow_paths.extend(active_flows.iter().map(|&e| edges[e].path));
         let flow_rates = max_min_fair(&resources, &flow_paths);
 
         // Next completion.
         let mut dt = f64::INFINITY;
-        for op in inst.tree.ops() {
-            if let Some(rem) = computing[op.index()] {
-                dt = dt.min(rem / cpu_rate(op, &cpu_active));
+        for i in 0..n {
+            if let Some(rem) = computing[i] {
+                cpu_rate[i] = speed[i] * work[i] / cpu_active[proc[i]];
+                dt = dt.min(rem / cpu_rate[i]);
             }
         }
         for (fi, &ei) in active_flows.iter().enumerate() {
@@ -402,17 +416,17 @@ pub fn simulate(
         }
 
         // Advance and collect completions.
-        for op in inst.tree.ops() {
-            if let Some(rem) = computing[op.index()] {
-                let left = rem - cpu_rate(op, &cpu_active) * dt;
+        for i in 0..n {
+            if let Some(rem) = computing[i] {
+                let left = rem - cpu_rate[i] * dt;
                 if left <= 1e-9 {
-                    computing[op.index()] = None;
-                    computed[op.index()] += 1;
-                    if op == root {
+                    computing[i] = None;
+                    computed[i] += 1;
+                    if i == root {
                         completion_times.push(t);
                     }
                 } else {
-                    computing[op.index()] = Some(left);
+                    computing[i] = Some(left);
                 }
             }
         }

@@ -10,23 +10,26 @@
 /// Computes max-min fair rates.
 ///
 /// `capacities[r]` is the capacity of resource `r`; `flows[f]` lists the
-/// resources flow `f` crosses. Returns one rate per flow. Flows crossing no
-/// resource get `f64::INFINITY` (they are not network-bound).
-pub fn max_min_fair(capacities: &[f64], flows: &[Vec<usize>]) -> Vec<f64> {
+/// resources flow `f` crosses (any slice-like path: the engine passes
+/// fixed `[usize; 3]` paths, so it allocates none per event). Returns one
+/// rate per flow. Flows crossing no resource get `f64::INFINITY` (they
+/// are not network-bound).
+pub fn max_min_fair<P: AsRef<[usize]>>(capacities: &[f64], flows: &[P]) -> Vec<f64> {
     let mut rates = vec![0.0_f64; flows.len()];
     if flows.is_empty() {
         return rates;
     }
+    let paths = || flows.iter().map(AsRef::as_ref);
     let mut remaining: Vec<f64> = capacities.to_vec();
-    let mut active: Vec<bool> = flows.iter().map(|f| !f.is_empty()).collect();
-    for (f, flow) in flows.iter().enumerate() {
+    let mut active: Vec<bool> = paths().map(|f| !f.is_empty()).collect();
+    for (f, flow) in paths().enumerate() {
         if flow.is_empty() {
             rates[f] = f64::INFINITY;
         }
     }
     // Number of active flows crossing each resource.
     let mut users = vec![0usize; capacities.len()];
-    for (f, flow) in flows.iter().enumerate() {
+    for (f, flow) in paths().enumerate() {
         if active[f] {
             for &r in flow {
                 users[r] += 1;
@@ -53,7 +56,7 @@ pub fn max_min_fair(capacities: &[f64], flows: &[Vec<usize>]) -> Vec<f64> {
 
         // Raise every active flow by `fill`, then freeze the flows through
         // the bottleneck.
-        for (f, flow) in flows.iter().enumerate() {
+        for (f, flow) in paths().enumerate() {
             if !active[f] {
                 continue;
             }
@@ -62,7 +65,7 @@ pub fn max_min_fair(capacities: &[f64], flows: &[Vec<usize>]) -> Vec<f64> {
                 remaining[r] -= fill;
             }
         }
-        for (f, flow) in flows.iter().enumerate() {
+        for (f, flow) in paths().enumerate() {
             if active[f] && flow.contains(&bottleneck) {
                 active[f] = false;
                 for &r in flow {
@@ -113,7 +116,7 @@ mod tests {
 
     #[test]
     fn no_flows_is_fine() {
-        assert!(max_min_fair(&[1.0, 2.0], &[]).is_empty());
+        assert!(max_min_fair::<[usize; 0]>(&[1.0, 2.0], &[]).is_empty());
     }
 
     #[test]
