@@ -63,30 +63,47 @@ impl MultiSolution {
     /// [`Mapping`] (processor ids and kinds are shared across apps; the
     /// downloads are restricted to the types app `k` actually needs).
     pub fn mapping_for(&self, multi: &MultiInstance, k: usize) -> Mapping {
-        let app = &multi.apps[k];
         let assignment = self.assignments[k].clone();
-        let mut downloads = Vec::new();
-        for u in 0..self.proc_kinds.len() {
-            let u = ProcId::from(u);
-            let needed: Vec<TypeId> = {
-                let mut tys: Vec<TypeId> = assignment
-                    .iter()
-                    .enumerate()
-                    .filter(|&(_, &p)| p == u)
-                    .flat_map(|(i, _)| app.tree.leaf_types(OpId::from(i)).iter().copied())
-                    .collect();
-                tys.sort_unstable();
-                tys.dedup();
-                tys
-            };
-            for d in self.downloads.iter().filter(|d| d.proc == u) {
-                if needed.contains(&d.ty) {
-                    downloads.push(*d);
-                }
-            }
-        }
-        Mapping::new(self.proc_kinds.clone(), assignment, downloads)
+        project_mapping(
+            &multi.apps[k],
+            &self.proc_kinds,
+            assignment,
+            &self.downloads,
+        )
     }
+}
+
+/// Projects a joint solution, given as slices, onto one application:
+/// the shared `proc_kinds`, the application's `assignment` into them, and
+/// those of the shared `downloads` whose type `app` needs on their
+/// processor (a leaf type of an operator assigned there).
+/// [`MultiSolution::mapping_for`] and the serving tier's in-place
+/// projections of its live platform both call it, so the two cannot
+/// drift apart.
+pub fn project_mapping(
+    app: &Instance,
+    proc_kinds: &[usize],
+    assignment: Vec<ProcId>,
+    downloads: &[Download],
+) -> Mapping {
+    let mut needed: Vec<(ProcId, TypeId)> = assignment
+        .iter()
+        .enumerate()
+        .flat_map(|(i, &u)| {
+            app.tree
+                .leaf_types(OpId::from(i))
+                .iter()
+                .map(move |&ty| (u, ty))
+        })
+        .collect();
+    needed.sort_unstable();
+    needed.dedup();
+    let downloads = downloads
+        .iter()
+        .filter(|d| needed.binary_search(&(d.proc, d.ty)).is_ok())
+        .copied()
+        .collect();
+    Mapping::new(proc_kinds.to_vec(), assignment, downloads)
 }
 
 /// Aggregate steady-state demand of operator sets from several

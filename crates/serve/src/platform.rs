@@ -32,10 +32,12 @@ use snsp_core::heuristics::{Heuristic, HeuristicError, PipelineOptions};
 use snsp_core::ids::{OpId, ProcId, TenantId, TypeId};
 use snsp_core::instance::Instance;
 use snsp_core::mapping::Download;
+use snsp_core::mapping::Mapping;
 #[cfg(doc)]
 use snsp_core::multi::verify_joint;
 use snsp_core::multi::{
-    check_joint, shared_demand, DownloadLedger, MultiInstance, MultiSolution, SharedDemand,
+    check_joint, project_mapping, shared_demand, DownloadLedger, MultiInstance, MultiSolution,
+    SharedDemand,
 };
 use snsp_core::object::ObjectCatalog;
 use snsp_core::platform::Platform;
@@ -1035,57 +1037,96 @@ impl LivePlatform {
         })
     }
 
+    /// The live slots renumbered `0..` in ascending order: each slot's
+    /// compact index (`None` for a tombstone), the live kinds and the
+    /// ledger's streams on live slots, renumbered and sorted.
+    fn compaction(&self) -> Compaction {
+        let mut index = vec![None; self.slots.len()];
+        let live = self
+            .slots
+            .iter()
+            .enumerate()
+            .filter_map(|(u, k)| Some((u, (*k)?)));
+        let mut proc_kinds = Vec::new();
+        for (u, kind) in live {
+            index[u] = Some(ProcId::from(proc_kinds.len()));
+            proc_kinds.push(kind);
+        }
+        let mut downloads: Vec<Download> = self
+            .ledger
+            .downloads()
+            .into_iter()
+            .filter_map(|mut d| {
+                d.proc = index[d.proc.index()]?;
+                Some(d)
+            })
+            .collect();
+        downloads.sort_unstable();
+        Compaction {
+            index,
+            proc_kinds,
+            downloads,
+        }
+    }
+
+    /// Each resident tenant, in ascending id, with its engine projection:
+    /// the [`Mapping`] that [`snapshot`](Self::snapshot) and
+    /// [`mapping_for`](snsp_core::multi::MultiSolution::mapping_for) give
+    /// its index, built through the same [`project_mapping`] from the
+    /// live slots, the ledger and the tenant's own instance and
+    /// assignment, borrowed: no instance is cloned.
+    pub fn projections(&self) -> impl Iterator<Item = (&Tenant, Mapping)> {
+        let c = self.compaction();
+        self.tenants.values().map(move |t| {
+            let mapping = project_mapping(&t.inst, &c.proc_kinds, c.assignment(t), &c.downloads);
+            (t, mapping)
+        })
+    }
+
     /// Compacts the live platform into an offline snapshot: a
     /// [`MultiInstance`] over the resident tenants (ascending id — index
     /// `k` is `tenant_ids()[k]`) and the matching [`MultiSolution`], ready
     /// for [`verify_joint`] or per-tenant
     /// engine projections via
     /// [`mapping_for`](snsp_core::multi::MultiSolution::mapping_for).
-    /// `None` when no tenant is resident.
+    /// `None` when no tenant is resident. Clones every resident
+    /// [`Instance`]; [`projections`](Self::projections) borrows them.
     pub fn snapshot(&self) -> Option<(MultiInstance, MultiSolution)> {
         if self.tenants.is_empty() {
             return None;
         }
-        let live = self.live_slots();
-        let remap: BTreeMap<usize, usize> = live
-            .iter()
-            .enumerate()
-            .map(|(new, &old)| (old, new))
-            .collect();
+        let c = self.compaction();
         let apps: Vec<Instance> = self.tenants.values().map(|t| t.inst.clone()).collect();
-        let assignments: Vec<Vec<ProcId>> = self
-            .tenants
-            .values()
-            .map(|t| {
-                t.assignment
-                    .iter()
-                    .map(|p| ProcId::from(remap[&p.index()]))
-                    .collect()
-            })
-            .collect();
-        let mut downloads: Vec<Download> = self
-            .ledger
-            .downloads()
-            .into_iter()
-            .filter(|d| remap.contains_key(&d.proc.index()))
-            .map(|mut d| {
-                d.proc = ProcId::from(remap[&d.proc.index()]);
-                d
-            })
-            .collect();
-        downloads.sort_unstable();
-        let proc_kinds: Vec<usize> = live.iter().map(|&u| self.slots[u].unwrap()).collect();
-        let cost = self.cost();
+        let assignments = self.tenants.values().map(|t| c.assignment(t)).collect();
         let multi = MultiInstance::new(apps).ok()?;
         Some((
             multi,
             MultiSolution {
-                proc_kinds,
+                proc_kinds: c.proc_kinds,
                 assignments,
-                downloads,
-                cost,
+                downloads: c.downloads,
+                cost: self.cost(),
             },
         ))
+    }
+}
+
+/// The live slots renumbered `0..` in ascending order, as a snapshot and
+/// the engine projections see them.
+struct Compaction {
+    /// Compact index per slot; `None` for a tombstone.
+    index: Vec<Option<ProcId>>,
+    /// Kind per compact processor.
+    proc_kinds: Vec<usize>,
+    /// The ledger's streams on live slots, renumbered, sorted.
+    downloads: Vec<Download>,
+}
+
+impl Compaction {
+    /// `t`'s assignment renumbered onto the compact processors.
+    fn assignment(&self, t: &Tenant) -> Vec<ProcId> {
+        let compact = |p: &ProcId| self.index[p.index()].expect("tenants sit on live slots");
+        t.assignment.iter().map(compact).collect()
     }
 }
 
@@ -1510,6 +1551,62 @@ mod tests {
             refolds > 0 && merges > 0,
             "{priced} pricings reached {refolds} refolds and {merges} merges"
         );
+    }
+
+    /// Asserts that each resident's in-place projection is the mapping
+    /// `snapshot()` + `mapping_for(k)` builds for it, and returns how
+    /// many of them span several processors.
+    fn assert_projections_match_snapshot(live: &LivePlatform, at: &str) -> usize {
+        let projections: Vec<(&Tenant, Mapping)> = live.projections().collect();
+        let Some((multi, sol)) = live.snapshot() else {
+            assert!(projections.is_empty(), "{at}: projections of no tenant");
+            return 0;
+        };
+        assert_eq!(projections.len(), multi.apps.len(), "{at}");
+        let mut spanning = 0;
+        for (k, (t, mapping)) in projections.iter().enumerate() {
+            let expected = sol.mapping_for(&multi, k);
+            let at = format!("{at}: tenant {} (index {k})", t.id);
+            assert_eq!(t.id, live.tenant_ids()[k], "{at}");
+            assert_eq!(mapping.proc_kinds, expected.proc_kinds, "{at}");
+            assert_eq!(mapping.assignment, expected.assignment, "{at}");
+            assert_eq!(mapping.downloads, expected.downloads, "{at}");
+            let first = mapping.assignment[0];
+            spanning += usize::from(mapping.assignment.iter().any(|&p| p != first));
+        }
+        spanning
+    }
+
+    #[test]
+    fn projections_match_the_snapshot_through_a_heavy_storm() {
+        let mut spanning = 0;
+        heavy_storm(|id, live, _| {
+            spanning += assert_projections_match_snapshot(live, &format!("step {id}"));
+        });
+        assert!(spanning > 0, "no tenant spans several slots");
+    }
+
+    #[test]
+    fn projections_match_the_snapshot_over_tombstoned_slots() {
+        // The serve-chaos shape with trace failures: failed and sold
+        // slots stay tombstones, so the compaction renumbers around them.
+        let params = TraceParams::heavy(300.0, 0.4, 10.0)
+            .with_failures(2.0)
+            .with_tenant_rho(2.0, 6.0);
+        let trace = snsp_gen::generate_trace(&params, 1);
+        let opts = crate::shard::ShardOptions {
+            shards: 2,
+            workers: 1,
+        };
+        let config = crate::sim::ServeConfig::default();
+        let (_, sharded) = crate::sim::replay_trace_sharded(&trace, &config, &opts);
+        for s in 0..sharded.shard_count() {
+            let live = sharded.shard(s);
+            let tombstones = live.slots.iter().filter(|k| k.is_none()).count();
+            assert!(tombstones > 0, "shard {s} has no tombstoned slot");
+            assert!(live.tenant_count() > 0, "shard {s} has no resident");
+            assert_projections_match_snapshot(live, &format!("shard {s}"));
+        }
     }
 
     #[test]

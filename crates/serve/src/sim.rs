@@ -46,7 +46,7 @@ use std::sync::Mutex;
 
 use snsp_core::heuristics::{PipelineOptions, SubtreeBottomUp};
 use snsp_core::ids::TenantId;
-use snsp_core::pool::run_jobs_checked;
+use snsp_core::pool::{run_jobs_checked, PoolStats};
 use snsp_engine::{meets_slo, SimConfig};
 use snsp_gen::{trace_environment, TenantSpec, TimedEvent, Trace, TraceEvent};
 use snsp_sweep::PIPELINE_SEED_STRIDE;
@@ -150,27 +150,18 @@ impl Default for ServeConfig {
     }
 }
 
-/// Engine-validates every resident tenant's projection of `live`'s
-/// current snapshot.
+/// Engine-validates every resident tenant of `live` on its projection
+/// ([`LivePlatform::projections`]), in ascending tenant id.
 pub(crate) fn validate_residents(live: &LivePlatform, config: &ServeConfig) -> ServeEvent {
-    let Some((multi, sol)) = live.snapshot() else {
-        return ServeEvent::SloChecked {
-            checks: 0,
-            violations: Vec::new(),
-        };
-    };
-    let ids = live.tenant_ids();
-    let violations = ids
-        .into_iter()
-        .enumerate()
-        .filter_map(|(k, id)| {
-            let mapping = sol.mapping_for(&multi, k);
-            let verdict = meets_slo(&multi.apps[k], &mapping, config.slo_frac, &config.sim);
-            verdict.err().map(|e| (id, e.to_string()))
+    let violations = live
+        .projections()
+        .filter_map(|(t, mapping)| {
+            let verdict = meets_slo(&t.inst, &mapping, config.slo_frac, &config.sim);
+            verdict.err().map(|e| (t.id, e.to_string()))
         })
         .collect();
     ServeEvent::SloChecked {
-        checks: multi.apps.len(),
+        checks: live.tenant_count(),
         violations,
     }
 }
@@ -244,6 +235,7 @@ pub(crate) fn replay(
         config,
         plan,
         workers: opts.workers,
+        fanned_out: false,
         sharded,
         batches: vec![Vec::new(); n],
         admitted: vec![0; n],
@@ -304,6 +296,9 @@ struct Engine<'a> {
     config: &'a ServeConfig,
     plan: &'a FaultPlan,
     workers: usize,
+    /// Whether some tick of this replay fanned out on `workers`; only
+    /// then does the final validation fan out too.
+    fanned_out: bool,
     sharded: ShardedPlatform,
     /// Per-shard trace events awaiting the next barrier.
     batches: Vec<Vec<TimedEvent>>,
@@ -355,6 +350,7 @@ impl Engine<'_> {
         } else {
             self.workers
         };
+        self.fanned_out |= workers > 1;
         let (results, pool) = {
             let _replay = SPAN_TICK_REPLAY.start();
             // Each worker gets exclusive access to one (shard, batch,
@@ -372,13 +368,7 @@ impl Engine<'_> {
                 replay_batch(s, live, batch, run, config, count, tick)
             })
         };
-        if pool.panics > 0 {
-            // Dump the flight recorder first so the crash scene survives,
-            // then re-raise with `run_jobs`'s own message.
-            let detail = "worker panicked replaying a shard batch";
-            self.flight_dump("pool-panic", detail, None);
-            panic!("{} pool job(s) panicked", pool.panics);
-        }
+        self.reraise(pool, "worker panicked replaying a shard batch");
         let mut outcomes: Vec<(Vec<ShardMsg>, Vec<f64>)> = results.into_iter().flatten().collect();
         // Crash + recover: the victim's in-flight results are lost with
         // the worker; restore the checkpoint and re-replay the batch.
@@ -451,6 +441,16 @@ impl Engine<'_> {
         }
         let end = LogicalTime::tick_end(tick);
         snsp_telemetry::trace::record(Class::Det, run, end, TraceEventKind::TickEnd);
+    }
+
+    /// Re-raises the jobs of `pool` that panicked, with `run_jobs`'s own
+    /// message, after dumping the flight recorder so the crash scene
+    /// survives.
+    fn reraise(&mut self, pool: PoolStats, detail: &str) {
+        if pool.panics > 0 {
+            self.flight_dump("pool-panic", detail, None);
+            panic!("{} pool job(s) panicked", pool.panics);
+        }
     }
 
     /// Integrates the current global load up to `to`.
@@ -776,8 +776,13 @@ impl Engine<'_> {
     fn finish(mut self, horizon: f64) -> (TraceReport, ChaosStats, ShardedPlatform) {
         if self.config.final_validation {
             let _validate = SPAN_VALIDATE.start();
-            for s in 0..self.sharded.shard_count() {
-                let checked = validate_residents(self.sharded.shard(s), self.config);
+            let workers = if self.fanned_out { self.workers } else { 1 };
+            let (sharded, config) = (&self.sharded, self.config);
+            let (checked, pool) = run_jobs_checked(sharded.shard_count(), workers, |s| {
+                validate_residents(sharded.shard(s), config)
+            });
+            self.reraise(pool, "worker panicked validating a shard");
+            for checked in checked.into_iter().flatten() {
                 self.note(horizon, checked);
             }
         }
