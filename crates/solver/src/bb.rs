@@ -365,12 +365,14 @@ impl<'a> Search<'a> {
         if self.truncated {
             return;
         }
-        BB_NODES.incr();
-        self.nodes += 1;
-        if self.nodes > self.budget {
+        // The budget is tested before the node is counted, so a truncated
+        // search reports exactly `node_budget` nodes expanded.
+        if self.nodes >= self.budget {
             self.truncated = true;
             return;
         }
+        BB_NODES.incr();
+        self.nodes += 1;
         if depth == self.order.len() {
             self.evaluate_leaf();
             return;
@@ -611,11 +613,11 @@ mod reference {
             if self.truncated {
                 return;
             }
-            self.nodes += 1;
-            if self.nodes > self.budget {
+            if self.nodes >= self.budget {
                 self.truncated = true;
                 return;
             }
+            self.nodes += 1;
             if depth == self.order.len() {
                 self.evaluate_leaf();
                 return;
@@ -814,6 +816,22 @@ mod tests {
     }
 
     #[test]
+    fn truncated_search_counts_exactly_the_budget() {
+        let inst = paper_instance(14, 2.1, 2);
+        let config = BranchBoundConfig {
+            node_budget: 50,
+            upper_bound: None,
+        };
+        for res in [
+            solve_exact(&inst, &config),
+            solve_exact_reference(&inst, &config),
+        ] {
+            assert!(!res.optimal);
+            assert_eq!(res.nodes, 50);
+        }
+    }
+
+    #[test]
     fn homogeneous_catalog_minimizes_processor_count() {
         let mut inst = paper_instance(8, 1.2, 5);
         inst.platform.catalog = snsp_core::platform::Catalog::homogeneous(4, 4);
@@ -885,7 +903,7 @@ mod tests {
             node_budget: 100_000,
             ..Default::default()
         };
-        for (seed, nodes, ref_nodes) in [(0, 21, 21), (1, 21, 21), (2, 5_595, 100_001)] {
+        for (seed, nodes, ref_nodes) in [(0, 21, 21), (1, 21, 21), (2, 5_595, 100_000)] {
             let mut inst = paper_instance(20, 0.9, seed);
             inst.platform.catalog = Catalog::homogeneous(0, 0);
             let fast = solve_exact(&inst, &config);
