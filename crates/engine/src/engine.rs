@@ -13,6 +13,15 @@
 //! the *achieved throughput*, which for a feasible mapping must reach the
 //! instance's target ρ and can never exceed the analytic
 //! [`snsp_core::constraints::max_throughput`].
+//!
+//! Each event first starts every computation and transfer that can
+//! start, and one pass over the operators and edges does that: whether
+//! an operator or a transfer can start depends on its own in-flight
+//! slot and on completed-result counts, and a start sets only its own
+//! slot, so no start makes another one ready. Only completions, at the
+//! end of the event, move the counts. The per-operator constants the
+//! pass reads (processor, work, CPU speed, parent, same-processor
+//! children and remote in-edges) are tabulated once per run.
 
 use std::collections::BTreeMap;
 

@@ -31,8 +31,7 @@ use rand::SeedableRng;
 use snsp_core::heuristics::{Heuristic, HeuristicError, PipelineOptions};
 use snsp_core::ids::{OpId, ProcId, TenantId, TypeId};
 use snsp_core::instance::Instance;
-use snsp_core::mapping::Download;
-use snsp_core::mapping::Mapping;
+use snsp_core::mapping::{Download, Mapping};
 #[cfg(doc)]
 use snsp_core::multi::verify_joint;
 use snsp_core::multi::{
@@ -1037,9 +1036,7 @@ impl LivePlatform {
         })
     }
 
-    /// The live slots renumbered `0..` in ascending order: each slot's
-    /// compact index (`None` for a tombstone), the live kinds and the
-    /// ledger's streams on live slots, renumbered and sorted.
+    /// Renumbers the live slots `0..` in ascending order.
     fn compaction(&self) -> Compaction {
         let mut index = vec![None; self.slots.len()];
         let live = self
@@ -1112,7 +1109,8 @@ impl LivePlatform {
 }
 
 /// The live slots renumbered `0..` in ascending order, as a snapshot and
-/// the engine projections see them.
+/// the engine projections see them. The renumbering is monotone, so
+/// the streams keep the ledger's `(slot, type, server)` order.
 struct Compaction {
     /// Compact index per slot; `None` for a tombstone.
     index: Vec<Option<ProcId>>,

@@ -37,9 +37,14 @@
 //!
 //! SLO enforcement is analytic at admission time (joint constraints hold
 //! by construction) and *validated* by spot-running the `snsp-engine`
-//! fluid simulator on per-tenant projections of a shard's snapshot:
-//! every `spot_admissions`-th admission on a shard, and over all
-//! residents at the end of the trace.
+//! fluid simulator on each tenant's projection of its shard
+//! ([`LivePlatform::projections`], built from the live state without
+//! cloning an instance): every `spot_admissions`-th admission on a
+//! shard, and over all residents at the end of the trace. The final
+//! validation runs one pool job per shard and notes the verdicts in
+//! shard order, so its log lines never depend on the worker count. It
+//! fans out only in a replay where some tick already did, and otherwise
+//! stays on the calling thread (see `INLINE_TICK_EVENTS`).
 
 use std::collections::BTreeMap;
 use std::sync::Mutex;
@@ -117,6 +122,15 @@ static SPAN_AUDIT: Span = Span::new("fault.audit");
 /// events lost to one thread, the two were about even at 370 events,
 /// and the fan-out won from about 1,000. Results never depend on the
 /// worker count, so this moves nothing but the wall time.
+///
+/// The final validation follows the ticks: it fans out only in a replay
+/// where some tick reached this size on more than one worker. Once a
+/// process has spawned a thread, glibc malloc leaves its single-thread
+/// fast path for good, so a replay whose ticks all ran inline should
+/// not spawn one at its end: on the serve-chaos workload (2 vCPUs), a
+/// variant that always fanned the validation out replayed 6 % fewer
+/// events per second, and one thread spawned and joined at program
+/// start slowed the replay by 4.8 %.
 const INLINE_TICK_EVENTS: u64 = 256;
 
 /// Serving-loop policy knobs. Arriving tenants are placed by
@@ -772,7 +786,10 @@ impl Engine<'_> {
     }
 
     /// Closes the replay at `horizon`: final engine validation, the last
-    /// integral step, and the per-replay telemetry.
+    /// integral step, and the per-replay telemetry. The validation runs
+    /// one job per shard on the pool — on `workers` threads if a tick of
+    /// this replay fanned out, else on this thread — and notes the
+    /// verdicts in shard order.
     fn finish(mut self, horizon: f64) -> (TraceReport, ChaosStats, ShardedPlatform) {
         if self.config.final_validation {
             let _validate = SPAN_VALIDATE.start();
